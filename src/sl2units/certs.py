@@ -15,7 +15,7 @@ exact computation, and raises VerificationFailed on the first mismatch.
 from __future__ import annotations
 
 import json
-import math
+from dataclasses import fields as dataclass_fields
 
 from . import __version__
 from .elemgen import Decomposition
@@ -32,25 +32,17 @@ from .norms import (
     AxiomReport,
     FiniteGroupTable,
     LemmaBoundReport,
-    NormTable,
     check_norm_axioms,
-    conjugation_closure,
+    closure_norm_table,
+    format_norm,
+    summarize_norms,
 )
 from .rings import PrincipalIdeal, RingDescriptor, in_ideal, parse_element, parse_ring, quotient
 from .sl2 import Mat2, diag, parse_matrix, word_from_json, word_to_json
 
-KINDS = (
-    "many-units",
-    "lemma2-witness",
-    "h-decomposition",
-    "decomposition",
-    "norm-experiment",
-    "axiom-report",
-)
-
 
 def make_document(kind: str, ring: RingDescriptor, payload: dict) -> dict:
-    if kind not in KINDS:
+    if kind not in _VERIFIERS:
         raise ValueError(f"unknown certificate kind {kind!r}")
     return {
         "kind": kind,
@@ -158,172 +150,202 @@ def axiom_report_payload(
 
 
 # ---------------------------------------------------------------------------
-# payload parsers
+# payload reading
+
+_JSON_TYPES = {
+    "element": str, "matrix": str, "matrices": list, "word": dict, "int": int,
+    "bool": bool, "norm": (int, str), "object": dict, "objects": list, "any": object,
+}
 
 
-def parse_many_units(ring: RingDescriptor, payload: dict) -> ManyUnitsCertificate:
-    try:
-        return ManyUnitsCertificate(
-            c=parse_element(ring, payload["c"]),
-            v=parse_element(ring, payload["v"]),
-            u=parse_element(ring, payload["u"]),
-            k=int(payload["k"]),
-            y=parse_element(ring, payload["y"]),
-            check_u8=bool(payload["check_u8"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed many-units payload: {exc!r}") from None
+class _Fields:
+    """One JSON object of a payload, read key by key against an expected shape.
+
+    A missing key, a wrong JSON type (a bool is not an int, a norm is an int
+    or "inf"), or a value the parsers reject raises a ParseError that names
+    the certificate kind and the key.  Objects come back as nested readers.
+    """
+
+    def __init__(self, where: str, ring: RingDescriptor, data):
+        if not isinstance(data, dict):
+            raise ParseError(f"{where} must be a JSON object")
+        self.where = where
+        self.ring = ring
+        self.data = data
+
+    def __call__(self, key: str, shape: str):
+        if key not in self.data:
+            raise ParseError(f"{self.where}: missing field {key!r}")
+        value = self.data[key]
+        if (
+            not isinstance(value, _JSON_TYPES[shape])
+            or (shape != "any" and isinstance(value, bool) != (shape == "bool"))
+            or (shape == "norm" and isinstance(value, str) and value != "inf")
+        ):
+            raise ParseError(f"{self.where}: field {key!r} must be {shape}, not {value!r:.40}")
+        where = f"{self.where}.{key}"
+        if shape == "object":
+            return _Fields(where, self.ring, value)
+        if shape == "objects":
+            return [_Fields(f"{where}[{i}]", self.ring, v) for i, v in enumerate(value)]
+        try:
+            if shape == "element":
+                return parse_element(self.ring, value)
+            if shape == "matrix":
+                return parse_matrix(self.ring, value)
+            if shape == "matrices":
+                return [parse_matrix(self.ring, text) for text in value]
+            if shape == "word":
+                return word_from_json(self.ring, value)
+        except (ParseError, ValueError, RecursionError) as exc:
+            raise ParseError(f"{where}: {exc}") from None
+        return value
 
 
-def parse_witness(ring: RingDescriptor, payload: dict) -> ConjugateWitness:
-    try:
-        factors = []
-        for entry in payload["factors"]:
-            core = entry["core"]
-            if core not in ("A", "A^-1"):
-                raise ParseError(f"factor core must be 'A' or 'A^-1', got {core!r}")
-            factors.append(
-                ConjugateFactor(
-                    conjugator=word_from_json(ring, entry["conjugator"]),
-                    core_inverted=(core == "A^-1"),
-                )
-            )
-        return ConjugateWitness(
-            matrix=parse_matrix(ring, payload["matrix"]),
-            u=parse_element(ring, payload["u"]),
-            z=parse_element(ring, payload["z"]),
-            t=parse_element(ring, payload["t"]),
-            q=parse_element(ring, payload["q"]),
-            p=parse_element(ring, payload["p"]),
-            Y=parse_matrix(ring, payload["Y"]),
-            factors=tuple(factors),
-            target=parse_matrix(ring, payload["target"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed witness payload: {exc!r}") from None
+def _expect(recorded, recomputed, message: str) -> None:
+    if recorded != recomputed:
+        raise VerificationFailed(message)
+
+
+def _read_unit_certificate(fields: _Fields) -> tuple:
+    """The certificate and its recorded epsilon generator."""
+    cert = ManyUnitsCertificate(
+        c=fields("c", "element"),
+        v=fields("v", "element"),
+        u=fields("u", "element"),
+        k=fields("k", "int"),
+        y=fields("y", "element"),
+        check_u8=fields("check_u8", "bool"),
+    )
+    return cert, fields("epsilon_generator", "element")
+
+
+def _check_unit_certificate(cert: ManyUnitsCertificate, epsilon_generator) -> None:
+    verify_certificate(cert)
+    _expect(epsilon_generator, epsilon_ideal(cert).generator, "recorded epsilon generator is wrong")
 
 
 # ---------------------------------------------------------------------------
-# verification dispatch
+# verifiers, one per kind: each reads every field first, then recomputes
 
 
-def _verify_many_units(ring: RingDescriptor, payload: dict) -> None:
-    cert = parse_many_units(ring, payload)
-    verify_certificate(cert)
-    if "epsilon_generator" in payload:
-        recorded = parse_element(ring, payload["epsilon_generator"])
-        if recorded != epsilon_ideal(cert).generator:
-            raise VerificationFailed("recorded epsilon generator is wrong")
+def _verify_many_units(fields: _Fields) -> None:
+    _check_unit_certificate(*_read_unit_certificate(fields))
 
 
-def _verify_witness(ring: RingDescriptor, payload: dict) -> None:
-    verify_witness(parse_witness(ring, payload))
+def _verify_witness(fields: _Fields) -> None:
+    factors = []
+    for entry in fields("factors", "objects"):
+        core = entry("core", "any")
+        if core not in ("A", "A^-1"):
+            raise ParseError(f"{entry.where}: factor core must be 'A' or 'A^-1', not {core!r}")
+        factors.append(ConjugateFactor(entry("conjugator", "word"), core == "A^-1"))
+    witness = ConjugateWitness(
+        matrix=fields("matrix", "matrix"),
+        u=fields("u", "element"),
+        z=fields("z", "element"),
+        t=fields("t", "element"),
+        q=fields("q", "element"),
+        p=fields("p", "element"),
+        Y=fields("Y", "matrix"),
+        factors=tuple(factors),
+        target=fields("target", "matrix"),
+    )
+    verify_witness(witness)
 
 
-def _verify_decomposition(ring: RingDescriptor, payload: dict, h_kind: bool) -> None:
-    try:
-        matrix = parse_matrix(ring, payload["matrix"])
-        word = word_from_json(ring, payload["word"])
-        length = int(payload["length"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed decomposition payload: {exc!r}") from None
+def _verify_decomposition(fields: _Fields) -> Decomposition:
+    matrix = fields("matrix", "matrix")
+    word = fields("word", "word")
+    length = fields("length", "int")
     try:
         dec = Decomposition(matrix, word)
     except ValueError as exc:
         raise VerificationFailed(str(exc)) from None
-    if dec.length != length:
-        raise VerificationFailed(f"recorded length {length}, actual {dec.length}")
-    if h_kind:
-        unit = parse_element(ring, payload["unit"])
-        if matrix != diag(unit):
-            raise VerificationFailed("matrix is not diag(u, 1/u) for the recorded unit")
-        if dec.length != 6:
-            raise VerificationFailed("the diagonal decomposition must have six factors")
+    _expect(length, dec.length, f"recorded length {length}, actual {dec.length}")
+    return dec
 
 
-def _verify_experiment(ring: RingDescriptor, payload: dict) -> None:
-    try:
-        matrix = parse_matrix(ring, payload["matrix"])
-        nested = payload["unit_certificate"]
-        modulus = parse_element(ring, payload["modulus"])
-        bound = int(payload["bound"])
-        samples = payload["samples"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed experiment payload: {exc!r}") from None
-    cert = parse_many_units(ring, nested)
-    verify_certificate(cert)
-    if cert.c != matrix.c:
-        raise VerificationFailed("unit certificate does not match the matrix corner")
-    eps_ideal = PrincipalIdeal(epsilon_ideal(cert).generator)
+def _verify_h_decomposition(fields: _Fields) -> None:
+    unit = fields("unit", "element")
+    dec = _verify_decomposition(fields)
+    _expect(dec.matrix, diag(unit), "matrix is not diag(u, 1/u) for the recorded unit")
+    _expect(dec.length, 6, "the diagonal decomposition must have six factors")
+
+
+def _verify_experiment(fields: _Fields) -> None:
+    matrix = fields("matrix", "matrix")
+    cert, epsilon_generator = _read_unit_certificate(fields("unit_certificate", "object"))
+    modulus = fields("modulus", "element")
+    quotient_index = fields("quotient_index", "int")
+    group_order = fields("group_order", "int")
+    generator_count = fields("generator_count", "int")
+    nontrivial_count = fields("nontrivial_count", "int")
+    histogram = fields("histogram", "object").data
+    max_norm = fields("max_norm", "norm")
+    bound = fields("bound", "int")
+    within = fields("all_within_bound", "bool")
+    samples = [(s("j", "element"), s("norm", "norm")) for s in fields("samples", "objects")]
+
+    _check_unit_certificate(cert, epsilon_generator)
+    _expect(cert.c, matrix.c, "unit certificate does not match the matrix corner")
+    eps_ideal = PrincipalIdeal(epsilon_generator)  # checked equal to epsilon_ideal(cert)
     q = quotient(PrincipalIdeal(modulus))
-    if q.index != int(payload["quotient_index"]):
-        raise VerificationFailed("recorded quotient index is wrong")
+    _expect(quotient_index, q.index, "recorded quotient index is wrong")
     table = FiniteGroupTable(q)
-    if len(table) != int(payload["group_order"]):
-        raise VerificationFailed("recorded group order is wrong")
-    a_bar = table.from_matrix(matrix)
-    gens = conjugation_closure(table, [a_bar, table.inv(a_bar)])
-    if len(gens) != int(payload["generator_count"]):
-        raise VerificationFailed("recorded generating set size is wrong")
-    norms = NormTable(table, gens, check=False)
-    histogram: dict = {}
-    max_norm: float = 0
-    for entry in samples:
-        j = parse_element(ring, entry["j"])
+    _expect(group_order, len(table), "recorded group order is wrong")
+    norms = closure_norm_table(table, [matrix, matrix.inverse()])
+    _expect(generator_count, len(norms.generating_set), "recorded generating set size is wrong")
+    recomputed = []
+    for j, recorded in samples:
         if not in_ideal(j, eps_ideal):
             raise VerificationFailed(f"sampled {j} lies outside the epsilon ideal")
         image = table.transvection("12", j)
         if image == table.identity:
             raise VerificationFailed(f"sampled {j} has trivial image, not a valid sample")
         norm = norms.length(image)
-        recorded = math.inf if entry["norm"] == "inf" else int(entry["norm"])
-        if norm != recorded:
-            raise VerificationFailed(
-                f"recorded norm {entry['norm']} for {j}, recomputed {norm}"
-            )
-        key = "inf" if norm == math.inf else norm
-        histogram[str(key)] = histogram.get(str(key), 0) + 1
-        max_norm = max(max_norm, norm)
-    if len(samples) != int(payload["nontrivial_count"]):
-        raise VerificationFailed("nontrivial_count does not match the sample list")
-    if histogram != {str(k): v for k, v in payload["histogram"].items()}:
-        raise VerificationFailed("histogram does not match the sample list")
-    recorded_max = payload["max_norm"]
-    recorded_max = math.inf if recorded_max == "inf" else int(recorded_max)
-    if samples and max_norm != recorded_max:
-        raise VerificationFailed("recorded max norm is wrong")
-    within = all(
-        (math.inf if e["norm"] == "inf" else int(e["norm"])) <= bound for e in samples
-    )
-    if within != bool(payload["all_within_bound"]):
-        raise VerificationFailed("all_within_bound flag does not match the samples")
+        _expect(recorded, format_norm(norm), f"recorded norm {recorded} for {j}, recomputed {norm}")
+        recomputed.append(norm)
+    _expect(nontrivial_count, len(samples), "nontrivial_count does not match the sample list")
+    rebuilt_histogram, rebuilt_max, rebuilt_within = summarize_norms(recomputed, bound)
+    rebuilt_histogram = {str(k): v for k, v in rebuilt_histogram.items()}
+    _expect(histogram, rebuilt_histogram, "histogram does not match the sample list")
+    _expect(max_norm, rebuilt_max, "recorded max norm is wrong")
+    _expect(within, rebuilt_within, "all_within_bound flag does not match the samples")
 
 
-def _verify_axiom_report(ring: RingDescriptor, payload: dict) -> None:
-    try:
-        modulus = parse_element(ring, payload["modulus"])
-        seed_texts = payload["seed"]
-        axioms = payload["axioms"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed axiom-report payload: {exc!r}") from None
+def _verify_axiom_report(fields: _Fields) -> None:
+    modulus = fields("modulus", "element")
+    seed = fields("seed", "matrices")
+    group_order = fields("group_order", "int")
+    generator_count = fields("generator_count", "int")
+    all_passed = fields("all_passed", "bool")
+    axioms = fields("axioms", "object")
+    recorded = {}
+    for axiom in dataclass_fields(AxiomReport):
+        entry = axioms(axiom.name, "object")
+        recorded[axiom.name] = (entry("passed", "bool"), entry("counterexample", "any"))
+
     table = FiniteGroupTable(quotient(PrincipalIdeal(modulus)))
-    if len(table) != int(payload["group_order"]):
-        raise VerificationFailed("recorded group order is wrong")
-    seed = [table.from_matrix(parse_matrix(ring, text)) for text in seed_texts]
-    gens = conjugation_closure(table, seed)
-    if len(gens) != int(payload["generator_count"]):
-        raise VerificationFailed("recorded generating set size is wrong")
-    report = check_norm_axioms(NormTable(table, gens, check=False))
-    if report.all_passed != bool(payload["all_passed"]):
-        raise VerificationFailed("all_passed flag does not re-verify")
+    _expect(group_order, len(table), "recorded group order is wrong")
+    norms = closure_norm_table(table, seed)
+    _expect(generator_count, len(norms.generating_set), "recorded generating set size is wrong")
+    report = check_norm_axioms(norms)
+    _expect(all_passed, report.all_passed, "all_passed flag does not re-verify")
     for check in report.checks:
-        recorded = axioms.get(check.name)
-        if recorded is None:
-            raise VerificationFailed(f"axiom {check.name} missing from the report")
-        if bool(recorded["passed"]) != check.passed:
-            raise VerificationFailed(f"axiom {check.name} result does not re-verify")
-        if recorded.get("counterexample") != check.counterexample:
-            raise VerificationFailed(f"axiom {check.name} counterexample differs")
+        passed, counterexample = recorded[check.name]
+        _expect(passed, check.passed, f"axiom {check.name} result does not re-verify")
+        _expect(counterexample, check.counterexample, f"axiom {check.name} counterexample differs")
+
+
+_VERIFIERS = {
+    "many-units": _verify_many_units,
+    "lemma2-witness": _verify_witness,
+    "h-decomposition": _verify_h_decomposition,
+    "decomposition": _verify_decomposition,
+    "norm-experiment": _verify_experiment,
+    "axiom-report": _verify_axiom_report,
+}
 
 
 def verify_document(doc) -> dict:
@@ -335,24 +357,10 @@ def verify_document(doc) -> dict:
     if not isinstance(doc, dict):
         raise ParseError("certificate must be a JSON object")
     kind = doc.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in _VERIFIERS:
         raise ParseError(f"unknown certificate kind {kind!r}")
-    if not isinstance(doc.get("payload"), dict):
-        raise ParseError("certificate payload must be a JSON object")
     ring = parse_ring(doc.get("ring", ""))
-    payload = doc["payload"]
-    if kind == "many-units":
-        _verify_many_units(ring, payload)
-    elif kind == "lemma2-witness":
-        _verify_witness(ring, payload)
-    elif kind == "h-decomposition":
-        _verify_decomposition(ring, payload, h_kind=True)
-    elif kind == "decomposition":
-        _verify_decomposition(ring, payload, h_kind=False)
-    elif kind == "norm-experiment":
-        _verify_experiment(ring, payload)
-    else:
-        _verify_axiom_report(ring, payload)
+    _VERIFIERS[kind](_Fields(f"{kind} payload", ring, doc.get("payload")))
     if not doc.get("verified", False):
         raise VerificationFailed("document is marked verified = false")
     return {"kind": kind, "ring": ring.name, "ok": True}

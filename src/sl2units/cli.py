@@ -1,8 +1,8 @@
 """Command-line front end emitting and re-checking JSON certificates.
 
-Exit codes: 0 on verified success, 1 on a domain error (with an error JSON
-object on standard output), 2 on a usage error.  Standard output carries
-JSON only; diagnostics go to standard error.
+Exit codes: 0 on verified success, 1 on a domain error and 3 on an internal
+error (both with an error JSON object on standard output), 2 on a usage
+error.  Standard output carries JSON only; diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+import traceback
 from dataclasses import replace
 
 from . import certs
@@ -33,10 +34,11 @@ from .lemma import (
 from .norms import (
     DEFAULT_TABLE_CAP,
     FiniteGroupTable,
-    NormTable,
     bfs_norm,
     check_norm_axioms,
+    closure_norm_table,
     conjugation_closure,
+    format_norm,
     lemma_bound_experiment,
 )
 from .rings import (
@@ -161,7 +163,7 @@ def _cmd_norm_bfs(args) -> dict:
         "group_order": len(table),
         "generator_count": len(gens),
         "element": args.element,
-        "norm": "inf" if norm == float("inf") else norm,
+        "norm": format_norm(norm),
     }
 
 
@@ -189,15 +191,14 @@ def _cmd_norm_lemma_bound(args) -> dict:
 def _cmd_norm_axioms(args) -> dict:
     ring = _ring(args)
     table = _table(ring, args)
-    seed = [table.from_matrix(parse_matrix(ring, text)) for text in args.gen]
-    gens = conjugation_closure(table, seed)
-    report = check_norm_axioms(NormTable(table, gens, check=False))
+    seed = [parse_matrix(ring, text) for text in args.gen]
+    norms = closure_norm_table(table, seed)
     payload = certs.axiom_report_payload(
         modulus_text=str(parse_element(ring, args.modulus)),
-        seed_texts=[str(parse_matrix(ring, text)) for text in args.gen],
+        seed_texts=[str(m) for m in seed],
         group_order=len(table),
-        generator_count=len(gens),
-        report=report,
+        generator_count=len(norms.generating_set),
+        report=check_norm_axioms(norms),
     )
     return certs.make_document("axiom-report", ring, payload)
 
@@ -213,7 +214,7 @@ def _cmd_verify(args) -> dict:
             raise ParseError(f"cannot read {args.file}: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     return certs.verify_document(doc)
 
@@ -374,6 +375,11 @@ def run(argv=None) -> int:
     except AlgebraError as exc:
         print(json.dumps({"error": exc.name, "message": str(exc)}, sort_keys=True, indent=2))
         return 1
+    except Exception as exc:  # a bug, not bad input: still JSON, with its own exit code
+        traceback.print_exc()
+        message = f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"error": "InternalError", "message": message}, sort_keys=True, indent=2))
+        return 3
     print(json.dumps(result, sort_keys=True, indent=2))
     return 0
 

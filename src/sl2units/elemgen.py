@@ -181,17 +181,13 @@ def decompose(
             factors.append(ElemFactor("21", m.c))
             m = elem21(-m.c) * m
             continue
-        inv_a = is_unit(m.a) if m.a else None
+        # a = 0 would force -bc = 1, a unit corner, so a is nonzero from here on
+        inv_a = is_unit(m.a)
         if inv_a is not None:
             # unit pivot: steer the corner to 1 and let the branch above finish
             t = (one - m.c) * inv_a
             m = elem21(t) * m
             factors.append(ElemFactor("21", -t))
-            continue
-        if not m.a:
-            # defensive only: a = 0 forces c to be a unit, handled above
-            m = elem12(one) * m
-            factors.append(ElemFactor("12", -one))
             continue
         if euclidean_size(m.c) >= euclidean_size(m.a):
             q = divide(m.c, m.a)

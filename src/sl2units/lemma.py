@@ -37,6 +37,7 @@ from .rings import (
     RingDescriptor,
     RingElement,
     exact_quotient,
+    height,
     in_ideal,
     infinite_order_unit,
     is_unit,
@@ -81,7 +82,10 @@ def verify_certificate(cert: ManyUnitsCertificate) -> None:
         raise VerificationFailed(f"exponent k = {cert.k} is not positive")
     if is_unit(cert.v) is None:
         raise VerificationFailed(f"base {cert.v} is not a unit")
-    if cert.u != cert.v**cert.k:
+    # height(v^k) >= 2^(k-2) for a unit v != +-1: a k that u is too small for
+    # is refused before v**k is taken
+    too_small = cert.v not in (1, -1) and cert.k > height(cert.u).bit_length() + 1
+    if too_small or cert.u != cert.v**cert.k:
         raise VerificationFailed(f"u is not {cert.v}^{cert.k}")
     if cert.u - 1 != cert.c * cert.c * cert.y:
         raise VerificationFailed("u - 1 does not equal c^2 * y")
@@ -304,11 +308,9 @@ class Conjugated:
 
 @dataclass(frozen=True)
 class CommutatorTaken:
-    """The result is A g A^-1 g^-1 (conjugated afterwards if post_conjugator
-    is set, which the 2x2 case never actually needs)."""
+    """The result is A g A^-1 g^-1."""
 
     g: Mat2
-    post_conjugator: Optional[Mat2] = None
 
 
 CornerProvenance = object  # Unchanged | Conjugated | CommutatorTaken
@@ -342,13 +344,6 @@ def ensure_nonzero_corner(A: Mat2) -> CornerResult:
     if A.b:
         g = _antidiagonal_unit(ring)
         return CornerResult(conjugate(g, A), Conjugated(g), 1)
-    # non-scalar diagonal: [A, E21(1)] = E21(d^2 - 1) has a nonzero corner
+    # non-scalar diagonal A = diag(a, 1/a): [A, E21(1)] = E21(a^-2 - 1) with a^2 != 1
     g = elem21(ring.one())
-    m = commutator(A, g)
-    if m.c:
-        return CornerResult(m, CommutatorTaken(g), 2)
-    w = _antidiagonal_unit(ring)
-    m = conjugate(w, m)
-    if not m.c:
-        raise FormCheckFailed("corner normalization produced a zero corner twice")
-    return CornerResult(m, CommutatorTaken(g, post_conjugator=w), 2)
+    return CornerResult(commutator(A, g), CommutatorTaken(g), 2)

@@ -210,6 +210,12 @@ class NormTable:
         return self.lengths[g]
 
 
+def closure_norm_table(table: FiniteGroupTable, seed: Iterable[Mat2]) -> NormTable:
+    """Word lengths over the conjugation closure of the seed matrices' images."""
+    gens = conjugation_closure(table, [table.from_matrix(m) for m in seed])
+    return NormTable(table, gens, check=False)
+
+
 @dataclass(frozen=True)
 class AxiomCheck:
     name: str
@@ -235,7 +241,8 @@ class AxiomReport:
         return all(c.passed for c in self.checks)
 
 
-def _fmt_norm(v) -> Union[int, str]:
+def format_norm(v) -> Union[int, str]:
+    """A norm as certificates write it: an int, or "inf" when unreachable."""
     return "inf" if v == math.inf else v
 
 
@@ -263,7 +270,7 @@ def check_norm_axioms(
     ident = group.identity
     if lengths[ident] != 0:
         separation = AxiomCheck(
-            "separation", False, {"g": fmt(ident), "norm": _fmt_norm(lengths[ident])}
+            "separation", False, {"g": fmt(ident), "norm": format_norm(lengths[ident])}
         )
     else:
         for g in group.elements:
@@ -280,8 +287,8 @@ def check_norm_axioms(
                 False,
                 {
                     "g": fmt(g),
-                    "norm": _fmt_norm(lengths[g]),
-                    "inverse_norm": _fmt_norm(lengths[gi]),
+                    "norm": format_norm(lengths[g]),
+                    "inverse_norm": format_norm(lengths[gi]),
                 },
             )
             break
@@ -298,8 +305,8 @@ def check_norm_axioms(
                     {
                         "g": fmt(g),
                         "h": fmt(h),
-                        "norm_product": _fmt_norm(lengths[group.mul(g, h)]),
-                        "norm_sum": _fmt_norm(ng + lengths[h]),
+                        "norm_product": format_norm(lengths[group.mul(g, h)]),
+                        "norm_sum": format_norm(ng + lengths[h]),
                     },
                 )
                 broken = True
@@ -319,8 +326,8 @@ def check_norm_axioms(
                     {
                         "a": fmt(a),
                         "g": fmt(g),
-                        "norm": _fmt_norm(ng),
-                        "conjugated_norm": _fmt_norm(lengths[group.conj(a, g)]),
+                        "norm": format_norm(ng),
+                        "conjugated_norm": format_norm(lengths[group.conj(a, g)]),
                     },
                 )
                 broken = True
@@ -329,6 +336,16 @@ def check_norm_axioms(
             break
 
     return AxiomReport(separation, symmetry, subadditivity, conjugation)
+
+
+def summarize_norms(sampled: list, bound: int) -> tuple[dict, Union[int, str], bool]:
+    """Histogram, maximum (0 for no samples) and within-bound flag of sampled
+    norms, with each norm written by format_norm."""
+    histogram: dict = {}
+    for v in sampled:
+        key = format_norm(v)
+        histogram[key] = histogram.get(key, 0) + 1
+    return histogram, format_norm(max(sampled, default=0)), all(v <= bound for v in sampled)
 
 
 @dataclass(frozen=True)
@@ -377,9 +394,7 @@ def lemma_bound_experiment(
         )
     q = quotient(modulus)
     table = FiniteGroupTable(q, table_cap)
-    a_bar = table.from_matrix(A)
-    gens = conjugation_closure(table, [a_bar, table.inv(a_bar)])
-    norms = NormTable(table, gens, check=False)
+    norms = closure_norm_table(table, [A, A.inverse()])
     eps = epsilon_ideal(cert).generator
     rng = rng if rng is not None else random.Random(0)
     bound = 4
@@ -405,24 +420,20 @@ def lemma_bound_experiment(
             f"only {len(samples)} nontrivial images of ({eps}) in {draws} draws; "
             f"the ideal may reduce to zero modulo {modulus.generator}"
         )
-    sampled_norms = [v for _, v in samples]
-    histogram: dict = {}
-    for v in sampled_norms:
-        key = _fmt_norm(v)
-        histogram[key] = histogram.get(key, 0) + 1
-    max_norm = max(sampled_norms) if sampled_norms else 0
+    histogram, max_norm, within = summarize_norms([v for _, v in samples], bound)
     return LemmaBoundReport(
         ring=A.ring.name,
         modulus=str(modulus.generator),
         quotient_index=q.index,
         group_order=len(table),
-        generator_count=len(gens),
+        generator_count=len(norms.generating_set),
         requested=sample_size,
         nontrivial_count=len(samples),
         trivial_count=trivial,
         histogram=histogram,
-        max_norm=_fmt_norm(max_norm),
+        max_norm=max_norm,
         bound=bound,
-        all_within_bound=all(v <= bound for v in sampled_norms),
-        samples=tuple((j, _fmt_norm(v)) for j, v in samples),
+        all_within_bound=within,
+        samples=tuple((j, format_norm(v)) for j, v in samples),
     )
+

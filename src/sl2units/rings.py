@@ -495,16 +495,6 @@ class QuotientRing:
             return False
         return _lattice_index_is_one(rows)
 
-    def unit_inverse(self, x: RingElement) -> RingElement:
-        """Inverse of the residue class of x, found by scanning the residues."""
-        if not self.is_unit(x):
-            raise NotUnitInQuotient(f"{x} is not invertible modulo {self.modulus}")
-        e = self.encode(x)
-        for j in range(self.index):
-            if self.mul_enc(e, j) == self.one_enc:
-                return self.decode(j)
-        raise AssertionError("unit without inverse; quotient arithmetic is broken")
-
     def unit_group_order(self) -> int:
         """Number of invertible residues, by exhaustive scan."""
         return sum(1 for r in self.residues if self.is_unit(r))
@@ -606,6 +596,8 @@ _RING_RE = re.compile(r"^Z(?:\[\s*(?:1\s*/\s*(\d+)|sqrt\(?\s*(\d+)\s*\)?)\s*\])?
 
 def parse_ring(text: str) -> RingDescriptor:
     """Parse 'Z', 'Z[1/m]', or 'Z[sqrtd]' (also accepts 'Z[sqrt(d)]')."""
+    if not isinstance(text, str):
+        raise ParseError(f"a ring must be given as text, not {type(text).__name__}")
     m = _RING_RE.match(text.strip())
     if not m:
         raise ParseError(f"cannot parse ring descriptor {text!r}")
@@ -631,6 +623,8 @@ _QUAD_RE = re.compile(
 
 def parse_element(ring: RingDescriptor, text: str) -> RingElement:
     """Parse one element in the ring's text syntax; inverse of str()."""
+    if not isinstance(text, str):
+        raise ParseError(f"an element must be given as text, not {type(text).__name__}")
     text = text.strip()
     if _INT_RE.match(text):
         return ring.from_int(int(text))

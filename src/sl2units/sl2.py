@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import DeterminantNotOne, MixedRings, NonUnitDiagonal, ParseError
 from .rings import (
@@ -173,7 +172,8 @@ class InvFactor:
     inner: "GroupWord"
 
 
-Factor = Union[ElemFactor, DiagFactor, ConjFactor, InvFactor]
+# a string: a typing.Union would stay in typing's cache and keep old imports alive
+Factor = "ElemFactor | DiagFactor | ConjFactor | InvFactor"
 
 
 @dataclass(frozen=True)
@@ -211,10 +211,6 @@ def _evaluate_factor(ring: RingDescriptor, f: Factor) -> Mat2:
     if isinstance(f, InvFactor):
         return f.inner.evaluate().inverse()
     raise TypeError(f"unknown factor {f!r}")
-
-
-def word_identity(ring: RingDescriptor) -> GroupWord:
-    return GroupWord(ring)
 
 
 def word_elem(position: str, argument: RingElement) -> GroupWord:
@@ -261,11 +257,6 @@ def _flatten(word: GroupWord, inverted: bool) -> list[ElemFactor]:
     return out
 
 
-def elementary_length(word: GroupWord) -> int:
-    """Number of transvections after full expansion (conjugators counted twice)."""
-    return len(flatten(word))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -274,16 +265,14 @@ _MATRIX_RE = re.compile(r"^\[\[([^\[\],]+),([^\[\],]+)\],\[([^\[\],]+),([^\[\],]
 
 def parse_matrix(ring: RingDescriptor, text: str) -> Mat2:
     """Parse '[[a,b],[c,d]]' with entries in the ring's element syntax."""
+    if not isinstance(text, str):
+        raise ParseError(f"a matrix must be given as text, not {type(text).__name__}")
     compact = "".join(text.split())
     m = _MATRIX_RE.match(compact)
     if not m:
         raise ParseError(f"cannot parse {text!r} as a 2x2 matrix")
     a, b, c, d = (parse_element(ring, part) for part in m.groups())
     return Mat2(a, b, c, d)
-
-
-def format_matrix(m: Mat2) -> str:
-    return str(m)
 
 
 def word_to_json(word: GroupWord) -> dict:

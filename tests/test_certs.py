@@ -1,13 +1,15 @@
 """Certificate documents: build, serialize, and re-verify from JSON alone."""
 
+import copy
 import json
 import random
+import time
 
 import pytest
 
 from sl2units import certs
 from sl2units.elemgen import decompose, h_decomposition
-from sl2units.errors import ParseError, VerificationFailed
+from sl2units.errors import AlgebraError, ParseError, VerificationFailed
 from sl2units.lemma import find_unit, lemma2_witness
 from sl2units.norms import (
     FiniteGroupTable,
@@ -21,6 +23,7 @@ from sl2units.sl2 import elem12, elem21, parse_matrix
 
 Z = integers()
 Zh = localized(2)
+Z3 = localized(3)
 
 
 def _round_trip(doc):
@@ -203,3 +206,86 @@ def test_tampered_axiom_report():
     doc["payload"]["all_passed"] = False
     with pytest.raises(VerificationFailed):
         certs.verify_document(doc)
+
+
+# ---------------------------------------------------------------------------
+# malformed payloads: every outcome is a verdict or a domain error
+
+
+def _small_experiment_doc():
+    """A norm experiment mod 7, whose closure is cheap enough to re-verify
+    for every mutant (mod 5 and 3 absorb every epsilon ideal: u^8 = 1 there)."""
+    A = elem21(Z3.from_int(2))
+    cert = find_unit(Z3.from_int(2))
+    report = lemma_bound_experiment(
+        A, cert, PrincipalIdeal(Z3.from_int(7)), 3, rng=random.Random(1)
+    )
+    return certs.make_document(
+        "norm-experiment", Z3, certs.experiment_payload(report, A, cert)
+    )
+
+
+MUTANTS = [5, None, "x", [], {}, True]
+DELETE = object()
+
+
+def _key_paths(node, path=()):
+    """Every key path of a payload, descending into objects and into the
+    first entry of each list (factors[0], samples[0], word factors, ...)."""
+    if isinstance(node, list) and node:
+        yield from _key_paths(node[0], path + (0,))
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+
+
+def _mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc["payload"]
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+FUZZ_BUILDERS = [
+    _many_units_doc,
+    _witness_doc,
+    _decomposition_doc,
+    _h_doc,
+    _small_experiment_doc,
+    _axiom_doc,
+]
+
+
+@pytest.mark.parametrize("build", FUZZ_BUILDERS, ids=lambda b: b.__name__.strip("_"))
+def test_mutated_payload_is_verdict_or_domain_error(build):
+    doc = build()
+    certs.verify_document(json.loads(certs.dumps(doc)))
+    paths = list(_key_paths(doc["payload"]))
+    assert len(paths) >= len(doc["payload"])
+    escaped = []
+    for path in paths:
+        for value in [DELETE] + MUTANTS:
+            try:
+                certs.verify_document(_mutated(doc, path, value))
+            except AlgebraError:
+                pass
+            except Exception as exc:  # the defect this test exists to catch
+                change = "deleted" if value is DELETE else f"= {value!r}"
+                escaped.append(f"{path} {change}: {type(exc).__name__}: {exc}")
+    assert not escaped, "\n".join(escaped)
+
+
+@pytest.mark.parametrize("c,k", [("3", 10**11), (str(3**40), 10**30)])
+def test_huge_exponent_rejected_before_the_power(c, k):
+    doc = _many_units_doc()
+    doc["payload"].update(c=c, k=k)
+    start = time.perf_counter()
+    with pytest.raises(VerificationFailed, match="u is not 2"):
+        certs.verify_document(doc)
+    assert time.perf_counter() - start < 1.0

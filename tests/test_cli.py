@@ -189,6 +189,18 @@ def test_usage_error_exit_2(capsys):
     assert out == ""  # usage noise goes to stderr only
 
 
+def test_internal_error_exit_3(capsys, monkeypatch):
+    import sl2units.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_ring_info", broken)
+    code, err = invoke_json(capsys, "ring", "info", "--ring", "Z")
+    assert code == 3
+    assert err == {"error": "InternalError", "message": "RuntimeError: boom"}
+
+
 def test_help_exit_0(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()

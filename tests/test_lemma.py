@@ -31,6 +31,7 @@ from sl2units.lemma import (
 from sl2units.rings import (
     PrincipalIdeal,
     exact_quotient,
+    height,
     in_ideal,
     integers,
     localized,
@@ -128,6 +129,16 @@ def test_verify_certificate_u8_trap():
     )
     with pytest.raises(VerificationFailed):
         verify_certificate(fake)
+
+
+def test_exponent_cap_admits_every_true_power():
+    # verify_certificate refuses k > bit_length(height(u)) + 1 before computing
+    # v**k; that needs height(v^k) >= 2^(k-2) for every unit v != +-1
+    for ring, text in [(Zh, "1/2"), (localized(6), "-3/2"), (R2, "1+sqrt(2)"),
+                       (R2, "1-sqrt(2)"), (quadratic(3), "2-sqrt(3)")]:
+        v = parse_element(ring, text)
+        for k in range(1, 300):
+            assert k <= height(v**k).bit_length() + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,26 @@
 """Matrix layer: Mat2, group words, flattening, JSON and text round-trips."""
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
+
+import sl2units
 
 from sl2units.errors import DeterminantNotOne, MixedRings, NonUnitDiagonal, ParseError
 from sl2units.rings import PrincipalIdeal, integers, localized, quadratic, quotient
 from sl2units.sl2 import (
     ElemFactor,
+    GroupWord,
     Mat2,
     commutator,
     conjugate,
     diag,
     elem12,
     elem21,
-    elementary_length,
     flatten,
-    format_matrix,
     identity,
     parse_matrix,
     reduce_mat,
@@ -22,7 +28,6 @@ from sl2units.sl2 import (
     word_diag,
     word_elem,
     word_from_json,
-    word_identity,
     word_inv,
     word_to_json,
 )
@@ -100,8 +105,8 @@ def test_parse_matrix_round_trip():
         (R2, "[[1+sqrt(2),0],[sqrt(2),-1+sqrt(2)]]"),
     ]:
         m = parse_matrix(ring, text)
-        assert format_matrix(m) == text
-        assert parse_matrix(ring, format_matrix(m)) == m
+        assert str(m) == text
+        assert parse_matrix(ring, str(m)) == m
     assert parse_matrix(Z, " [[ 1 , 0 ],[ 0 , 1 ]] ").is_identity()
 
 
@@ -123,7 +128,7 @@ def test_word_evaluation():
     w = word_elem("12", Zh.from_int(3)) * word_diag(u) * word_elem("21", Zh.from_int(-1))
     assert w.evaluate() == elem12(Zh.from_int(3)) * diag(u) * elem21(Zh.from_int(-1))
     assert len(w) == 3
-    assert word_identity(Zh).evaluate().is_identity
+    assert GroupWord(Zh).evaluate().is_identity()
 
 
 def test_word_conj_and_inv():
@@ -143,7 +148,7 @@ def test_flatten_elementary_only():
     for f in flat:
         prod = prod * (elem12(f.argument) if f.position == "12" else elem21(f.argument))
     assert prod == w.evaluate()
-    assert elementary_length(w) == len(flat)
+    assert len(flat) == 4  # g h g^-1 h^-1: the conjugator counts twice
 
 
 def test_flatten_rejects_diagonal():
@@ -187,3 +192,25 @@ def test_reduce_mat_respects_products(rng):
             q.add_enc(q.mul_enc(ra[2], rb[1]), q.mul_enc(ra[3], rb[3])),
         )
         assert prod == rab
+
+
+# ---------------------------------------------------------------------------
+# module state
+
+
+def test_fresh_imports_free_the_previous_copy():
+    """Re-importing the package must let the old copy go: nothing kept at
+    module level (typing's caches included) may hold its classes alive."""
+    src = str(Path(sl2units.__file__).resolve().parents[1])
+    code = textwrap.dedent(f"""
+        import gc, importlib, sys
+        sys.path.insert(0, {src!r})
+        for _ in range(3):
+            for name in [n for n in sys.modules if n.split(".")[0] == "sl2units"]:
+                del sys.modules[name]
+            importlib.import_module("sl2units")
+        gc.collect()
+        print(sum(isinstance(o, type) and o.__name__ == "RingElement" for o in gc.get_objects()))
+    """)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "1"
