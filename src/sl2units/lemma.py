@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .elemgen import reduces_to_identity
 from .errors import (
+    AlgebraError,
     FormCheckFailed,
     MixedRings,
     NonUnit,
@@ -53,6 +53,7 @@ from .sl2 import (
     elem12,
     elem21,
     identity,
+    reduce_mat,
     word_diag,
     word_elem,
 )
@@ -217,18 +218,24 @@ class ConjugateWitness:
 def verify_witness(w: ConjugateWitness) -> None:
     """Recheck every witness invariant from the recorded data; raises
     VerificationFailed with the first failure."""
-    A = w.matrix
-    c = A.c
-    if not c:
+    if not w.matrix.c:
         raise VerificationFailed("witnessed matrix has zero lower-left corner")
     try:
-        parts = compute_Y(A, w.u)
-    except Exception as exc:
+        parts = compute_Y(w.matrix, w.u)
+    except AlgebraError as exc:
         raise VerificationFailed(f"recomputing Y failed: {exc}") from None
     if parts.Y != w.Y:
         raise VerificationFailed("recorded Y does not match the recomputation")
     if parts.q != w.q or parts.t != w.t:
         raise VerificationFailed("recorded q or t does not match the recomputation")
+    _check_witness(w)
+
+
+def _check_witness(w: ConjugateWitness) -> None:
+    """The invariants that follow Y, q and t: ideal membership, the sign
+    convention, the target, and the product of the four conjugates."""
+    A = w.matrix
+    c = A.c
     ideal = PrincipalIdeal(c)
     for name, value in (("z", w.z), ("t", w.t), ("q", w.q), ("p", w.p)):
         if not in_ideal(value, ideal):
@@ -240,22 +247,29 @@ def verify_witness(w: ConjugateWitness) -> None:
         raise VerificationFailed("target is not E12((u^4 - u^-4)*z)")
     if len(w.factors) != 4:
         raise VerificationFailed(f"expected exactly 4 factors, found {len(w.factors)}")
+    mod_c = quotient(ideal)
+    identity_mod_c = reduce_mat(identity(A.ring), mod_c)
+    cores = (A, A.inverse())
     product = identity(A.ring)
     for i, factor in enumerate(w.factors):
         g = factor.conjugator.evaluate()
-        if not reduces_to_identity(g, ideal):
+        if reduce_mat(g, mod_c) != identity_mod_c:
             raise VerificationFailed(f"conjugator {i} is not congruent to I mod ({c})")
-        product = product * factor.evaluate(A)
+        product = product * conjugate(g, cores[factor.core_inverted])
     if product != w.target:
         raise VerificationFailed("product of the four conjugate factors misses the target")
 
 
 def lemma2_witness(A: Mat2, u: RingElement, z: RingElement) -> ConjugateWitness:
-    """Build and verify the four-conjugate witness for E12((u^4 - u^-4)*z).
+    """Build and self-check the four-conjugate witness for E12((u^4 - u^-4)*z).
 
     The four conjugators are E12(t), diag(u^2), M*diag(u^2), and M*E12(t),
     where M = [[u^4, p], [0, u^-4]] = diag(u^4)*E12(p*u^-4) is recorded in
     exactly that regrouped form so the words stay inspectable.
+
+    The self-check is one pass: it reuses the compute_Y result the witness
+    was built from and runs the checks of verify_witness that follow it.  A
+    wrong q or t still fails there: the product misses the target.
     """
     if z.ring != A.ring:
         raise MixedRings(f"{A.ring.name} vs {z.ring.name}")
@@ -286,7 +300,7 @@ def lemma2_witness(A: Mat2, u: RingElement, z: RingElement) -> ConjugateWitness:
         factors=factors,
         target=elem12((u4 - u4.inverse()) * z),
     )
-    verify_witness(witness)
+    _check_witness(witness)
     return witness
 
 

@@ -1,8 +1,11 @@
 """Determinant-one 2x2 matrices and structured words over them.
 
-Mat2 is an immutable matrix whose determinant is checked to equal one at
-construction, so every value of the type is a genuine element of SL2 of its
-ring.  GroupWord is an unevaluated product of factors -- elementary
+Mat2 is an immutable matrix whose every value is a genuine element of SL2
+of its ring.  The public constructor -- and so parse_matrix, where untrusted
+matrix text enters -- checks one ring and determinant one; products,
+inverses, transvections and unit diagonals lie in SL2 by closure and skip
+that check, which would cost a big-integer determinant per product.
+GroupWord is an unevaluated product of factors -- elementary
 transvections, diagonal unit matrices, formal inverses, and formal
 conjugates g w g^-1 -- which lets callers exhibit *how* a matrix was built
 (e.g. as a product of conjugates of a fixed matrix) and still evaluate or
@@ -26,7 +29,8 @@ from .rings import (
 
 @dataclass(frozen=True)
 class Mat2:
-    """A 2x2 matrix [[a, b], [c, d]] with determinant one."""
+    """A 2x2 matrix [[a, b], [c, d]] with determinant one, checked by Mat2(...);
+    closed operations build their results with the unchecked Mat2._trusted."""
 
     a: RingElement
     b: RingElement
@@ -42,6 +46,13 @@ class Mat2:
         if det != 1:
             raise DeterminantNotOne(f"determinant is {det}, not 1")
 
+    @classmethod
+    def _trusted(cls, a, b, c, d) -> "Mat2":
+        """Entries of one ring with ad - bc = 1, taken without the check."""
+        m = object.__new__(cls)
+        vars(m).update(a=a, b=b, c=c, d=d)
+        return m
+
     @property
     def ring(self) -> RingDescriptor:
         return self.a.ring
@@ -55,7 +66,7 @@ class Mat2:
             return NotImplemented
         if other.ring != self.ring:
             raise MixedRings("cannot multiply matrices over different rings")
-        return Mat2(
+        return Mat2._trusted(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -64,7 +75,7 @@ class Mat2:
 
     def inverse(self) -> "Mat2":
         """Adjugate; exact because the determinant is one."""
-        return Mat2(self.d, -self.b, -self.c, self.a)
+        return Mat2._trusted(self.d, -self.b, -self.c, self.a)
 
     def __pow__(self, n: int) -> "Mat2":
         if n < 0:
@@ -96,19 +107,19 @@ class Mat2:
 
 def identity(ring: RingDescriptor) -> Mat2:
     one, zero = ring.one(), ring.zero()
-    return Mat2(one, zero, zero, one)
+    return Mat2._trusted(one, zero, zero, one)
 
 
 def elem12(x: RingElement) -> Mat2:
     """Upper elementary matrix [[1, x], [0, 1]]."""
     ring = x.ring
-    return Mat2(ring.one(), x, ring.zero(), ring.one())
+    return Mat2._trusted(ring.one(), x, ring.zero(), ring.one())
 
 
 def elem21(x: RingElement) -> Mat2:
     """Lower elementary matrix [[1, 0], [x, 1]]."""
     ring = x.ring
-    return Mat2(ring.one(), ring.zero(), x, ring.one())
+    return Mat2._trusted(ring.one(), ring.zero(), x, ring.one())
 
 
 def diag(u: RingElement) -> Mat2:
@@ -117,7 +128,7 @@ def diag(u: RingElement) -> Mat2:
     if inv is None:
         raise NonUnitDiagonal(f"{u} is not a unit of {u.ring.name}")
     zero = u.ring.zero()
-    return Mat2(u, zero, zero, inv)
+    return Mat2._trusted(u, zero, zero, inv)
 
 
 def conjugate(g: Mat2, m: Mat2) -> Mat2:

@@ -162,6 +162,10 @@ def test_tampered_witness():
     doc["payload"]["factors"][0]["core"] = "A^2"
     with pytest.raises(ParseError):
         certs.verify_document(doc)
+    doc = _witness_doc()
+    doc["payload"]["u"] = "3"  # not a unit of Z[1/2]
+    with pytest.raises(VerificationFailed, match="recomputing Y failed"):
+        certs.verify_document(doc)
 
 
 def test_tampered_decomposition():

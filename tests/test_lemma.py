@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from sl2units import lemma
 from sl2units.errors import (
     FormCheckFailed,
     MixedRings,
@@ -38,7 +39,7 @@ from sl2units.rings import (
     parse_element,
     quadratic,
 )
-from sl2units.sl2 import conjugate, diag, elem12, elem21, identity, parse_matrix
+from sl2units.sl2 import GroupWord, conjugate, diag, elem12, elem21, identity, parse_matrix
 from tests.conftest import WITNESS_RINGS, random_nonzero_nonunit, random_witness_matrix
 
 Z = integers()
@@ -256,6 +257,56 @@ def test_witness_tampering_rejected():
     swapped = (w.factors[1], w.factors[0]) + w.factors[2:]
     with pytest.raises(VerificationFailed):
         verify_witness(dataclasses.replace(w, factors=swapped))
+
+
+def test_witness_self_check_is_one_pass(monkeypatch):
+    calls = {"compute_Y": 0, "evaluate": 0}
+    real_compute_Y, real_evaluate = lemma.compute_Y, GroupWord.evaluate
+
+    def counted_compute_Y(*args):
+        calls["compute_Y"] += 1
+        return real_compute_Y(*args)
+
+    def counted_evaluate(word):
+        calls["evaluate"] += 1
+        return real_evaluate(word)
+
+    A = parse_matrix(Zh, "[[5,2],[12,5]]")
+    u = find_unit(A.c).u
+    monkeypatch.setattr(lemma, "compute_Y", counted_compute_Y)
+    monkeypatch.setattr(GroupWord, "evaluate", counted_evaluate)
+    lemma2_witness(A, u, A.c * Zh.from_int(-7))
+    # the conjugator words hold no nested words, so each call is one conjugator
+    assert calls == {"compute_Y": 1, "evaluate": 4}
+
+
+def test_witness_self_check_catches_a_wrong_q(monkeypatch):
+    real_compute_Y = lemma.compute_Y
+
+    def off_by_c(A, u):
+        parts = real_compute_Y(A, u)
+        return parts._replace(q=parts.q + A.c)
+
+    monkeypatch.setattr(lemma, "compute_Y", off_by_c)
+    with pytest.raises(VerificationFailed, match="misses the target"):
+        lemma2_witness(elem21(Zh.from_int(3)), Zh.from_int(64), Zh.from_int(3))
+
+
+def test_verify_witness_lets_a_bug_in_compute_Y_through(monkeypatch):
+    w = lemma2_witness(elem21(Zh.from_int(3)), Zh.from_int(64), Zh.from_int(3))
+
+    def broken(A, u):
+        raise TypeError("bug inside compute_Y")
+
+    monkeypatch.setattr(lemma, "compute_Y", broken)
+    with pytest.raises(TypeError, match="bug inside compute_Y"):
+        verify_witness(w)
+
+
+def test_verify_witness_non_unit_u_is_a_verdict():
+    w = lemma2_witness(elem21(Zh.from_int(3)), Zh.from_int(64), Zh.from_int(3))
+    with pytest.raises(VerificationFailed, match="recomputing Y failed"):
+        verify_witness(dataclasses.replace(w, u=Zh.from_int(3)))
 
 
 def test_witness_conjugators_vanish_mod_c():

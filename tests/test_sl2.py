@@ -1,16 +1,27 @@
 """Matrix layer: Mat2, group words, flattening, JSON and text round-trips."""
 
+import random
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sl2units
 
 from sl2units.errors import DeterminantNotOne, MixedRings, NonUnitDiagonal, ParseError
-from sl2units.rings import PrincipalIdeal, integers, localized, quadratic, quotient
+from sl2units.rings import (
+    PrincipalIdeal,
+    infinite_order_unit,
+    integers,
+    localized,
+    quadratic,
+    quotient,
+    random_element,
+)
 from sl2units.sl2 import (
     ElemFactor,
     GroupWord,
@@ -31,7 +42,7 @@ from sl2units.sl2 import (
     word_inv,
     word_to_json,
 )
-from tests.conftest import random_sl2
+from tests.conftest import ALL_RINGS, random_sl2
 
 Z = integers()
 Zh = localized(2)
@@ -73,6 +84,41 @@ def test_multiplication_and_inverse(rng):
             assert a**3 == a * a * a
             assert a**0 == identity(ring)
             assert a**-2 == (a.inverse()) ** 2
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["elem12", "elem21", "diag", "inverse", "pow"]),
+        st.integers(-3, 3),
+        st.integers(0, 2**32),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ring=st.sampled_from(ALL_RINGS), ops=_OPS)
+def test_closed_operations_stay_in_sl2(ring, ops):
+    """Products, inverses, powers, transvections and diagonals skip the
+    determinant check; the validating constructor must accept each result."""
+    v = ring.from_int(-1) if ring == Z else infinite_order_unit(ring)
+    m = identity(ring)
+    for op, n, seed in ops:
+        if op in ("elem12", "elem21"):
+            x = random_element(ring, random.Random(seed), 50)
+            step = elem12(x) if op == "elem12" else elem21(x)
+        elif op == "diag":
+            step = diag(v**n)
+        elif op == "inverse":
+            step = m.inverse()
+        else:
+            step = m**n
+        for result in (step, m * step):
+            checked = Mat2(*result.entries)
+            assert checked == result
+            assert hash(checked) == hash(result)
+        m = m * step
 
 
 def test_mul_oracle():
