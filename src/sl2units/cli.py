@@ -12,7 +12,6 @@ import json
 import random
 import sys
 import traceback
-from dataclasses import replace
 
 from . import certs
 from .elemgen import (
@@ -28,8 +27,8 @@ from .lemma import (
     compute_Y,
     find_unit,
     lemma2_witness,
+    rewrite_conjugators,
     verify_certificate,
-    verify_witness,
 )
 from .norms import (
     DEFAULT_TABLE_CAP,
@@ -104,12 +103,7 @@ def _cmd_lemma_witness(args) -> dict:
         u = find_unit(matrix.c, ring, pell_cap=args.pell_cap).u
     witness = lemma2_witness(matrix, u, parse_element(ring, args.z))
     if args.elementary:
-        factors = tuple(
-            replace(f, conjugator=expand_diagonals(f.conjugator))
-            for f in witness.factors
-        )
-        witness = replace(witness, factors=factors)
-        verify_witness(witness)
+        witness = rewrite_conjugators(witness, expand_diagonals)
     return certs.make_document("lemma2-witness", ring, certs.witness_payload(witness))
 
 

@@ -16,8 +16,8 @@ recorded data alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     AlgebraError,
@@ -255,7 +255,8 @@ def _check_witness(w: ConjugateWitness) -> None:
         g = factor.conjugator.evaluate()
         if reduce_mat(g, mod_c) != identity_mod_c:
             raise VerificationFailed(f"conjugator {i} is not congruent to I mod ({c})")
-        product = product * conjugate(g, cores[factor.core_inverted])
+        # left to right: P*g telescopes (P = Y after two factors, Y*M = E12(-z/u^4))
+        product = product * g * cores[factor.core_inverted] * g.inverse()
     if product != w.target:
         raise VerificationFailed("product of the four conjugate factors misses the target")
 
@@ -302,6 +303,22 @@ def lemma2_witness(A: Mat2, u: RingElement, z: RingElement) -> ConjugateWitness:
     )
     _check_witness(witness)
     return witness
+
+
+def rewrite_conjugators(
+    w: ConjugateWitness, rewrite: Callable[[GroupWord], GroupWord]
+) -> ConjugateWitness:
+    """w with every conjugator word passed through rewrite, checked again.
+
+    w must be checked already (by lemma2_witness or verify_witness).  Y, q
+    and t do not depend on the words, so only the checks that follow them
+    run: a rewritten word of another value fails the congruence or the
+    product test.
+    """
+    factors = tuple(replace(f, conjugator=rewrite(f.conjugator)) for f in w.factors)
+    rewritten = replace(w, factors=factors)
+    _check_witness(rewritten)
+    return rewritten
 
 
 # ---------------------------------------------------------------------------

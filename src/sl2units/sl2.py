@@ -5,6 +5,10 @@ of its ring.  The public constructor -- and so parse_matrix, where untrusted
 matrix text enters -- checks one ring and determinant one; products,
 inverses, transvections and unit diagonals lie in SL2 by closure and skip
 that check, which would cost a big-integer determinant per product.
+Products also leave out each term of w*x + y*z that has a zero factor:
+transvections, diagonals and triangular matrices have zero entries, and
+every skipped "+ 0" would be a new ring element whose denominator is
+stripped again.
 GroupWord is an unevaluated product of factors -- elementary
 transvections, diagonal unit matrices, formal inverses, and formal
 conjugates g w g^-1 -- which lets callers exhibit *how* a matrix was built
@@ -62,15 +66,17 @@ class Mat2:
         return (self.a, self.b, self.c, self.d)
 
     def __mul__(self, other: "Mat2") -> "Mat2":
+        """Row-by-column product; a term with a zero factor is not formed,
+        since adding 0 would build and strip one more ring element."""
         if not isinstance(other, Mat2):
             return NotImplemented
         if other.ring != self.ring:
             raise MixedRings("cannot multiply matrices over different rings")
         return Mat2._trusted(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+            _dot(self.a, other.a, self.b, other.c),
+            _dot(self.a, other.b, self.b, other.d),
+            _dot(self.c, other.a, self.d, other.c),
+            _dot(self.c, other.b, self.d, other.d),
         )
 
     def inverse(self) -> "Mat2":
@@ -103,6 +109,15 @@ class Mat2:
 
     def __repr__(self):
         return f"{self} over {self.ring.name}"
+
+
+def _dot(w: RingElement, x: RingElement, y: RingElement, z: RingElement) -> RingElement:
+    """w*x + y*z, leaving out a term with a zero factor."""
+    if not w or not x:
+        return y * z
+    if not y or not z:
+        return w * x
+    return w * x + y * z
 
 
 def identity(ring: RingDescriptor) -> Mat2:

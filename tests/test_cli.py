@@ -226,3 +226,33 @@ def test_elementary_witness_verifies(tmp_path, capsys):
     path.write_text(out)
     code, doc = invoke_json(capsys, "verify", str(path))
     assert code == 0 and doc["ok"] is True
+
+
+def test_elementary_witness_computes_Y_once(capsys, monkeypatch):
+    import sl2units.lemma as lemma
+
+    calls = [0]
+    real_compute_Y = lemma.compute_Y
+
+    def counted(*args):
+        calls[0] += 1
+        return real_compute_Y(*args)
+
+    monkeypatch.setattr(lemma, "compute_Y", counted)
+    code, _ = invoke(capsys, "lemma", "witness", "--ring", "Z[1/2]",
+                     "--A", "[[1,0],[3,1]]", "--z", "3", "--elementary")
+    assert code == 0
+    assert calls[0] == 1
+
+
+def test_elementary_witness_with_a_wrong_word_fails(capsys, monkeypatch):
+    import sl2units.cli as cli
+    from sl2units.sl2 import GroupWord
+
+    # the empty word is I, congruent to I mod c, so the product test must catch it
+    monkeypatch.setattr(cli, "expand_diagonals", lambda word: GroupWord(word.ring))
+    code, err = invoke_json(capsys, "lemma", "witness", "--ring", "Z[1/2]",
+                            "--A", "[[1,0],[3,1]]", "--z", "3", "--elementary")
+    assert code == 1
+    assert err["error"] == "VerificationFailed"
+    assert "misses the target" in err["message"]

@@ -15,6 +15,7 @@ import sl2units
 from sl2units.errors import DeterminantNotOne, MixedRings, NonUnitDiagonal, ParseError
 from sl2units.rings import (
     PrincipalIdeal,
+    RingElement,
     infinite_order_unit,
     integers,
     localized,
@@ -119,6 +120,61 @@ def test_closed_operations_stay_in_sl2(ring, ops):
             assert checked == result
             assert hash(checked) == hash(result)
         m = m * step
+
+
+def _factor(ring, kind, n, seed):
+    """E12(x), E21(x), E12(x)^-1 or diag(v^n), with x = 0 when seed is 0."""
+    x = random_element(ring, random.Random(seed), 50) if seed else ring.zero()
+    if kind == "diag":
+        v = ring.from_int(-1) if ring == Z else infinite_order_unit(ring)
+        return diag(v**n)
+    m = elem12(x) if kind in ("elem12", "inverse") else elem21(x)
+    return m.inverse() if kind == "inverse" else m
+
+
+_MATRIX = st.lists(
+    st.tuples(
+        st.sampled_from(["elem12", "elem21", "diag", "inverse"]),
+        st.integers(-3, 3),
+        st.one_of(st.just(0), st.integers(0, 2**32)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ring=st.sampled_from(ALL_RINGS), left=_MATRIX, right=_MATRIX)
+def test_product_equals_schoolbook(ring, left, right):
+    """The product that leaves out zero terms equals w*x + y*z formed in full."""
+    m, n = identity(ring), identity(ring)
+    for step in left:
+        m = m * _factor(ring, *step)
+    for step in right:
+        n = n * _factor(ring, *step)
+    a, b, c, d = m.entries
+    e, f, g, h = n.entries
+    schoolbook = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    assert (m * n).entries == schoolbook
+    assert str(m * n) == str(Mat2(*schoolbook))
+
+
+def test_product_adds_no_zero_terms(monkeypatch):
+    additions = [0]
+    real_add = RingElement.__add__
+
+    def counted_add(self, other):
+        additions[0] += 1
+        return real_add(self, other)
+
+    x, u = Zh.from_fraction(3, 8), Zh.from_int(4)
+    full = parse_matrix(Zh, "[[3,1/2],[4,1]]")
+    monkeypatch.setattr(RingElement, "__add__", counted_add)
+    elem12(x) * diag(u)
+    diag(u) * elem21(x)
+    assert additions[0] == 0
+    full * full  # no zero entry: one addition per entry
+    assert additions[0] == 4
 
 
 def test_mul_oracle():
