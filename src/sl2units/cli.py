@@ -14,13 +14,7 @@ import sys
 import traceback
 
 from . import certs
-from .elemgen import (
-    DEFAULT_DEPTH_CAP,
-    DEFAULT_NODE_CAP,
-    decompose,
-    expand_diagonals,
-    h_decomposition,
-)
+from .elemgen import decompose, expand_diagonals, h_decomposition
 from .errors import AlgebraError, NoInfiniteOrderUnit, ParseError, UnitCongruenceViolated
 from .lemma import (
     ManyUnitsCertificate,
@@ -41,7 +35,6 @@ from .norms import (
     lemma_bound_experiment,
 )
 from .rings import (
-    DEFAULT_PELL_CAP,
     PrincipalIdeal,
     exact_quotient,
     infinite_order_unit,
@@ -77,7 +70,7 @@ def _unit_certificate(c, u) -> ManyUnitsCertificate:
 def _cmd_ring_info(args) -> dict:
     ring = _ring(args)
     try:
-        v = str(infinite_order_unit(ring, args.pell_cap))
+        v = str(infinite_order_unit(ring))
     except NoInfiniteOrderUnit:
         v = None
     return {
@@ -90,7 +83,7 @@ def _cmd_ring_info(args) -> dict:
 
 def _cmd_unit_find(args) -> dict:
     ring = _ring(args)
-    cert = find_unit(parse_element(ring, args.c), ring, pell_cap=args.pell_cap)
+    cert = find_unit(parse_element(ring, args.c), ring)
     return certs.make_document("many-units", ring, certs.many_units_payload(cert))
 
 
@@ -100,7 +93,7 @@ def _cmd_lemma_witness(args) -> dict:
     if args.u is not None:
         u = parse_element(ring, args.u)
     else:
-        u = find_unit(matrix.c, ring, pell_cap=args.pell_cap).u
+        u = find_unit(matrix.c, ring).u
     witness = lemma2_witness(matrix, u, parse_element(ring, args.z))
     if args.elementary:
         witness = rewrite_conjugators(witness, expand_diagonals)
@@ -122,11 +115,7 @@ def _cmd_lemma_y(args) -> dict:
 
 def _cmd_decompose(args) -> dict:
     ring = _ring(args)
-    dec = decompose(
-        parse_matrix(ring, args.A),
-        depth_cap=args.depth_cap,
-        node_cap=args.node_cap,
-    )
+    dec = decompose(parse_matrix(ring, args.A))
     return certs.make_document("decomposition", ring, certs.decomposition_payload(dec))
 
 
@@ -167,7 +156,7 @@ def _cmd_norm_lemma_bound(args) -> dict:
     if args.u is not None:
         cert = _unit_certificate(matrix.c, parse_element(ring, args.u))
     else:
-        cert = find_unit(matrix.c, ring, pell_cap=args.pell_cap)
+        cert = find_unit(matrix.c, ring)
     report = lemma_bound_experiment(
         matrix,
         cert,
@@ -230,15 +219,6 @@ def _add_table_cap(p):
     )
 
 
-def _add_pell_cap(p):
-    p.add_argument(
-        "--pell-cap",
-        type=int,
-        default=DEFAULT_PELL_CAP,
-        help="search bound for the fundamental unit of a quadratic ring",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sl2units",
@@ -251,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = ring.add_parser("info", help="describe a ring and its canonical infinite-order unit")
     _add_ring_flag(p)
-    _add_pell_cap(p)
     p.set_defaults(handler=_cmd_ring_info)
 
     unit = sub.add_parser("unit", help="unit certificates").add_subparsers(
@@ -260,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = unit.add_parser("find", help="certify u with c^2 | (u - 1) and u^8 != 1")
     _add_ring_flag(p)
     p.add_argument("--c", required=True, help="nonzero ring element")
-    _add_pell_cap(p)
     p.set_defaults(handler=_cmd_unit_find)
 
     lemma = sub.add_parser("lemma", help="conjugation-witness constructions").add_subparsers(
@@ -279,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="expand diagonal conjugator factors into elementary ones",
     )
-    _add_pell_cap(p)
     p.set_defaults(handler=_cmd_lemma_witness)
     p = lemma.add_parser("y", help="the upper-triangular conjugate product and its scalars")
     _add_ring_flag(p)
@@ -290,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="write a matrix as elementary transvections")
     _add_ring_flag(p)
     p.add_argument("--A", required=True, help="matrix [[a,b],[c,d]] with determinant 1")
-    p.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
-    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("h-decompose", help="six-factor elementary form of diag(u, 1/u)")
@@ -335,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="count trivial images as vacuous passes instead of failing",
     )
-    _add_pell_cap(p)
     _add_table_cap(p)
     p.set_defaults(handler=_cmd_norm_lemma_bound)
 

@@ -5,19 +5,17 @@ shrink the lower-left entry against the upper-left one until the matrix is
 upper triangular, and the residual diagonal part diag(u, 1/u) is absorbed
 through a fixed six-transvection identity.  Division strategies are
 per-ring plug-ins (round-to-nearest over Z, Euclid on the prime-to-m parts
-over Z[1/m], field-norm rounding over Z[sqrt(2)] and Z[sqrt(3)]).  If a
-division step ever fails to shrink -- which the supported rings never do --
-the driver falls back to a bounded breadth-first search with a deterministic
-move order and raises SearchExhausted when the cap is hit.
+over Z[1/m], field-norm rounding over Z[sqrt(2)] and Z[sqrt(3)]), and each
+provably leaves a remainder of smaller Euclidean size, so the loop ends.  A
+step that fails to shrink is a bug and raises AssertionError.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonUnit, SearchExhausted, UnsupportedRing
+from .errors import NonUnit, UnsupportedRing
 from .rings import (
     INTEGERS,
     LOCALIZED,
@@ -40,13 +38,9 @@ from .sl2 import (
     diag,
     elem12,
     elem21,
-    identity,
     reduce_mat,
     word_elem,
 )
-
-DEFAULT_DEPTH_CAP = 12
-DEFAULT_NODE_CAP = 50_000
 
 
 @dataclass(frozen=True)
@@ -148,17 +142,11 @@ def _division_for(ring: RingDescriptor):
 # the decomposition driver
 
 
-def decompose(
-    matrix: Mat2,
-    *,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> Decomposition:
+def decompose(matrix: Mat2) -> Decomposition:
     """Express the matrix as a product of transvections.
 
     Supported over Z, Z[1/m], Z[sqrt(2)], and Z[sqrt(3)]; other rings raise
-    UnsupportedRing.  The breadth-first fallback (only reachable if a division
-    step fails to shrink the Euclidean size) raises SearchExhausted at the cap.
+    UnsupportedRing.
     """
     ring = matrix.ring
     divide = _division_for(ring)
@@ -193,14 +181,14 @@ def decompose(
             q = divide(m.c, m.a)
             r = m.c - q * m.a
             if euclidean_size(r) >= euclidean_size(m.c):
-                return _bfs_decompose(matrix, depth_cap, node_cap)
+                raise AssertionError(f"division of {m.c} by {m.a} did not shrink")
             m = elem21(-q) * m
             factors.append(ElemFactor("21", q))
         else:
             q = divide(m.a, m.c)
             r = m.a - q * m.c
             if euclidean_size(r) >= euclidean_size(m.a):
-                return _bfs_decompose(matrix, depth_cap, node_cap)
+                raise AssertionError(f"division of {m.a} by {m.c} did not shrink")
             m = elem12(-q) * m
             factors.append(ElemFactor("12", q))
     # m is now [[a, b], [0, 1/a]] = diag(a, 1/a) * E12(b/a) with a a unit
@@ -213,75 +201,6 @@ def decompose(
         if shifted:
             factors.append(ElemFactor("12", shifted))
     return Decomposition(matrix, GroupWord(ring, tuple(factors)))
-
-
-def _bfs_moves(ring: RingDescriptor) -> list[RingElement]:
-    if ring.kind == QUADRATIC:
-        pool = [
-            ring.from_pair(a, b)
-            for a in (-1, 0, 1)
-            for b in (-1, 0, 1)
-            if (a, b) != (0, 0)
-        ]
-    else:
-        pool = [ring.from_int(v) for v in (-2, -1, 1, 2)]
-    pool.sort(key=lambda e: (max(1, abs(e.rat.numerator)), e.rat, e.irr))
-    return pool
-
-
-def _bfs_decompose(matrix: Mat2, depth_cap: int, node_cap: int) -> Decomposition:
-    """Breadth-first search over left row operations, deterministic move order."""
-    ring = matrix.ring
-    args = _bfs_moves(ring)
-    moves = [("12", a) for a in args] + [("21", a) for a in args]
-    inverses = {
-        (pos, a): (elem12(-a) if pos == "12" else elem21(-a)) for pos, a in moves
-    }
-    ident = identity(ring)
-    if matrix == ident:
-        return Decomposition(matrix, GroupWord(ring))
-    start = matrix
-    seen = {start.entries}
-    queue: deque[tuple[Mat2, tuple, int]] = deque([(start, (), 0)])
-    visited = 0
-    while queue:
-        current, path, depth = queue.popleft()
-        if depth >= depth_cap:
-            continue
-        for move in moves:
-            nxt = inverses[move] * current
-            if nxt == ident:
-                factors = tuple(ElemFactor(p, a) for p, a in path + (move,))
-                return Decomposition(matrix, GroupWord(ring, factors))
-            key = nxt.entries
-            if key in seen:
-                continue
-            seen.add(key)
-            visited += 1
-            if visited > node_cap:
-                raise SearchExhausted(
-                    f"no elementary word found within {node_cap} explored states"
-                )
-            queue.append((nxt, path + (move,), depth + 1))
-    raise SearchExhausted(f"no elementary word of length <= {depth_cap} found")
-
-
-@dataclass(frozen=True)
-class LengthStats:
-    """Word-length summary over a sample; the max is an empirical lower bound
-    on any uniform elementary-generation constant for the ring."""
-
-    count: int
-    max_length: int
-    mean_length: float
-    lengths: tuple[int, ...]
-
-
-def length_stats(sample: list[Mat2], **caps) -> LengthStats:
-    lengths = tuple(decompose(m, **caps).length for m in sample)
-    if not lengths:
-        return LengthStats(0, 0, 0.0, ())
-    return LengthStats(len(lengths), max(lengths), sum(lengths) / len(lengths), lengths)
 
 
 def reduces_to_identity(matrix: Mat2, ideal: PrincipalIdeal) -> bool:

@@ -35,16 +35,8 @@ class NotUnitInQuotient(AlgebraError):
     """Element is not invertible modulo the given ideal."""
 
 
-class OrderSearchExhausted(AlgebraError):
-    """Multiplicative order search hit its cap; signals an internal bug."""
-
-
 class NoInfiniteOrderUnit(AlgebraError):
     """The ring has no unit of infinite order (plain integers)."""
-
-
-class PellSearchExhausted(AlgebraError):
-    """Fundamental unit search exceeded the configured iteration cap."""
 
 
 class NonUnitDiagonal(AlgebraError):
@@ -57,10 +49,6 @@ class DeterminantNotOne(AlgebraError):
 
 class UnsupportedRing(AlgebraError):
     """The requested operation is not available over this ring."""
-
-
-class SearchExhausted(AlgebraError):
-    """Bounded fallback search hit its depth cap without success."""
 
 
 class ZeroCorner(AlgebraError):

@@ -32,7 +32,6 @@ from .errors import (
     ZNotInIdeal,
 )
 from .rings import (
-    DEFAULT_PELL_CAP,
     PrincipalIdeal,
     RingDescriptor,
     RingElement,
@@ -97,12 +96,7 @@ def verify_certificate(cert: ManyUnitsCertificate) -> None:
         raise VerificationFailed("check_u8 flag is unset")
 
 
-def find_unit(
-    c: RingElement,
-    ring: Optional[RingDescriptor] = None,
-    *,
-    pell_cap: int = DEFAULT_PELL_CAP,
-) -> ManyUnitsCertificate:
+def find_unit(c: RingElement, ring: Optional[RingDescriptor] = None) -> ManyUnitsCertificate:
     """Certify a unit u with u - 1 divisible by c^2 and u^8 != 1.
 
     Takes v of infinite order, computes the order k of v in (R/c^2 R)*, and
@@ -114,7 +108,7 @@ def find_unit(
         raise MixedRings(f"{c.ring.name} vs {ring.name}")
     if not c:
         raise ZeroIdeal("cannot certify a unit for c = 0")
-    v = infinite_order_unit(ring, pell_cap)
+    v = infinite_order_unit(ring)
     k = unit_order(v, quotient(PrincipalIdeal(c * c)))
     u = v**k
     y = exact_quotient(u - 1, c * c)

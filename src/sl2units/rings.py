@@ -7,15 +7,16 @@ arithmetic is exact; nothing here ever rounds.
 
 Alongside the element type the module provides principal ideals with exact
 membership tests, finite quotient rings R/cR with canonical residue
-enumeration, multiplicative order computation in quotients, and the search
-for units of infinite order (trivial for Z[1/m], a Pell search for
-Z[sqrt(d)]).
+enumeration, multiplicative order computation in quotients, and units of
+infinite order (an inverted prime for Z[1/m], the fundamental Pell unit from
+the continued fraction of sqrt(d) for Z[sqrt(d)]).
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -25,13 +26,9 @@ from .errors import (
     NoInfiniteOrderUnit,
     NonUnit,
     NotUnitInQuotient,
-    OrderSearchExhausted,
     ParseError,
-    PellSearchExhausted,
     ZeroIdeal,
 )
-
-DEFAULT_PELL_CAP = 10**6
 
 INTEGERS = "integers"
 LOCALIZED = "localized"
@@ -560,30 +557,37 @@ def unit_order(x: RingElement, q: QuotientRing) -> int:
         if acc == one:
             return k
         acc = q.mul_enc(acc, base)
-    raise OrderSearchExhausted(
-        f"no order below the cap {q.index}; quotient arithmetic is inconsistent"
-    )
+    # the order divides |(R/cR)*| <= index, so the loop never gets here
+    raise AssertionError(f"{x} has no order up to {q.index} modulo {q.modulus}")
 
 
-def pell_fundamental_unit(d: int, cap: int = DEFAULT_PELL_CAP) -> tuple[int, int]:
-    """Smallest (a, b), b >= 1, with a^2 - d*b^2 = +-1, by brute-force search on b."""
-    for b in range(1, cap + 1):
-        db2 = d * b * b
-        for target in (db2 - 1, db2 + 1):
-            a = math.isqrt(target)
-            if a * a == target:
-                return a, b
-    raise PellSearchExhausted(f"no Pell solution for d={d} with b <= {cap}")
+def pell_fundamental_unit(d: int) -> tuple[int, int]:
+    """Smallest (a, b), b >= 1, with a^2 - d*b^2 = +-1, for non-square d >= 2.
+
+    It is the convergent a/b that closes the first period of the continued
+    fraction of sqrt(d) (Lenstra, "Solving the Pell equation", 2002); the
+    partial quotients come from the exact recurrence on (m + sqrt(d)) / q.
+    """
+    root = math.isqrt(d)
+    m, q, digit = 0, 1, root
+    a_prev, a, b_prev, b = 1, root, 0, 1
+    while a * a - d * b * b not in (1, -1):
+        m = digit * q - m
+        q = (d - m * m) // q
+        digit = (root + m) // q
+        a_prev, a = a, digit * a + a_prev
+        b_prev, b = b, digit * b + b_prev
+    return a, b
 
 
-def infinite_order_unit(ring: RingDescriptor, pell_cap: int = DEFAULT_PELL_CAP) -> RingElement:
+def infinite_order_unit(ring: RingDescriptor) -> RingElement:
     """A unit whose powers never repeat: the smallest inverted prime for Z[1/m],
     the fundamental Pell unit for Z[sqrt(d)]."""
     if ring.kind == INTEGERS:
         raise NoInfiniteOrderUnit("Z has only the units 1 and -1")
     if ring.kind == LOCALIZED:
         return ring.from_int(min(ring.inverted_primes))
-    a, b = pell_fundamental_unit(ring.param, pell_cap)
+    a, b = pell_fundamental_unit(ring.param)
     return ring.from_pair(a, b)
 
 
@@ -621,6 +625,20 @@ _QUAD_RE = re.compile(
 )
 
 
+def _text_sized_power(text: str, base: int, exp: int) -> int:
+    """base^exp, refused with ParseError when it has more decimal digits than
+    int-to-text conversion allows (sys.get_int_max_str_digits, 0 for no limit).
+    """
+    # Pythons without the limit (before 3.10.7) convert any int, as with 0
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        ceiling = 10**limit
+        # base^exp >= 2^(exp*(bits-1)): a huge power is refused before it is taken
+        if exp * (base.bit_length() - 1) >= ceiling.bit_length() or base**exp >= ceiling:
+            raise ParseError(f"{text!r}: {base}^{exp} has more than {limit} digits")
+    return base**exp
+
+
 def parse_element(ring: RingDescriptor, text: str) -> RingElement:
     """Parse one element in the ring's text syntax; inverse of str()."""
     if not isinstance(text, str):
@@ -649,7 +667,7 @@ def parse_element(ring: RingDescriptor, text: str) -> RingElement:
     m = _FRAC_RE.match(text)
     if m:
         num, den, exp = m.groups()
-        d = int(den) ** int(exp) if exp is not None else int(den)
+        d = _text_sized_power(text, int(den), int(exp)) if exp is not None else int(den)
         if d == 0:
             raise ParseError(f"{text!r} has a zero denominator")
         try:

@@ -293,3 +293,12 @@ def test_huge_exponent_rejected_before_the_power(c, k):
     with pytest.raises(VerificationFailed, match="u is not 2"):
         certs.verify_document(doc)
     assert time.perf_counter() - start < 1.0
+
+
+def test_power_denominator_in_a_document_refused_before_the_power():
+    doc = _many_units_doc()
+    doc["payload"]["u"] = "1/2^100000"
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="more than"):
+        certs.verify_document(doc)
+    assert time.perf_counter() - start < 1.0

@@ -33,6 +33,12 @@ def test_ring_info(capsys):
     }
 
 
+def test_ring_info_large_pell_unit(capsys):
+    code, doc = invoke_json(capsys, "ring", "info", "--ring", "Z[sqrt151]")
+    assert code == 0
+    assert doc["infinite_order_unit"] == "1728148040+140634693*sqrt(151)"
+
+
 def test_unit_find_anchor(capsys):
     code, doc = invoke_json(capsys, "unit", "find", "--ring", "Z[1/2]", "--c", "3")
     assert code == 0

@@ -1,21 +1,23 @@
-"""Elementary decomposition: the Euclid driver, BFS fallback, diagonal expansion."""
+"""Elementary decomposition: the Euclid driver, its division lemma, diagonal expansion."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sl2units.cli import run
 from sl2units.elemgen import (
-    DEFAULT_DEPTH_CAP,
     Decomposition,
-    _bfs_decompose,
+    _division_for,
     decompose,
     expand_diagonals,
     h_decomposition,
-    length_stats,
     reduces_to_identity,
 )
-from sl2units.errors import NonUnit, SearchExhausted, UnsupportedRing
-from sl2units.rings import PrincipalIdeal, integers, localized, quadratic
+from sl2units.errors import NonUnit, UnsupportedRing
+from sl2units.rings import PrincipalIdeal, euclidean_size, integers, localized, quadratic
 from sl2units.sl2 import (
     DiagFactor,
     ElemFactor,
@@ -123,8 +125,7 @@ def test_decompose_round_trip_all_rings(rng):
 
 
 def test_decompose_regression_length_bound():
-    # frozen measurement: entries up to 100 decompose in at most 7 factors,
-    # comfortably inside the default depth cap
+    # frozen measurement: entries up to 100 decompose in at most 7 factors
     rng = random.Random(1234)
     worst = 0
     for _ in range(200):
@@ -132,7 +133,7 @@ def test_decompose_regression_length_bound():
         if max(abs(int(e.rat)) for e in m.entries) > 100:
             continue
         worst = max(worst, decompose(m).length)
-    assert worst <= DEFAULT_DEPTH_CAP
+    assert worst <= 12
 
 
 def test_decompose_deterministic(rng):
@@ -143,30 +144,43 @@ def test_decompose_deterministic(rng):
 
 
 # ---------------------------------------------------------------------------
-# the BFS fallback
+# the division lemma: every Euclid step strictly shrinks the remainder
+
+DIVISION_RINGS = [Z, Zh, localized(6), R2, quadratic(3)]
 
 
-def test_bfs_finds_short_words():
-    m = parse_matrix(Z, "[[2,1],[3,2]]")
-    dec = _bfs_decompose(m, DEFAULT_DEPTH_CAP, 50_000)
-    assert dec.length == 3  # optimal: shorter than the Euclid route
-    assert dec.word.evaluate() == m
+def _element(ring, data):
+    num, exp, irr = data
+    if ring.kind == "quadratic":
+        return ring.from_pair(num, irr)
+    if ring.kind == "localized":
+        return ring.from_fraction(num, ring.param**exp)
+    return ring.from_int(num)
 
 
-def test_bfs_exhaustion():
-    m = parse_matrix(Z, "[[1,0],[40,1]]") * parse_matrix(Z, "[[1,7],[0,1]]")
-    with pytest.raises(SearchExhausted):
-        _bfs_decompose(m, 2, 50_000)
-    with pytest.raises(SearchExhausted):
-        _bfs_decompose(m, DEFAULT_DEPTH_CAP, 10)
+_ELEMENT_DATA = st.tuples(
+    st.integers(-10**6, 10**6), st.integers(0, 6), st.integers(-10**6, 10**6)
+)
 
 
-def test_bfs_deterministic():
-    m = parse_matrix(Z, "[[0,-1],[1,0]]")
-    a = _bfs_decompose(m, 6, 50_000)
-    b = _bfs_decompose(m, 6, 50_000)
-    assert a.word == b.word
-    assert a.length == 3  # E12(-1) E21(1) E12(-1) or the mirror image
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(DIVISION_RINGS), _ELEMENT_DATA, _ELEMENT_DATA)
+def test_division_remainder_shrinks(ring, x_data, y_data):
+    x, y = _element(ring, x_data), _element(ring, y_data)
+    if not y:
+        return
+    q = _division_for(ring)(x, y)
+    assert euclidean_size(x - q * y) < euclidean_size(y)
+
+
+def test_division_that_does_not_shrink_is_internal_error(capsys, monkeypatch):
+    import sl2units.elemgen as elemgen
+
+    monkeypatch.setattr(elemgen, "_divide_integers", lambda x, y: x.ring.zero())
+    assert run(["decompose", "--ring", "Z", "--A", "[[2,1],[3,2]]"]) == 3
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "InternalError"
+    assert err["message"].startswith("AssertionError: division of 3 by 2")
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +204,6 @@ def test_expand_diagonals():
 
     assert no_diag(flat)
     assert flat.evaluate() == w.evaluate()
-
-
-def test_length_stats():
-    sample = [identity(Z), elem12(Z.one()), parse_matrix(Z, "[[2,1],[3,2]]")]
-    stats = length_stats(sample)
-    assert stats.count == 3
-    assert stats.lengths == (0, 1, 4)
-    assert stats.max_length == 4
-    assert stats.mean_length == pytest.approx(5 / 3)
 
 
 def test_decomposition_invariants_enforced():

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from sl2units.errors import (
 )
 from sl2units.rings import (
     PrincipalIdeal,
+    _is_squarefree,
     _strip_primes,
     euclidean_size,
     exact_quotient,
@@ -107,6 +110,27 @@ def test_parse_element_rejects():
 
 def test_parse_power_denominator():
     assert parse_element(Zh, "3/2^4") == Zh.from_fraction(3, 16)
+
+
+def test_parse_power_denominator_refused_before_the_power():
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="more than"):
+        parse_element(Zh, "1/2^100000")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_power_denominator_follows_the_digit_limit():
+    Z30 = localized(30)
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert parse_element(Z30, "1/10^639").rat.denominator == 10**639  # 640 digits
+        with pytest.raises(ParseError):
+            parse_element(Z30, "1/10^640")
+        sys.set_int_max_str_digits(0)  # no limit
+        assert parse_element(Z30, "1/10^5000").rat.denominator == 10**5000
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +287,29 @@ def test_unit_order_oracles():
 @pytest.mark.parametrize("d,expected", [(2, (1, 1)), (3, (2, 1)), (5, (2, 1)), (7, (8, 3))])
 def test_pell_fundamental_unit(d, expected):
     assert pell_fundamental_unit(d) == expected
+
+
+def _pell_by_search(d, cap):
+    """Smallest (a, b) with 1 <= b <= cap and a^2 - d*b^2 = +-1, or None."""
+    for b in range(1, cap + 1):
+        db2 = d * b * b
+        for target in (db2 - 1, db2 + 1):
+            a = math.isqrt(target)
+            if a * a == target:
+                return a, b
+    return None
+
+
+def test_pell_solves_the_equation_and_matches_the_search():
+    # the search finds a solution with b <= 10^4 exactly when the continued
+    # fraction's is that small, and then the same one
+    cap = 10**4
+    for d in range(2, 1001):
+        if not _is_squarefree(d):
+            continue
+        a, b = pell_fundamental_unit(d)
+        assert b >= 1 and a * a - d * b * b in (1, -1), d
+        assert _pell_by_search(d, cap) == ((a, b) if b <= cap else None), d
 
 
 def test_infinite_order_unit():
