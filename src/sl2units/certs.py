@@ -197,7 +197,7 @@ class _Fields:
                 return [parse_matrix(self.ring, text) for text in value]
             if shape == "word":
                 return word_from_json(self.ring, value)
-        except (ParseError, ValueError, RecursionError) as exc:
+        except ParseError as exc:
             raise ParseError(f"{where}: {exc}") from None
         return value
 

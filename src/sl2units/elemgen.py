@@ -29,11 +29,9 @@ from .rings import (
     quotient,
 )
 from .sl2 import (
-    ConjFactor,
     DiagFactor,
     ElemFactor,
     GroupWord,
-    InvFactor,
     Mat2,
     diag,
     elem12,
@@ -83,17 +81,13 @@ def h_decomposition(u: RingElement) -> Decomposition:
 
 
 def expand_diagonals(word: GroupWord) -> GroupWord:
-    """Replace every diagonal factor by its six-transvection expansion, recursively."""
+    """Replace every diagonal factor by its six-transvection expansion."""
     out: list = []
     for f in word.factors:
         if isinstance(f, ElemFactor):
             out.append(f)
         elif isinstance(f, DiagFactor):
             out.extend(h_decomposition(f.unit).word.factors)
-        elif isinstance(f, ConjFactor):
-            out.append(ConjFactor(expand_diagonals(f.conjugator), expand_diagonals(f.inner)))
-        elif isinstance(f, InvFactor):
-            out.append(InvFactor(expand_diagonals(f.inner)))
         else:
             raise TypeError(f"unknown factor {f!r}")
     return GroupWord(word.ring, tuple(out))

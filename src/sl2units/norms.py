@@ -157,10 +157,8 @@ def _closure_violation(table: FiniteGroupTable, gens: frozenset) -> Optional[str
     return None
 
 
-def _distances(table: FiniteGroupTable, gens: frozenset, stop_at=None):
+def _distances(table: FiniteGroupTable, gens: frozenset):
     dist = {table.identity: 0}
-    if stop_at is not None and stop_at == table.identity:
-        return dist
     frontier = deque([table.identity])
     while frontier:
         g = frontier.popleft()
@@ -169,8 +167,6 @@ def _distances(table: FiniteGroupTable, gens: frozenset, stop_at=None):
             h = table.mul(g, s)
             if h not in dist:
                 dist[h] = d
-                if stop_at is not None and h == stop_at:
-                    return dist
                 frontier.append(h)
     return dist
 
@@ -182,12 +178,7 @@ def bfs_norm(table: FiniteGroupTable, gens, g) -> Union[int, float]:
     GeneratorsNotClosed otherwise) so the resulting word length is a
     conjugation-invariant norm.
     """
-    gens = frozenset(gens)
-    violation = _closure_violation(table, gens)
-    if violation is not None:
-        raise GeneratorsNotClosed(violation)
-    dist = _distances(table, gens, stop_at=g)
-    return dist.get(g, math.inf)
+    return NormTable(table, gens).lengths.get(g, math.inf)
 
 
 class NormTable:

@@ -35,21 +35,6 @@ LOCALIZED = "localized"
 QUADRATIC = "quadratic"
 
 
-def _prime_factors(n: int) -> tuple[int, ...]:
-    assert n >= 2
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
 def _is_squarefree(n: int) -> bool:
     p = 2
     while p * p <= n:
@@ -86,13 +71,6 @@ class RingDescriptor:
         if self.kind == LOCALIZED:
             return f"Z[1/{self.param}]"
         return f"Z[sqrt{self.param}]"
-
-    @property
-    def inverted_primes(self) -> tuple[int, ...]:
-        """Primes made invertible by localization (empty unless kind is localized)."""
-        if self.kind == LOCALIZED:
-            return _prime_factors(self.param)
-        return ()
 
     def __str__(self):
         return self.name
@@ -133,11 +111,17 @@ def quadratic(d: int) -> RingDescriptor:
     return RingDescriptor(QUADRATIC, d)
 
 
-def _strip_primes(n: int, primes: tuple[int, ...]) -> int:
+def _strip_primes(n: int, m: int) -> int:
+    """|n| with every prime factor of m divided out, without factoring m.
+
+    Each prime of m that still divides n divides g, so the loop ends exactly
+    when none is left; it divides by g once per pass.
+    """
     n = abs(n)
-    for p in primes:
-        while n and n % p == 0:
-            n //= p
+    g = math.gcd(n, m) if n else 1
+    while g > 1:
+        n //= g
+        g = math.gcd(n, g)
     return n
 
 
@@ -166,7 +150,7 @@ class RingElement:
             if self.ring.kind == INTEGERS:
                 if den != 1:
                     raise ValueError(f"{self.rat} is not an integer")
-            elif _strip_primes(den, self.ring.inverted_primes) != 1:
+            elif _strip_primes(den, self.ring.param) != 1:
                 raise ValueError(f"{self.rat} does not lie in {self.ring.name}")
 
     # -- equality and hashing (canonical form makes this field comparison)
@@ -286,7 +270,7 @@ def is_unit(x: RingElement) -> Optional[RingElement]:
         return None
     if ring.kind == INTEGERS:
         return x if abs(x.rat) == 1 else None
-    if _strip_primes(x.rat.numerator, ring.inverted_primes) == 1:
+    if _strip_primes(x.rat.numerator, ring.param) == 1:
         return RingElement(ring, 1 / x.rat)
     return None
 
@@ -309,7 +293,7 @@ def exact_quotient(x: RingElement, y: RingElement) -> Optional[RingElement]:
     den = f.denominator
     if ring.kind == INTEGERS:
         return RingElement(ring, f) if den == 1 else None
-    if _strip_primes(den, ring.inverted_primes) == 1:
+    if _strip_primes(den, ring.param) == 1:
         return RingElement(ring, f)
     return None
 
@@ -321,7 +305,7 @@ def euclidean_size(x: RingElement) -> int:
         return abs(int(x.field_norm()))
     if ring.kind == INTEGERS:
         return abs(x.rat.numerator)
-    return _strip_primes(x.rat.numerator, ring.inverted_primes) if x else 0
+    return _strip_primes(x.rat.numerator, ring.param) if x else 0
 
 
 def height(x: RingElement) -> int:
@@ -401,7 +385,8 @@ class QuotientRing:
             if self.index != abs(int(c.field_norm())):
                 raise AssertionError("HNF determinant disagrees with the field norm")
         else:
-            self._c0 = _strip_primes(c.rat.numerator, self.ring.inverted_primes)
+            # Z has param 0: strip by m = 1, which leaves |c|
+            self._c0 = _strip_primes(c.rat.numerator, self.ring.param or 1)
             self.index = self._c0
         self._residues: Optional[tuple[RingElement, ...]] = None
 
@@ -491,10 +476,6 @@ class QuotientRing:
         if g1 != 1:
             return False
         return _lattice_index_is_one(rows)
-
-    def unit_group_order(self) -> int:
-        """Number of invertible residues, by exhaustive scan."""
-        return sum(1 for r in self.residues if self.is_unit(r))
 
 
 def _hnf_2x2(rows: list[list[int]]) -> tuple[int, int, int]:
@@ -586,7 +567,8 @@ def infinite_order_unit(ring: RingDescriptor) -> RingElement:
     if ring.kind == INTEGERS:
         raise NoInfiniteOrderUnit("Z has only the units 1 and -1")
     if ring.kind == LOCALIZED:
-        return ring.from_int(min(ring.inverted_primes))
+        m = ring.param
+        return ring.from_int(next((p for p in range(2, math.isqrt(m) + 1) if m % p == 0), m))
     a, b = pell_fundamental_unit(ring.param)
     return ring.from_pair(a, b)
 
@@ -640,10 +622,20 @@ def _text_sized_power(text: str, base: int, exp: int) -> int:
 
 
 def parse_element(ring: RingDescriptor, text: str) -> RingElement:
-    """Parse one element in the ring's text syntax; inverse of str()."""
+    """Parse one element in the ring's text syntax; inverse of str().
+
+    A ValueError -- from int() on more digits than int-from-text conversion
+    allows, or from the element constructors -- becomes a ParseError.
+    """
     if not isinstance(text, str):
         raise ParseError(f"an element must be given as text, not {type(text).__name__}")
-    text = text.strip()
+    try:
+        return _parse_element(ring, text.strip())
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _parse_element(ring: RingDescriptor, text: str) -> RingElement:
     if _INT_RE.match(text):
         return ring.from_int(int(text))
     if ring.kind == QUADRATIC:
@@ -659,10 +651,7 @@ def parse_element(ring: RingDescriptor, text: str) -> RingElement:
                 sign = sign1 if sign1 is not None else sign2
                 if sign == "-":
                     b = -b
-            try:
-                return ring.from_pair(a, b)
-            except ValueError as exc:
-                raise ParseError(str(exc)) from None
+            return ring.from_pair(a, b)
         raise ParseError(f"cannot parse {text!r} as an element of {ring.name}")
     m = _FRAC_RE.match(text)
     if m:
@@ -670,10 +659,7 @@ def parse_element(ring: RingDescriptor, text: str) -> RingElement:
         d = _text_sized_power(text, int(den), int(exp)) if exp is not None else int(den)
         if d == 0:
             raise ParseError(f"{text!r} has a zero denominator")
-        try:
-            return ring.from_fraction(int(num), d)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        return ring.from_fraction(int(num), d)
     raise ParseError(f"cannot parse {text!r} as an element of {ring.name}")
 
 

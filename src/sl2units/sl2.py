@@ -9,11 +9,11 @@ Products also leave out each term of w*x + y*z that has a zero factor:
 transvections, diagonals and triangular matrices have zero entries, and
 every skipped "+ 0" would be a new ring element whose denominator is
 stripped again.
-GroupWord is an unevaluated product of factors -- elementary
-transvections, diagonal unit matrices, formal inverses, and formal
-conjugates g w g^-1 -- which lets callers exhibit *how* a matrix was built
-(e.g. as a product of conjugates of a fixed matrix) and still evaluate or
-flatten it exactly.
+GroupWord is an unevaluated flat product of elementary transvections and
+diagonal unit matrices, which lets callers exhibit *how* a matrix was built
+(e.g. each conjugator of a witness as E12(t), diag(u^2), M diag(u^2) or
+M E12(t)) and still evaluate it exactly.  Its JSON form is one flat list,
+so a word is never longer than the document text it is read from.
 """
 
 from __future__ import annotations
@@ -98,12 +98,6 @@ class Mat2:
     def is_scalar(self) -> bool:
         return not self.b and not self.c and self.a == self.d
 
-    def is_identity(self) -> bool:
-        return self == identity(self.ring)
-
-    def trace(self) -> RingElement:
-        return self.a + self.d
-
     def __str__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
@@ -183,23 +177,8 @@ class DiagFactor:
             raise NonUnitDiagonal(f"{self.unit} is not a unit of {self.unit.ring.name}")
 
 
-@dataclass(frozen=True)
-class ConjFactor:
-    """Formal conjugate: conjugator * inner * conjugator^-1, kept unexpanded."""
-
-    conjugator: "GroupWord"
-    inner: "GroupWord"
-
-
-@dataclass(frozen=True)
-class InvFactor:
-    """Formal inverse of a whole word."""
-
-    inner: "GroupWord"
-
-
 # a string: a typing.Union would stay in typing's cache and keep old imports alive
-Factor = "ElemFactor | DiagFactor | ConjFactor | InvFactor"
+Factor = "ElemFactor | DiagFactor"
 
 
 @dataclass(frozen=True)
@@ -231,11 +210,6 @@ def _evaluate_factor(ring: RingDescriptor, f: Factor) -> Mat2:
         return elem12(f.argument) if f.position == "12" else elem21(f.argument)
     if isinstance(f, DiagFactor):
         return diag(f.unit)
-    if isinstance(f, ConjFactor):
-        g = f.conjugator.evaluate()
-        return g * f.inner.evaluate() * g.inverse()
-    if isinstance(f, InvFactor):
-        return f.inner.evaluate().inverse()
     raise TypeError(f"unknown factor {f!r}")
 
 
@@ -245,42 +219,6 @@ def word_elem(position: str, argument: RingElement) -> GroupWord:
 
 def word_diag(unit: RingElement) -> GroupWord:
     return GroupWord(unit.ring, (DiagFactor(unit),))
-
-
-def word_conj(conjugator: GroupWord, inner: GroupWord) -> GroupWord:
-    if conjugator.ring != inner.ring:
-        raise MixedRings("conjugator and inner word live over different rings")
-    return GroupWord(inner.ring, (ConjFactor(conjugator, inner),))
-
-
-def word_inv(inner: GroupWord) -> GroupWord:
-    return GroupWord(inner.ring, (InvFactor(inner),))
-
-
-def flatten(word: GroupWord) -> tuple[ElemFactor, ...]:
-    """Expand inverses and conjugates into a flat run of transvections.
-
-    Fails on diagonal factors: those are not elementary, and rewriting them
-    is the job of the decomposition routines.
-    """
-    return tuple(_flatten(word, False))
-
-
-def _flatten(word: GroupWord, inverted: bool) -> list[ElemFactor]:
-    out: list[ElemFactor] = []
-    seq = reversed(word.factors) if inverted else word.factors
-    for f in seq:
-        if isinstance(f, ElemFactor):
-            out.append(ElemFactor(f.position, -f.argument) if inverted else f)
-        elif isinstance(f, InvFactor):
-            out.extend(_flatten(f.inner, not inverted))
-        elif isinstance(f, ConjFactor):
-            out.extend(_flatten(f.conjugator, False))
-            out.extend(_flatten(f.inner, inverted))
-            out.extend(_flatten(f.conjugator, True))
-        else:
-            raise ValueError("cannot flatten a word containing diagonal factors")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +248,6 @@ def _factor_to_json(f: Factor) -> dict:
         return {"kind": "elem", "position": f.position, "argument": str(f.argument)}
     if isinstance(f, DiagFactor):
         return {"kind": "diag", "unit": str(f.unit)}
-    if isinstance(f, ConjFactor):
-        return {"kind": "conj", "by": word_to_json(f.conjugator), "word": word_to_json(f.inner)}
-    if isinstance(f, InvFactor):
-        return {"kind": "inv", "word": word_to_json(f.inner)}
     raise TypeError(f"unknown factor {f!r}")
 
 
@@ -332,10 +266,6 @@ def _factor_from_json(ring: RingDescriptor, data) -> Factor:
             return ElemFactor(data["position"], parse_element(ring, data["argument"]))
         if kind == "diag":
             return DiagFactor(parse_element(ring, data["unit"]))
-        if kind == "conj":
-            return ConjFactor(word_from_json(ring, data["by"]), word_from_json(ring, data["word"]))
-        if kind == "inv":
-            return InvFactor(word_from_json(ring, data["word"]))
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad {kind} factor: {exc}") from None
     raise ParseError(f"unknown factor kind {kind!r}")

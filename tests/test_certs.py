@@ -302,3 +302,12 @@ def test_power_denominator_in_a_document_refused_before_the_power():
     with pytest.raises(ParseError, match="more than"):
         certs.verify_document(doc)
     assert time.perf_counter() - start < 1.0
+
+
+def test_localization_by_a_large_parameter_answered_at_once():
+    doc = _many_units_doc()
+    doc["ring"] = "Z[1/100000000000000003]"
+    start = time.perf_counter()
+    with pytest.raises(VerificationFailed, match="base 2 is not a unit"):
+        certs.verify_document(doc)
+    assert time.perf_counter() - start < 1.0

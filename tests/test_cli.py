@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON-only output, verify round-trips."""
 
 import json
+import time
 
 import pytest
 
@@ -184,6 +185,47 @@ def test_allow_degenerate_exit_0(capsys):
 
 def test_parse_error_exit_1(capsys):
     code, err = invoke_json(capsys, "decompose", "--ring", "Z", "--A", "[[1,0],[0]]")
+    assert code == 1 and err["error"] == "ParseError"
+
+
+def test_element_over_the_digit_limit_exit_1(capsys):
+    code, err = invoke_json(capsys, "h-decompose", "--ring", "Z[1/2]", "--u", "1" + "0" * 5000)
+    assert code == 1 and err["error"] == "ParseError"
+    assert "limit" in err["message"]
+
+
+def _witness_with_conjugator(capsys, tmp_path, conjugator: str):
+    """A lemma2-witness document whose first conjugator word is replaced by
+    the given JSON text, spliced in as text so it may nest deeper than
+    json.dumps can write."""
+    code, out = invoke(capsys, "lemma", "witness", "--ring", "Z[1/2]",
+                       "--A", "[[1,0],[3,1]]", "--u", "64", "--z", "3")
+    assert code == 0
+    doc = json.loads(out)
+    doc["payload"]["factors"][0]["conjugator"] = "@"
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(doc).replace('"@"', conjugator))
+    return path
+
+
+@pytest.mark.parametrize("factor", [
+    '{"kind": "conj", "by": {"factors": []}, "word": {"factors": []}}',
+    '{"kind": "inv", "word": {"factors": []}}',
+])
+def test_nested_word_factor_exit_1(tmp_path, capsys, factor):
+    path = _witness_with_conjugator(capsys, tmp_path, '{"factors": [%s]}' % factor)
+    code, err = invoke_json(capsys, "verify", str(path))
+    assert code == 1 and err["error"] == "ParseError"
+    assert "unknown factor kind" in err["message"]
+
+
+def test_deeply_nested_word_exit_1_at_once(tmp_path, capsys):
+    depth = 10**5
+    nested = '{"factors": [{"kind": "inv", "word": ' * depth + '{"factors": []}' + "}]}" * depth
+    path = _witness_with_conjugator(capsys, tmp_path, nested)
+    start = time.perf_counter()
+    code, err = invoke_json(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1.0
     assert code == 1 and err["error"] == "ParseError"
 
 
