@@ -303,7 +303,7 @@ def _verify_experiment(fields: _Fields) -> None:
         image = table.transvection("12", j)
         if image == table.identity:
             raise VerificationFailed(f"sampled {j} has trivial image, not a valid sample")
-        norm = norms.length(image)
+        norm = norms.lengths[image]
         _expect(recorded, format_norm(norm), f"recorded norm {recorded} for {j}, recomputed {norm}")
         recomputed.append(norm)
     _expect(nontrivial_count, len(samples), "nontrivial_count does not match the sample list")

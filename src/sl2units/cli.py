@@ -25,7 +25,6 @@ from .lemma import (
     verify_certificate,
 )
 from .norms import (
-    DEFAULT_TABLE_CAP,
     FiniteGroupTable,
     bfs_norm,
     check_norm_axioms,
@@ -130,7 +129,7 @@ def _cmd_h_decompose(args) -> dict:
 
 def _table(ring, args) -> FiniteGroupTable:
     modulus = parse_element(ring, args.modulus)
-    return FiniteGroupTable(quotient(PrincipalIdeal(modulus)), args.table_cap)
+    return FiniteGroupTable(quotient(PrincipalIdeal(modulus)))
 
 
 def _cmd_norm_bfs(args) -> dict:
@@ -164,7 +163,6 @@ def _cmd_norm_lemma_bound(args) -> dict:
         args.samples,
         rng=random.Random(args.seed),
         require_nontrivial=not args.allow_degenerate,
-        table_cap=args.table_cap,
     )
     return certs.make_document(
         "norm-experiment", ring, certs.experiment_payload(report, matrix, cert)
@@ -208,15 +206,6 @@ def _cmd_verify(args) -> dict:
 
 def _add_ring_flag(p):
     p.add_argument("--ring", required=True, help="ring descriptor, e.g. Z, Z[1/6], Z[sqrt2]")
-
-
-def _add_table_cap(p):
-    p.add_argument(
-        "--table-cap",
-        type=int,
-        default=DEFAULT_TABLE_CAP,
-        help="refuse quotients whose group table would exceed this size",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="replace the generators by their conjugation closure first",
     )
-    _add_table_cap(p)
     p.set_defaults(handler=_cmd_norm_bfs)
 
     p = norm.add_parser(
@@ -310,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="count trivial images as vacuous passes instead of failing",
     )
-    _add_table_cap(p)
     p.set_defaults(handler=_cmd_norm_lemma_bound)
 
     p = norm.add_parser("axioms", help="exhaustive norm-axiom report for a BFS word norm")
@@ -322,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="seed generator matrix; the conjugation closure is taken",
     )
-    _add_table_cap(p)
     p.set_defaults(handler=_cmd_norm_axioms)
 
     p = sub.add_parser("verify", help="re-check a certificate document")

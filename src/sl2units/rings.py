@@ -35,13 +35,19 @@ LOCALIZED = "localized"
 QUADRATIC = "quadratic"
 
 
+QUADRATIC_PARAM_BOUND = 10**18  # so _is_squarefree tries p < 10^6 only
+
+
 def _is_squarefree(n: int) -> bool:
+    # trial division while p^3 <= n leaves at most two prime factors, both >= p
     p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
+    while p * p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
         p += 1 if p == 2 else 2
-    return True
+    return math.isqrt(n) ** 2 != n or n == 1
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,8 @@ class RingDescriptor:
             if self.param < 2:
                 raise ValueError("localization parameter m must be >= 2")
         elif self.kind == QUADRATIC:
+            if self.param >= QUADRATIC_PARAM_BOUND:
+                raise ValueError("quadratic parameter d must be below 10^18")
             if self.param < 2 or not _is_squarefree(self.param):
                 raise ValueError("quadratic parameter d must be squarefree and >= 2")
         else:
@@ -388,13 +396,6 @@ class QuotientRing:
             # Z has param 0: strip by m = 1, which leaves |c|
             self._c0 = _strip_primes(c.rat.numerator, self.ring.param or 1)
             self.index = self._c0
-        self._residues: Optional[tuple[RingElement, ...]] = None
-
-    @property
-    def residues(self) -> tuple[RingElement, ...]:
-        if self._residues is None:
-            self._residues = tuple(self.decode(i) for i in range(self.index))
-        return self._residues
 
     def __repr__(self):
         return f"{self.ring.name}/{self.modulus} of index {self.index}"

@@ -71,7 +71,7 @@ def _axiom_doc():
     table = FiniteGroupTable(quotient(PrincipalIdeal(Z.from_int(5))))
     seed = [table.from_matrix(elem12(Z.one()))]
     gens = conjugation_closure(table, seed)
-    report = check_norm_axioms(NormTable(table, gens, check=False))
+    report = check_norm_axioms(NormTable(table, gens))
     payload = certs.axiom_report_payload(
         modulus_text="5",
         seed_texts=["[[1,1],[0,1]]"],

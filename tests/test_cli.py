@@ -102,6 +102,29 @@ def test_norm_axioms(capsys):
     assert code == 0 and doc["payload"]["all_passed"] is True
 
 
+def test_norm_bfs_open_generating_set_exit_1(capsys):
+    code, err = invoke_json(
+        capsys,
+        "norm", "bfs", "--ring", "Z", "--modulus", "5",
+        "--gen", "[[1,1],[0,1]]", "--element", "[[-1,0],[0,-1]]",
+    )
+    assert code == 1 and err["error"] == "GeneratorsNotClosed"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bfs", "--gen", "[[1,1],[0,1]]", "--element", "[[1,0],[0,1]]"],
+        ["lemma-bound", "--A", "[[1,0],[3,1]]", "--u", "64"],
+        ["axioms", "--gen", "[[1,1],[0,1]]"],
+    ],
+)
+def test_table_cap_flag_is_gone(capsys, argv):
+    code = run(["norm", argv[0], "--ring", "Z[1/2]", "--modulus", "3", *argv[1:],
+                "--table-cap", "100"])
+    assert code == 2 and capsys.readouterr().out == ""
+
+
 def test_norm_lemma_bound(capsys):
     code, doc = invoke_json(
         capsys,

@@ -22,16 +22,17 @@ from sl2units.norms import (
     lemma_bound_experiment,
 )
 from sl2units.rings import PrincipalIdeal, integers, localized, parse_element, quadratic, quotient
-from sl2units.sl2 import elem12, elem21, identity, parse_matrix
+from sl2units.sl2 import elem12, elem21, parse_matrix
 from tests.conftest import random_sl2
 
 Z = integers()
 Zh = localized(2)
 R2 = quadratic(2)
+R3 = quadratic(3)
 
 
-def _table(ring, gen_text, cap=10**6):
-    return FiniteGroupTable(quotient(PrincipalIdeal(parse_element(ring, gen_text))), cap)
+def _table(ring, gen_text):
+    return FiniteGroupTable(quotient(PrincipalIdeal(parse_element(ring, gen_text))))
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +54,8 @@ def test_group_order_composite_and_extensions():
 
 def test_table_cap():
     with pytest.raises(QuotientTooLarge):
-        _table(Z, "101", cap=10**6)  # 101^3 > 10^6
-    _table(Z, "97", cap=10**6)  # 97^3 fits
+        _table(Z, "101")  # 101^3 > 10^6
+    _table(Z, "97")  # 97^3 fits
 
 
 def test_table_group_laws(rng):
@@ -64,7 +65,7 @@ def test_table_group_laws(rng):
         g = rng.choice(elems)
         h = rng.choice(elems)
         assert table.mul(g, table.inv(g)) == table.identity
-        assert table.mul(g, h) in table
+        assert table.mul(g, h) in table.elements
         assert table.conj(g, h) == table.mul(table.mul(g, h), table.inv(g))
 
 
@@ -78,6 +79,10 @@ def test_from_matrix_respects_reduction(rng):
 
 def test_transvection_images():
     table = _table(Z, "5")
+    assert table.generators == (
+        table.from_matrix(elem12(Z.one())),
+        table.from_matrix(elem21(Z.one())),
+    )
     g = table.transvection("12", Z.from_int(7))
     assert g == table.from_matrix(elem12(Z.from_int(7)))
     assert table.transvection("12", Z.from_int(5)) == table.identity
@@ -85,8 +90,66 @@ def test_transvection_images():
         table.transvection("13", Z.one())
 
 
+ELEMENTARY_CASES = (
+    [(Z, str(n)) for n in range(2, 31)]
+    + [(Zh, "9"), (Zh, "15"), (localized(6), "25")]
+    + [(R2, "3"), (R2, "sqrt(2)"), (R2, "1+sqrt(2)"), (R2, "5")]
+    + [(R3, "2"), (R3, "sqrt(3)"), (R3, "1+sqrt(3)")]
+)
+
+
+@pytest.mark.parametrize("ring,modulus", ELEMENTARY_CASES, ids=lambda v: str(v))
+def test_elementary_generators_reach_every_element(ring, modulus):
+    # SL2 of a finite ring is elementary, and 1 (and sqrt(d)) span it additively
+    table = _table(ring, modulus)
+    assert len(table.generators) == (4 if ring.kind == "quadratic" else 2)
+    lengths = NormTable(table, table.generators).lengths
+    assert math.inf not in lengths.values()
+
+
 # ---------------------------------------------------------------------------
 # conjugation closure
+
+
+def _closure_by_whole_group(table, seed):
+    """The oracle: the closure conjugating by every group element."""
+    closed = set()
+    pending = list(seed)
+    while pending:
+        s = pending.pop()
+        if s in closed:
+            continue
+        closed.add(s)
+        pending.append(table.inv(s))
+        for g in table.elements:
+            t = table.conj(g, s)
+            if t not in closed:
+                pending.append(t)
+    return frozenset(closed)
+
+
+@pytest.mark.parametrize(
+    "ring,modulus", [(Z, str(n)) for n in range(2, 14)] + [(R2, "3")], ids=lambda v: str(v)
+)
+def test_generator_closure_matches_whole_group_closure(ring, modulus):
+    table = _table(ring, modulus)
+    pick = random.Random(f"{ring}/{modulus}")
+    seed = pick.sample(table.elements, pick.randint(1, 2))
+    assert conjugation_closure(table, seed) == _closure_by_whole_group(table, seed)
+
+
+def test_closure_conjugates_by_generators_only(monkeypatch):
+    table = _table(Z, "11")
+    calls = []
+    conj = FiniteGroupTable.conj
+    monkeypatch.setattr(
+        FiniteGroupTable, "conj", lambda self, g, h: calls.append(g) or conj(self, g, h)
+    )
+    gens = conjugation_closure(table, [table.from_matrix(elem12(Z.one()))])
+    assert len(gens) == 120
+    # conjugating by the whole group made |G| |S| = 1320 * 120 = 158400 calls
+    assert len(calls) <= len(gens) * len(table.generators) == 240
+    assert set(calls) <= set(table.generators)
 
 
 def test_closure_sizes():
@@ -132,8 +195,13 @@ def test_bfs_norm_oracles():
 def test_bfs_norm_requires_closed_generators():
     table = _table(Z, "5")
     e12 = table.from_matrix(elem12(Z.one()))
-    with pytest.raises(GeneratorsNotClosed):
+    with pytest.raises(GeneratorsNotClosed, match="lacks"):
         bfs_norm(table, {e12}, table.identity)
+    # mod 3 the conjugates of E12(1) miss its inverse E12(-1): -1 is not a square
+    t3 = _table(Z, "3")
+    e12 = t3.from_matrix(elem12(Z.one()))
+    with pytest.raises(GeneratorsNotClosed):
+        bfs_norm(t3, {t3.conj(g, e12) for g in t3}, e12)
 
 
 def test_norm_table_matches_bfs():
@@ -142,15 +210,15 @@ def test_norm_table_matches_bfs():
     gens = conjugation_closure(table, [e12])
     norms = NormTable(table, gens)
     for g in list(table)[::5]:
-        assert norms.length(g) == bfs_norm(table, gens, g)
+        assert norms.lengths[g] == bfs_norm(table, gens, g)
 
 
 def test_norm_table_unreachable_is_inf():
     table = _table(Z, "5")
     minus_i = table.from_matrix(parse_matrix(Z, "[[-1,0],[0,-1]]"))
     norms = NormTable(table, conjugation_closure(table, [minus_i]))
-    assert norms.length(minus_i) == 1
-    assert norms.length(table.from_matrix(elem12(Z.one()))) == math.inf
+    assert norms.lengths[minus_i] == 1
+    assert norms.lengths[table.from_matrix(elem12(Z.one()))] == math.inf
     # the axioms hold even with unreachable elements (inf arithmetic)
     report = check_norm_axioms(norms)
     assert report.all_passed
@@ -176,14 +244,48 @@ def test_axioms_fail_with_counterexample():
     assert report.symmetry.passed  # constant functions stay symmetric
 
 
+def _verdicts_by_exhaustion(table, lengths):
+    """The oracle: each axiom over every g, and every h or conjugator a."""
+    ident, G = table.identity, table.elements
+    return [
+        lengths[ident] == 0 and all(lengths[g] != 0 for g in G if g != ident),
+        all(lengths[g] == lengths[table.inv(g)] for g in G),
+        all(lengths[table.mul(g, h)] <= lengths[g] + lengths[h] for g in G for h in G),
+        all(lengths[table.conj(a, g)] == lengths[g] for g in G for a in G),
+    ]
+
+
+@pytest.mark.parametrize("modulus", ["3", "5"])
+def test_axiom_verdicts_match_exhaustive_check(modulus):
+    table = _table(Z, modulus)
+    word = NormTable(table, conjugation_closure(table, table.generators)).lengths
+    pick = random.Random(int(modulus))
+    seen = set()
+    for _ in range(30):
+        # a class function (word length, or a random value per length), then
+        # some entries changed, so some maps stay invariant and some do not
+        values = {n: n if pick.random() < 0.5 else pick.randint(0, 4) for n in set(word.values())}
+        lengths = {g: values[n] for g, n in word.items()}
+        for g in pick.sample(table.elements, pick.choice([0, 0, 1, 2])):
+            lengths[g] = pick.randint(0, 4)
+        report = check_norm_axioms(table, lengths=lengths)
+        verdicts = [c.passed for c in report.checks]
+        assert verdicts == _verdicts_by_exhaustion(table, lengths)
+        seen.add(report.conjugation_invariance.passed)
+        if not report.conjugation_invariance.passed:
+            cx = report.conjugation_invariance.counterexample
+            assert cx["norm"] != cx["conjugated_norm"]
+    assert seen == {True, False}
+
+
 def test_scalar_norm_is_conjugation_invariant():
     table = _table(Z, "5")
     e12 = table.from_matrix(elem12(Z.one()))
     gens = conjugation_closure(table, [e12, table.inv(e12)])
     norms = NormTable(table, gens)
     minus_i = table.from_matrix(parse_matrix(Z, "[[-1,0],[0,-1]]"))
-    n = norms.length(minus_i)
-    assert all(norms.length(table.conj(g, minus_i)) == n for g in table)
+    n = norms.lengths[minus_i]
+    assert all(norms.lengths[table.conj(g, minus_i)] == n for g in table)
 
 
 # ---------------------------------------------------------------------------
@@ -249,4 +351,4 @@ def test_experiment_rejects_mixed_rings():
 
 def test_experiment_respects_table_cap():
     with pytest.raises(QuotientTooLarge):
-        _experiment(11, table_cap=100)
+        _experiment(101)
