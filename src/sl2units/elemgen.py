@@ -4,9 +4,10 @@ The driver runs Euclidean reduction on the first column: row operations
 shrink the lower-left entry against the upper-left one until the matrix is
 upper triangular, and the residual diagonal part diag(u, 1/u) is absorbed
 through a fixed six-transvection identity.  Division strategies are
-per-ring plug-ins (round-to-nearest over Z, Euclid on the prime-to-m parts
-over Z[1/m], field-norm rounding over Z[sqrt(2)] and Z[sqrt(3)]), and each
-provably leaves a remainder of smaller Euclidean size, so the loop ends.  A
+per-ring plug-ins (Euclid on the prime-to-m parts over Z[1/m] and over
+Z = Z[1/1], where it rounds x/y to nearest with ties to even; field-norm
+rounding over Z[sqrt(2)] and Z[sqrt(3)]), and each provably leaves a
+remainder of smaller Euclidean size, so the loop ends.  A
 step that fails to shrink is a bug and raises AssertionError.
 """
 
@@ -17,8 +18,6 @@ from fractions import Fraction
 
 from .errors import NonUnit, UnsupportedRing
 from .rings import (
-    INTEGERS,
-    LOCALIZED,
     QUADRATIC,
     PrincipalIdeal,
     RingDescriptor,
@@ -97,13 +96,11 @@ def expand_diagonals(word: GroupWord) -> GroupWord:
 # division strategies
 
 
-def _divide_integers(x: RingElement, y: RingElement) -> RingElement:
-    return x.ring.from_int(round(x.rat / y.rat))
-
-
 def _divide_localized(x: RingElement, y: RingElement) -> RingElement:
     # Euclid on the prime-to-m parts: x = ux*nx and y = uy*ny with ux, uy units,
     # so x - (t*ux/uy)*y = ux*(nx - t*ny) and the remainder size is |nx - t*ny|.
+    # Over Z the units are signs, and since round() is symmetric about 0 the
+    # quotient sign(x)*sign(y)*round(|x|/|y|) equals round(x/y).
     ring = x.ring
     if not x:
         return ring.zero()
@@ -123,11 +120,9 @@ def _divide_quadratic(x: RingElement, y: RingElement) -> RingElement:
 
 
 def _division_for(ring: RingDescriptor):
-    if ring.kind == INTEGERS:
-        return _divide_integers
-    if ring.kind == LOCALIZED:
+    if ring.kind != QUADRATIC:
         return _divide_localized
-    if ring.kind == QUADRATIC and ring.param in (2, 3):
+    if ring.param in (2, 3):
         return _divide_quadratic
     raise UnsupportedRing(f"no elementary decomposition strategy for {ring.name}")
 

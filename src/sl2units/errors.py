@@ -59,10 +59,6 @@ class UnitCongruenceViolated(AlgebraError):
     """u - 1 is not divisible by the square of the corner entry."""
 
 
-class FormCheckFailed(AlgebraError):
-    """An internal exactness assertion failed; must never fire."""
-
-
 class ZNotInIdeal(AlgebraError):
     """Witness parameter z lies outside the required ideal."""
 

@@ -3,22 +3,26 @@
 Supported rings: the integers Z, localizations Z[1/m], and real quadratic
 rings Z[sqrt(d)] for squarefree d >= 2.  Elements are immutable values in a
 unique canonical form, so equality is plain field comparison and all
-arithmetic is exact; nothing here ever rounds.
+arithmetic is exact; nothing here ever rounds.  Z is handled as Z[1/1], the
+localization that inverts nothing: membership, units, exact division and
+Euclidean size all strip the primes of m from an integer, and with m = 1
+that leaves its absolute value.
 
 Alongside the element type the module provides principal ideals with exact
 membership tests, finite quotient rings R/cR with canonical residue
 enumeration, multiplicative order computation in quotients, and units of
 infinite order (an inverted prime for Z[1/m], the fundamental Pell unit from
-the continued fraction of sqrt(d) for Z[sqrt(d)]).
+the continued fraction of sqrt(d) for Z[sqrt(d)]).  The parser reads only
+the syntax str() writes, so a power n/p^e is refused.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .errors import (
@@ -154,11 +158,11 @@ class RingElement:
         else:
             if self.irr != 0:
                 raise ValueError(f"{self.ring.name} has no irrational part")
+            # Z has param 0: strip by m = 1, which leaves |den|
             den = self.rat.denominator
-            if self.ring.kind == INTEGERS:
-                if den != 1:
+            if den != 1 and _strip_primes(den, self.ring.param or 1) != 1:
+                if self.ring.kind == INTEGERS:
                     raise ValueError(f"{self.rat} is not an integer")
-            elif _strip_primes(den, self.ring.param) != 1:
                 raise ValueError(f"{self.rat} does not lie in {self.ring.name}")
 
     # -- equality and hashing (canonical form makes this field comparison)
@@ -276,9 +280,7 @@ def is_unit(x: RingElement) -> Optional[RingElement]:
             s = 1 if n == 1 else -1
             return RingElement(ring, x.rat * s, -x.irr * s)
         return None
-    if ring.kind == INTEGERS:
-        return x if abs(x.rat) == 1 else None
-    if _strip_primes(x.rat.numerator, ring.param) == 1:
+    if _strip_primes(x.rat.numerator, ring.param or 1) == 1:
         return RingElement(ring, 1 / x.rat)
     return None
 
@@ -298,10 +300,7 @@ def exact_quotient(x: RingElement, y: RingElement) -> Optional[RingElement]:
             return None
         return RingElement(ring, Fraction(p // n), q // n)
     f = x.rat / y.rat
-    den = f.denominator
-    if ring.kind == INTEGERS:
-        return RingElement(ring, f) if den == 1 else None
-    if _strip_primes(den, ring.param) == 1:
+    if _strip_primes(f.denominator, ring.param or 1) == 1:
         return RingElement(ring, f)
     return None
 
@@ -311,9 +310,7 @@ def euclidean_size(x: RingElement) -> int:
     ring = x.ring
     if ring.kind == QUADRATIC:
         return abs(int(x.field_norm()))
-    if ring.kind == INTEGERS:
-        return abs(x.rat.numerator)
-    return _strip_primes(x.rat.numerator, ring.param) if x else 0
+    return _strip_primes(x.rat.numerator, ring.param or 1)
 
 
 def height(x: RingElement) -> int:
@@ -371,9 +368,11 @@ class QuotientRing:
     """The finite ring R/cR with canonical residue representatives.
 
     For Z and Z[1/m] the quotient is Z/c0 where c0 is the positive generator
-    of cR intersected with Z, with all primes of m stripped.  For Z[sqrt(d)]
-    residues live in the box below the Hermite normal form of the rank-2
-    lattice spanned by c and c*sqrt(d); the index equals |N(c)|.
+    of cR intersected with Z, with all primes of m stripped (none for Z).
+    For Z[sqrt(d)] residues live in the box below the Hermite normal form of
+    the rank-2 lattice spanned by c and c*sqrt(d); the index equals |N(c)|.
+    A residue x is a unit iff xR + cR is the whole ring: over Z/c0 iff
+    gcd(x, c0) = 1, over Z[sqrt(d)] iff that lattice has index 1.
 
     Residues are exposed both as canonical RingElements and as dense integer
     codes in range(index); the integer side exists so that group tables and
@@ -409,8 +408,6 @@ class QuotientRing:
             r1, r2 = self._box_reduce(int(x.rat), x.irr)
             return r1 * self._hnf[2] + r2
         c0 = self._c0
-        if c0 == 1:
-            return 0
         num, den = x.rat.numerator, x.rat.denominator
         if den == 1:
             return num % c0
@@ -429,21 +426,21 @@ class QuotientRing:
 
     def add_enc(self, i: int, j: int) -> int:
         if self.ring.kind != QUADRATIC:
-            return (i + j) % self.index if self.index > 1 else 0
+            return (i + j) % self.index
         h22 = self._hnf[2]
         r1, r2 = self._box_reduce(i // h22 + j // h22, i % h22 + j % h22)
         return r1 * h22 + r2
 
     def neg_enc(self, i: int) -> int:
         if self.ring.kind != QUADRATIC:
-            return (-i) % self.index if self.index > 1 else 0
+            return (-i) % self.index
         h22 = self._hnf[2]
         r1, r2 = self._box_reduce(-(i // h22), -(i % h22))
         return r1 * h22 + r2
 
     def mul_enc(self, i: int, j: int) -> int:
         if self.ring.kind != QUADRATIC:
-            return (i * j) % self.index if self.index > 1 else 0
+            return (i * j) % self.index
         d = self.ring.param
         h22 = self._hnf[2]
         a, b = i // h22, i % h22
@@ -455,28 +452,18 @@ class QuotientRing:
     def one_enc(self) -> int:
         return self.encode(self.ring.one())
 
-    # element-level interface
-
-    def reduce(self, x: RingElement) -> RingElement:
-        """Canonical representative of x + cR; constant on cosets."""
-        return self.decode(self.encode(x))
-
     def is_unit(self, x: RingElement) -> bool:
         """Invertibility of the residue class of x."""
-        if self.index == 1:
-            return True
         if self.ring.kind != QUADRATIC:
             return math.gcd(self.encode(x), self.index) == 1
-        # unit iff xR + cR is the whole lattice Z + Z*sqrt(d)
+        # xR + cR is spanned by x, x*sqrt(d) and the HNF rows of cR; its index
+        # in Z + Z*sqrt(d) is the gcd of the 2x2 minors (the second
+        # determinantal divisor; Cohen, Computational Algebraic Number Theory, 2.4)
         d = self.ring.param
-        r = self.reduce(x)
-        a, b = int(r.rat), r.irr
         h11, h12, h22 = self._hnf
-        rows = [[a, b], [d * b, a], [h11, h12], [0, h22]]
-        g1 = math.gcd(a, d * b, h11)
-        if g1 != 1:
-            return False
-        return _lattice_index_is_one(rows)
+        a, b = divmod(self.encode(x), h22)
+        rows = ((a, b), (d * b, a), (h11, h12), (0, h22))
+        return math.gcd(*(p * s - q * r for (p, q), (r, s) in combinations(rows, 2))) == 1
 
 
 def _hnf_2x2(rows: list[list[int]]) -> tuple[int, int, int]:
@@ -486,39 +473,8 @@ def _hnf_2x2(rows: list[list[int]]) -> tuple[int, int, int]:
     """
     (a1, b1), (a2, b2) = rows
     g, s, t = _xgcd(a1, a2)
-    if g == 0:
-        raise ValueError("first column is zero; lattice is singular")
-    top = (g, s * b1 + t * b2)
-    bot = (-a2 // g) * b1 + (a1 // g) * b2
-    if bot == 0:
-        raise ValueError("matrix is singular")
-    h22 = abs(bot)
-    return g, top[1] % h22, h22
-
-
-def _lattice_index_is_one(rows: list[list[int]]) -> bool:
-    # HNF of a stack of integer rows spanning a sublattice of Z^2: index 1 test
-    pairs = [r for r in rows if r[0] or r[1]]
-    # eliminate first column
-    acc: Optional[list[int]] = None
-    seconds = []
-    for r in pairs:
-        if r[0] == 0:
-            seconds.append(r[1])
-            continue
-        if acc is None:
-            acc = list(r)
-            continue
-        gg, s, t = _xgcd(acc[0], r[0])
-        new_second = (-r[0] // gg) * acc[1] + (acc[0] // gg) * r[1]
-        acc = [gg, s * acc[1] + t * r[1]]
-        seconds.append(new_second)
-    if acc is None or acc[0] == 0:
-        return False
-    g2 = 0
-    for s in seconds:
-        g2 = math.gcd(g2, s)
-    return abs(acc[0]) == 1 and g2 == 1
+    h22 = abs((-a2 // g) * b1 + (a1 // g) * b2)
+    return g, (s * b1 + t * b2) % h22, h22
 
 
 def quotient(modulus: PrincipalIdeal) -> QuotientRing:
@@ -600,26 +556,12 @@ def parse_ring(text: str) -> RingDescriptor:
 
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
-_FRAC_RE = re.compile(r"^([+-]?\d+)\s*/\s*(\d+)(?:\s*\^\s*(\d+))?$")
+_FRAC_RE = re.compile(r"^([+-]?\d+)\s*/\s*(\d+)$")
 _QUAD_RE = re.compile(
     r"^\s*(?:([+-]?\d+)\s*)?"  # optional rational part
     r"(?:(?(1)([+-])|([+-]?))\s*"  # sign separating the root term
     r"(?:(\d+)\s*\*\s*)?sqrt\(?\s*(\d+)\s*\)?)?\s*$"
 )
-
-
-def _text_sized_power(text: str, base: int, exp: int) -> int:
-    """base^exp, refused with ParseError when it has more decimal digits than
-    int-to-text conversion allows (sys.get_int_max_str_digits, 0 for no limit).
-    """
-    # Pythons without the limit (before 3.10.7) convert any int, as with 0
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        ceiling = 10**limit
-        # base^exp >= 2^(exp*(bits-1)): a huge power is refused before it is taken
-        if exp * (base.bit_length() - 1) >= ceiling.bit_length() or base**exp >= ceiling:
-            raise ParseError(f"{text!r}: {base}^{exp} has more than {limit} digits")
-    return base**exp
 
 
 def parse_element(ring: RingDescriptor, text: str) -> RingElement:
@@ -656,11 +598,10 @@ def _parse_element(ring: RingDescriptor, text: str) -> RingElement:
         raise ParseError(f"cannot parse {text!r} as an element of {ring.name}")
     m = _FRAC_RE.match(text)
     if m:
-        num, den, exp = m.groups()
-        d = _text_sized_power(text, int(den), int(exp)) if exp is not None else int(den)
-        if d == 0:
+        num, den = map(int, m.groups())
+        if den == 0:
             raise ParseError(f"{text!r} has a zero denominator")
-        return ring.from_fraction(int(num), d)
+        return ring.from_fraction(num, den)
     raise ParseError(f"cannot parse {text!r} as an element of {ring.name}")
 
 

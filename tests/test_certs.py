@@ -299,7 +299,7 @@ def test_power_denominator_in_a_document_refused_before_the_power():
     doc = _many_units_doc()
     doc["payload"]["u"] = "1/2^100000"
     start = time.perf_counter()
-    with pytest.raises(ParseError, match="more than"):
+    with pytest.raises(ParseError, match="cannot parse"):
         certs.verify_document(doc)
     assert time.perf_counter() - start < 1.0
 

@@ -217,6 +217,21 @@ def test_element_over_the_digit_limit_exit_1(capsys):
     assert "limit" in err["message"]
 
 
+@pytest.mark.parametrize("u", ["3/2^4", "1/2^100000"])
+def test_power_denominator_exit_1(tmp_path, capsys, u):
+    code, out = invoke(capsys, "unit", "find", "--ring", "Z[1/2]", "--c", "3")
+    assert code == 0
+    doc = json.loads(out)
+    doc["payload"]["u"] = u
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, err = invoke_json(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and err["error"] == "ParseError"
+    assert f"cannot parse {u!r}" in err["message"]
+
+
 def _witness_with_conjugator(capsys, tmp_path, conjugator: str):
     """A lemma2-witness document whose first conjugator word is replaced by
     the given JSON text, spliced in as text so it may nest deeper than

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from sl2units.cli import run
 from sl2units.elemgen import (
     Decomposition,
+    _divide_localized,
     _division_for,
     decompose,
     expand_diagonals,
@@ -171,10 +173,18 @@ def test_division_remainder_shrinks(ring, x_data, y_data):
     assert euclidean_size(x - q * y) < euclidean_size(y)
 
 
+def test_division_over_Z_rounds_half_to_even():
+    for x in range(-50, 51):
+        for y in range(-50, 51):
+            if y:
+                q = _divide_localized(Z.from_int(x), Z.from_int(y))
+                assert q == round(Fraction(x, y)), (x, y)
+
+
 def test_division_that_does_not_shrink_is_internal_error(capsys, monkeypatch):
     import sl2units.elemgen as elemgen
 
-    monkeypatch.setattr(elemgen, "_divide_integers", lambda x, y: x.ring.zero())
+    monkeypatch.setattr(elemgen, "_divide_localized", lambda x, y: x.ring.zero())
     assert run(["decompose", "--ring", "Z", "--A", "[[2,1],[3,2]]"]) == 3
     err = json.loads(capsys.readouterr().out)
     assert err["error"] == "InternalError"

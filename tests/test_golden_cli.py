@@ -35,6 +35,8 @@ CASES = {
     ),
     "lemma-y": (["lemma", "y", "--ring", "Z[1/2]", "--A", A3, "--u", "64"], None, None),
     "decompose": (["decompose", "--ring", "Z", "--A", "[[2,1],[3,2]]"], None, None),
+    "decompose-tie": (["decompose", "--ring", "Z", "--A", "[[2,1],[5,3]]"], None, None),
+    "decompose-tie-negative": (["decompose", "--ring", "Z", "--A", "[[2,-1],[-5,3]]"], None, None),
     "decompose-sqrt2": (
         ["decompose", "--ring", "Z[sqrt2]", "--A", "[[1+sqrt(2),0],[sqrt(2),-1+sqrt(2)]]"],
         None,
@@ -63,6 +65,8 @@ CASES = {
     "verify-witness": (["verify", "-"], "witness", None),
     "verify-witness-elementary": (["verify", "-"], "witness-elementary", None),
     "verify-decomposition": (["verify", "-"], "decompose-sqrt2", None),
+    "verify-decomposition-tie": (["verify", "-"], "decompose-tie", None),
+    "verify-decomposition-tie-negative": (["verify", "-"], "decompose-tie-negative", None),
     "verify-h-decomposition": (["verify", "-"], "h-decompose", None),
     "verify-norm-experiment": (["verify", "-"], "lemma-bound", None),
     "verify-axiom-report": (["verify", "-"], "axioms", None),
@@ -82,6 +86,8 @@ GOLDEN = {
     "witness-elementary": (0, "8f5676931a208872748159d5184e8417f15bb63a7828acfcd4a767fb1e031822"),
     "lemma-y": (0, "39a395a19efbafd41f4e9b3a54fb5647cd65d1d54d6ba25e07ba9fb774d5f82b"),
     "decompose": (0, "82bbaf1d07e1204641a183d342af41bb86e54941b0241c89b472f8d235e70bcf"),
+    "decompose-tie": (0, "f84e685f3435395d5da2fa78fc884e1664e22d568d4bc07f3cf714859bd42280"),
+    "decompose-tie-negative": (0, "f88c31162ac3b38228bdc50538260c2fd9b80253226870361547895ee3c6f249"),
     "decompose-sqrt2": (0, "ac34a4fe39a1f280029137f561a35b13cbbf2f7d213bb23832bb560a2e2a1889"),
     "h-decompose": (0, "1e0a5de18ed61989c04328efe9e5497e000c1e4890378e2f79792328cbdebea3"),
     "norm-bfs": (0, "d16af212851b6d20714799af358eb92bb9b1c034c5b88b2dc794329e4e0222b0"),
@@ -92,6 +98,8 @@ GOLDEN = {
     "verify-witness": (0, "d5ae3385e19bebebf388c6e0267f5ee431a4bd53d09ff92589cb478212b92f4c"),
     "verify-witness-elementary": (0, "d5ae3385e19bebebf388c6e0267f5ee431a4bd53d09ff92589cb478212b92f4c"),
     "verify-decomposition": (0, "1e0751af11174ee64d2c4f00321772fc48004914a187ecd55a1a2fc34f5b2d49"),
+    "verify-decomposition-tie": (0, "f7c67dd06b0119a89ba581df1f26f15a8d26f8e76bf3e039f626b509502fd377"),
+    "verify-decomposition-tie-negative": (0, "f7c67dd06b0119a89ba581df1f26f15a8d26f8e76bf3e039f626b509502fd377"),
     "verify-h-decomposition": (0, "b2031a22d77454b6eed2ba56ed7f13c849f18b1cbdf9671e5f5b64e90854f0ec"),
     "verify-norm-experiment": (0, "562b43463068b142a0dccc0972bb2738afed7d1e0fe5397463b1fc594930d36a"),
     "verify-axiom-report": (0, "0f232e135753272d0a2d453fef1cc8fa25f2d7bf8c24f86b89e9d04322a615ee"),

@@ -6,7 +6,6 @@ import pytest
 
 from sl2units import lemma
 from sl2units.errors import (
-    FormCheckFailed,
     MixedRings,
     NonUnit,
     ScalarInput,
