@@ -1,6 +1,8 @@
 """Shared fixtures and samplers for the test suite."""
 
+import functools
 import random
+from array import array
 
 import pytest
 
@@ -62,3 +64,31 @@ def random_nonzero_nonunit(ring, rng, *, size_cap=40, height_bound=8):
         if euclidean_size(c) > size_cap:
             continue
         return c
+
+
+
+@functools.lru_cache(maxsize=2)
+def _cayley_table(table):
+    """Every product of a FiniteGroupTable by element index: products[i][j]
+    is the index of g_i g_j, and inverses[i] that of g_i^-1."""
+    index = {g: i for i, g in enumerate(table.elements)}
+    G = table.elements
+    products = [array("I", [index[table.mul(g, h)] for h in G]) for g in G]
+    return products, [index[table.inv(g)] for g in G]
+
+
+def verdicts_by_exhaustion(table, lengths):
+    """The oracle for the four norm axioms: each one tested over every g, and
+    every h or conjugator a in the group (|G|^2 steps)."""
+    products, inverses = _cayley_table(table)
+    n = [lengths[g] for g in table.elements]
+    e = table.elements.index(table.identity)
+    G = range(len(n))
+    return {
+        "separation": n[e] == 0 and all(n[g] != 0 for g in G if g != e),
+        "symmetry": all(n[g] == n[inverses[g]] for g in G),
+        "subadditivity": all(n[gh] <= n[g] + n[h] for g in G for h, gh in zip(G, products[g])),
+        "conjugation_invariance": all(
+            n[products[ag][inverses[a]]] == n[g] for a in G for g, ag in zip(G, products[a])
+        ),
+    }

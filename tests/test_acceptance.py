@@ -34,7 +34,7 @@ from sl2units.rings import (
     random_element,
 )
 from sl2units.sl2 import diag, elem12, elem21, identity
-from tests.conftest import random_nonzero_nonunit, random_witness_matrix
+from tests.conftest import random_nonzero_nonunit, random_witness_matrix, verdicts_by_exhaustion
 
 Z = integers()
 Zh = localized(2)
@@ -218,9 +218,15 @@ def test_criterion_5_norm_axioms(announce):
             break
         seed = table.from_matrix(elem12(Z.one()))
         gens = conjugation_closure(table, [seed, table.inv(seed)])
-        report = check_norm_axioms(NormTable(table, gens))
-        if not report.all_passed:
-            failed = [c.name for c in report.checks if not c.passed]
+        norms = NormTable(table, gens)
+        try:
+            check_norm_axioms(norms)
+        except AssertionError as exc:
+            ok, detail = False, f"the word-length certificate failed for N = {n}: {exc}"
+            break
+        verdicts = verdicts_by_exhaustion(table, norms.lengths)
+        if not all(verdicts.values()):
+            failed = [name for name, passed in verdicts.items() if not passed]
             ok, detail = False, f"axioms {failed} failed for N = {n}"
             break
     if ok:

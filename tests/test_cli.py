@@ -102,6 +102,42 @@ def test_norm_axioms(capsys):
     assert code == 0 and doc["payload"]["all_passed"] is True
 
 
+def test_norm_bfs_closure_taken_once(capsys, monkeypatch):
+    import hashlib
+
+    import sl2units.cli as cli
+    import sl2units.norms as norms
+    from tests.test_golden_cli import CASES, GOLDEN
+
+    calls = [0]
+    real_closure = norms.conjugation_closure
+
+    def counted(*args):
+        calls[0] += 1
+        return real_closure(*args)
+
+    for module in (norms, cli):
+        monkeypatch.setattr(module, "conjugation_closure", counted)
+    code, out = invoke(capsys, *CASES["norm-bfs"][0])
+    assert calls[0] == 1
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN["norm-bfs"]
+
+
+def test_norm_axioms_mod_13_emits_and_verifies_quickly(capsys, monkeypatch):
+    import io
+
+    start = time.perf_counter()
+    code, out = invoke(capsys, "norm", "axioms", "--ring", "Z", "--modulus", "13",
+                       "--gen", "[[1,1],[0,1]]")
+    assert time.perf_counter() - start < 3.0
+    assert code == 0 and json.loads(out)["payload"]["group_order"] == 2184
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    start = time.perf_counter()
+    code, doc = invoke_json(capsys, "verify", "-")
+    assert time.perf_counter() - start < 3.0
+    assert code == 0 and doc["ok"] is True
+
+
 def test_norm_bfs_open_generating_set_exit_1(capsys):
     code, err = invoke_json(
         capsys,

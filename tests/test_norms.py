@@ -1,5 +1,7 @@
 """Finite quotients of SL2, conjugation closures, BFS word norms, experiments."""
 
+import copy
+import functools
 import math
 import random
 
@@ -23,7 +25,7 @@ from sl2units.norms import (
 )
 from sl2units.rings import PrincipalIdeal, integers, localized, parse_element, quadratic, quotient
 from sl2units.sl2 import elem12, elem21, parse_matrix
-from tests.conftest import random_sl2
+from tests.conftest import random_sl2, verdicts_by_exhaustion
 
 Z = integers()
 Zh = localized(2)
@@ -220,8 +222,7 @@ def test_norm_table_unreachable_is_inf():
     assert norms.lengths[minus_i] == 1
     assert norms.lengths[table.from_matrix(elem12(Z.one()))] == math.inf
     # the axioms hold even with unreachable elements (inf arithmetic)
-    report = check_norm_axioms(norms)
-    assert report.all_passed
+    check_norm_axioms(norms)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -229,53 +230,80 @@ def test_axioms_pass_on_primes(p):
     table = _table(Z, str(p))
     e12 = table.from_matrix(elem12(Z.one()))
     gens = conjugation_closure(table, [e12, table.inv(e12)])
-    report = check_norm_axioms(NormTable(table, gens))
-    assert report.all_passed
-    assert [c.passed for c in report.checks] == [True] * 4
+    check_norm_axioms(NormTable(table, gens))
 
 
-def test_axioms_fail_with_counterexample():
-    table = _table(Z, "2")
-    fake = {g: 0 for g in table}  # constant zero breaks separation
-    report = check_norm_axioms(table, lengths=fake)
-    assert not report.all_passed
-    assert not report.separation.passed
-    assert report.separation.counterexample is not None
-    assert report.symmetry.passed  # constant functions stay symmetric
+@functools.lru_cache(maxsize=None)
+def _transvection_closure_tables(ring, modulus):
+    """The NormTable of the closure of each transvection E12(x), E21(x) over
+    every residue x, one per distinct generating set."""
+    table = _table(ring, modulus)
+    q = table.quotient
+    closures = {
+        conjugation_closure(table, [table.transvection(p, q.decode(x))])
+        for x in range(q.index)
+        for p in ("12", "21")
+    }
+    return tuple(NormTable(table, gens) for gens in sorted(closures, key=sorted))
 
 
-def _verdicts_by_exhaustion(table, lengths):
-    """The oracle: each axiom over every g, and every h or conjugator a."""
-    ident, G = table.identity, table.elements
-    return [
-        lengths[ident] == 0 and all(lengths[g] != 0 for g in G if g != ident),
-        all(lengths[g] == lengths[table.inv(g)] for g in G),
-        all(lengths[table.mul(g, h)] <= lengths[g] + lengths[h] for g in G for h in G),
-        all(lengths[table.conj(a, g)] == lengths[g] for g in G for a in G),
-    ]
+CERTIFIED_CASES = [(Z, str(n)) for n in range(2, 8)] + [(R2, "3")]
 
 
-@pytest.mark.parametrize("modulus", ["3", "5"])
-def test_axiom_verdicts_match_exhaustive_check(modulus):
-    table = _table(Z, modulus)
-    word = NormTable(table, conjugation_closure(table, table.generators)).lengths
-    pick = random.Random(int(modulus))
-    seen = set()
-    for _ in range(30):
-        # a class function (word length, or a random value per length), then
-        # some entries changed, so some maps stay invariant and some do not
-        values = {n: n if pick.random() < 0.5 else pick.randint(0, 4) for n in set(word.values())}
-        lengths = {g: values[n] for g, n in word.items()}
-        for g in pick.sample(table.elements, pick.choice([0, 0, 1, 2])):
-            lengths[g] = pick.randint(0, 4)
-        report = check_norm_axioms(table, lengths=lengths)
-        verdicts = [c.passed for c in report.checks]
-        assert verdicts == _verdicts_by_exhaustion(table, lengths)
-        seen.add(report.conjugation_invariance.passed)
-        if not report.conjugation_invariance.passed:
-            cx = report.conjugation_invariance.counterexample
-            assert cx["norm"] != cx["conjugated_norm"]
-    assert seen == {True, False}
+@pytest.mark.parametrize("ring,modulus", CERTIFIED_CASES, ids=lambda v: str(v))
+def test_certified_tables_pass_the_exhaustive_check(ring, modulus):
+    tables = _transvection_closure_tables(ring, modulus)
+    assert len(tables) >= 2  # the identity's closure {I}, and some nontrivial one
+    for norms in tables:
+        check_norm_axioms(norms)
+        assert verdicts_by_exhaustion(norms.group, norms.lengths) == dict.fromkeys(
+            ["separation", "symmetry", "subadditivity", "conjugation_invariance"], True
+        )
+
+
+def _zero_off_identity(norms, g):
+    norms.lengths[g] = 0
+
+
+def _raised_by_two(norms, g):
+    norms.lengths[g] += 2
+
+
+def _generator_dropped(norms, s):
+    norms.generating_set = norms.generating_set - {s}
+
+
+@pytest.mark.parametrize("ring,modulus", CERTIFIED_CASES, ids=lambda v: str(v))
+@pytest.mark.parametrize(
+    "corrupt,where",
+    [(_zero_off_identity, "off_identity"), (_raised_by_two, "finite"),
+     (_generator_dropped, "generators")],
+    ids=lambda v: getattr(v, "__name__", v).strip("_"),
+)
+def test_corrupted_table_fails_the_certificate(ring, modulus, corrupt, where):
+    pick = random.Random(f"{ring}/{modulus}/{where}")
+    norms = max(_transvection_closure_tables(ring, modulus), key=lambda t: len(t.generating_set))
+    ident = norms.group.identity
+    places = {
+        "off_identity": [g for g in norms.group.elements if g != ident],
+        "finite": [g for g, n in norms.lengths.items() if g != ident and n < math.inf],
+        "generators": sorted(norms.generating_set),
+    }[where]
+    for place in pick.sample(places, min(len(places), 8)):
+        corrupted = copy.copy(norms)
+        corrupted.lengths = dict(norms.lengths)
+        corrupt(corrupted, place)
+        with pytest.raises(AssertionError):
+            check_norm_axioms(corrupted)
+
+
+def test_certificate_needs_a_symmetric_set():
+    # mod 3 the conjugates of E12(1) miss its inverse E12(-1): -1 is not a square,
+    # so their word lengths pass every other condition of the certificate
+    table = _table(Z, "3")
+    e12 = table.from_matrix(elem12(Z.one()))
+    with pytest.raises(AssertionError, match="not closed"):
+        check_norm_axioms(NormTable(table, {table.conj(g, e12) for g in table}))
 
 
 def test_scalar_norm_is_conjugation_invariant():
