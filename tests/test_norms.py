@@ -261,40 +261,48 @@ def test_certified_tables_pass_the_exhaustive_check(ring, modulus):
         )
 
 
-def _zero_off_identity(norms, g):
-    norms.lengths[g] = 0
+def _zero_off_identity(norms, pick):
+    ident = norms.group.identity
+    norms.lengths[pick.choice([g for g in norms.lengths if g != ident])] = 0
 
 
-def _raised_by_two(norms, g):
-    norms.lengths[g] += 2
+def _raised_by_two(norms, pick):
+    ident = norms.group.identity
+    finite = [g for g, n in norms.lengths.items() if g != ident and n < math.inf]
+    norms.lengths[pick.choice(finite)] += 2
 
 
-def _generator_dropped(norms, s):
-    norms.generating_set = norms.generating_set - {s}
+def _generator_dropped(norms, pick):
+    norms.generating_set -= {pick.choice(sorted(norms.generating_set))}
 
 
 @pytest.mark.parametrize("ring,modulus", CERTIFIED_CASES, ids=lambda v: str(v))
 @pytest.mark.parametrize(
-    "corrupt,where",
-    [(_zero_off_identity, "off_identity"), (_raised_by_two, "finite"),
-     (_generator_dropped, "generators")],
-    ids=lambda v: getattr(v, "__name__", v).strip("_"),
+    "corrupt", [_zero_off_identity, _raised_by_two, _generator_dropped],
+    ids=lambda f: f.__name__.strip("_"),
 )
-def test_corrupted_table_fails_the_certificate(ring, modulus, corrupt, where):
-    pick = random.Random(f"{ring}/{modulus}/{where}")
+def test_corrupted_table_fails_the_certificate(ring, modulus, corrupt):
+    pick = random.Random(f"{ring}/{modulus}/{corrupt.__name__}")
     norms = max(_transvection_closure_tables(ring, modulus), key=lambda t: len(t.generating_set))
-    ident = norms.group.identity
-    places = {
-        "off_identity": [g for g in norms.group.elements if g != ident],
-        "finite": [g for g, n in norms.lengths.items() if g != ident and n < math.inf],
-        "generators": sorted(norms.generating_set),
-    }[where]
-    for place in pick.sample(places, min(len(places), 8)):
+    for _ in range(8):
         corrupted = copy.copy(norms)
         corrupted.lengths = dict(norms.lengths)
-        corrupt(corrupted, place)
+        corrupt(corrupted, pick)
         with pytest.raises(AssertionError):
             check_norm_axioms(corrupted)
+
+
+@pytest.mark.parametrize(
+    "change", [lambda n: n + 1, lambda n: 0], ids=["every_length_plus_one", "every_length_zero"]
+)
+def test_uniformly_changed_table_fails_the_certificate(change):
+    # every step still moves the length by at most 1: only n(e) = 0 catches the
+    # first, and only the missing step down from the other elements the second
+    table = _table(Z, "5")
+    norms = NormTable(table, conjugation_closure(table, [table.from_matrix(elem12(Z.one()))]))
+    norms.lengths = {g: change(n) for g, n in norms.lengths.items()}
+    with pytest.raises(AssertionError):
+        check_norm_axioms(norms)
 
 
 def test_certificate_needs_a_symmetric_set():
