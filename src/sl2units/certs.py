@@ -79,7 +79,7 @@ def witness_payload(w: ConjugateWitness) -> dict:
         "t": str(w.t),
         "q": str(w.q),
         "p": str(w.p),
-        "sign_convention": "p = -q - z",
+        "sign_convention": _SIGN_CONVENTION,
         "Y": str(w.Y),
         "target": str(w.target),
         "factors": [
@@ -126,6 +126,8 @@ def experiment_payload(
 
 # the four norm axioms an axiom report records, in the order verify checks them
 _AXIOMS = ("separation", "symmetry", "subadditivity", "conjugation_invariance")
+# how every witness relates p to q and z; verify insists on this exact text
+_SIGN_CONVENTION = "p = -q - z"
 
 
 def axiom_report_payload(
@@ -237,6 +239,8 @@ def _verify_witness(fields: _Fields) -> None:
         if core not in ("A", "A^-1"):
             raise ParseError(f"{entry.where}: factor core must be 'A' or 'A^-1', not {core!r}")
         factors.append(ConjugateFactor(entry("conjugator", "word"), core == "A^-1"))
+    convention = fields("sign_convention", "any")
+    _expect(convention, _SIGN_CONVENTION, f"sign convention is not {_SIGN_CONVENTION!r}")
     witness = ConjugateWitness(
         matrix=fields("matrix", "matrix"),
         u=fields("u", "element"),
@@ -277,7 +281,9 @@ def _verify_experiment(fields: _Fields) -> None:
     quotient_index = fields("quotient_index", "int")
     group_order = fields("group_order", "int")
     generator_count = fields("generator_count", "int")
+    requested = fields("requested", "int")
     nontrivial_count = fields("nontrivial_count", "int")
+    trivial_count = fields("trivial_count", "int")
     histogram = fields("histogram", "object").data
     max_norm = fields("max_norm", "norm")
     bound = fields("bound", "int")
@@ -304,6 +310,9 @@ def _verify_experiment(fields: _Fields) -> None:
         _expect(recorded, format_norm(norm), f"recorded norm {recorded} for {j}, recomputed {norm}")
         recomputed.append(norm)
     _expect(nontrivial_count, len(samples), "nontrivial_count does not match the sample list")
+    # a strict run stops at `requested` nontrivial images, a degenerate one after as many draws
+    if trivial_count < 0 or requested not in (nontrivial_count, nontrivial_count + trivial_count):
+        raise VerificationFailed(f"requested {requested} matches neither count of samples")
     rebuilt_histogram, rebuilt_max, rebuilt_within = summarize_norms(recomputed, bound)
     rebuilt_histogram = {str(k): v for k, v in rebuilt_histogram.items()}
     _expect(histogram, rebuilt_histogram, "histogram does not match the sample list")

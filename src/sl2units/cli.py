@@ -143,7 +143,7 @@ def _cmd_norm_bfs(args) -> dict:
     norm = NormTable(table, gens).lengths[g] if args.closure else bfs_norm(table, gens, g)
     return {
         "ring": ring.name,
-        "modulus": str(parse_element(ring, args.modulus)),
+        "modulus": str(table.quotient.modulus.generator),
         "group_order": len(table),
         "generator_count": len(gens),
         "element": args.element,
@@ -178,7 +178,7 @@ def _cmd_norm_axioms(args) -> dict:
     norms = closure_norm_table(table, seed)
     check_norm_axioms(norms)
     payload = certs.axiom_report_payload(
-        modulus_text=str(parse_element(ring, args.modulus)),
+        modulus_text=str(table.quotient.modulus.generator),
         seed_texts=[str(m) for m in seed],
         group_order=len(table),
         generator_count=len(norms.generating_set),
@@ -204,6 +204,12 @@ def _cmd_verify(args) -> dict:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _count(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {text}")
+    return int(text)
 
 
 def _add_ring_flag(p):
@@ -293,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", required=True, help="matrix [[a,b],[c,d]] with nonzero corner c")
     p.add_argument("--modulus", required=True, help="generator of the reduction ideal")
     p.add_argument("--u", help="unit to use; derived from the corner when omitted")
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_count, default=50, help="number of samples, >= 0")
     p.add_argument("--seed", type=int, default=0, help="seed for the sampling RNG")
     p.add_argument(
         "--allow-degenerate",

@@ -196,6 +196,5 @@ def reduces_to_identity(matrix: Mat2, ideal: PrincipalIdeal) -> bool:
     """Necessary condition for membership in the relative elementary subgroup
     of the ideal: the image of the matrix in SL2(R/cR) is the identity."""
     q = quotient(ideal)
-    zero = q.encode(q.ring.zero())
     one = q.one_enc
-    return reduce_mat(matrix, q) == (one, zero, zero, one)
+    return reduce_mat(matrix, q) == (one, 0, 0, one)

@@ -1,12 +1,13 @@
 """Word metrics on SL2 of finite quotients and the 4-ball experiment.
 
-A FiniteGroupTable enumerates SL2(R/cR) once and multiplies on the fly using
-the quotient's dense integer codes, so breadth-first searches over Cayley
-graphs stay cheap.  Norms here are word lengths over symmetric,
-conjugation-closed generating sets -- the concrete realization of a
-conjugation-invariant norm -- and check_norm_axioms certifies that a table of
-lengths is such a word length, which implies the four defining axioms, in
-|G| |S| steps instead of testing them over all |G|^2 pairs.  Both conjugate by
+A FiniteGroupTable enumerates SL2(R/cR) once and multiplies by reading
+addition and multiplication tables of the quotient's dense integer codes, so
+breadth-first searches over Cayley graphs stay cheap.  Norms here are word
+lengths over symmetric, conjugation-closed generating sets -- the concrete
+realization of a conjugation-invariant norm -- and check_norm_axioms
+certifies that a table of lengths is such a word length, which implies the
+four defining axioms, in |G| |S| steps instead of testing them over all
+|G|^2 pairs.  Both conjugate by
 the table's generators only: a finite ring is semilocal, so SL2(R/cR) is
 generated by the E12(x), E21(x) (Bass, Algebraic K-theory, 1968), hence by
 x = 1, and x = sqrt(d) too over Z[sqrt(d)], as E12(x + y) = E12(x) E12(y).
@@ -51,9 +52,12 @@ TABLE_CAP = 10**6
 class FiniteGroupTable:
     """All of SL2(R/cR), enumerated; elements are 4-tuples of residue codes.
 
-    Multiplication and inversion are computed on demand from the quotient's
-    integer arithmetic rather than stored, so memory stays linear in the
-    group order.  generators are the elementary matrices that generate it.
+    The quotient's addition and multiplication are built once as n x n
+    tables, and negation as a list of n, so enumeration, mul and inv read
+    entries instead of reducing through the Hermite form.  The cap
+    n^3 <= TABLE_CAP keeps n <= 100, so each table holds at most 10^4 codes
+    below 100.  generators are the elementary matrices that generate the
+    group.
     """
 
     def __init__(self, q: QuotientRing):
@@ -63,24 +67,24 @@ class FiniteGroupTable:
                 f"index {n} quotient may exceed {TABLE_CAP} elements (cap n^3)"
             )
         self.quotient = q
+        codes = range(n)
+        self._add = add = [[q.add_enc(i, j) for j in codes] for i in codes]
+        self._mul = mul = [[q.mul_enc(i, j) for j in codes] for i in codes]
+        self._neg = [q.neg_enc(i) for i in codes]
         one = q.one_enc
-        zero = q.encode(q.ring.zero())
-        self._zero = zero
-        self.identity = (one, zero, zero, one)
+        self.identity = (one, 0, 0, one)
         # group by pivot a: products[a] maps each value a*d to the list of d's
-        products: list[dict[int, list[int]]] = []
-        for a in range(n):
-            sols: dict[int, list[int]] = {}
-            for d in range(n):
-                sols.setdefault(q.mul_enc(a, d), []).append(d)
-            products.append(sols)
+        products: list[dict[int, list[int]]] = [{} for _ in codes]
+        for a in codes:
+            for d in codes:
+                products[a].setdefault(mul[a][d], []).append(d)
+        plus_one = add[one]
         elements = []
-        for a in range(n):
+        for a in codes:
             sols = products[a]
-            for b in range(n):
-                for c in range(n):
-                    rhs = q.add_enc(one, q.mul_enc(b, c))
-                    for d in sols.get(rhs, ()):
+            for b in codes:
+                for c in codes:
+                    for d in sols.get(plus_one[mul[b][c]], ()):
                         elements.append((a, b, c, d))
         self.elements: tuple = tuple(elements)
         spans = [q.ring.one()] + ([q.ring.from_pair(0, 1)] if q.ring.kind == QUADRATIC else [])
@@ -93,20 +97,21 @@ class FiniteGroupTable:
         return iter(self.elements)
 
     def mul(self, g, h):
-        q = self.quotient
+        add, mul = self._add, self._mul
         a, b, c, d = g
         e, f, i, j = h
+        ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
         return (
-            q.add_enc(q.mul_enc(a, e), q.mul_enc(b, i)),
-            q.add_enc(q.mul_enc(a, f), q.mul_enc(b, j)),
-            q.add_enc(q.mul_enc(c, e), q.mul_enc(d, i)),
-            q.add_enc(q.mul_enc(c, f), q.mul_enc(d, j)),
+            add[ma[e]][mb[i]],
+            add[ma[f]][mb[j]],
+            add[mc[e]][md[i]],
+            add[mc[f]][md[j]],
         )
 
     def inv(self, g):
-        q = self.quotient
+        neg = self._neg
         a, b, c, d = g
-        return (d, q.neg_enc(b), q.neg_enc(c), a)
+        return (d, neg[b], neg[c], a)
 
     def conj(self, g, h):
         """g h g^-1."""
@@ -118,9 +123,9 @@ class FiniteGroupTable:
     def transvection(self, position: str, x: RingElement):
         code = self.quotient.encode(x)
         if position == "12":
-            return (self.identity[0], code, self._zero, self.identity[3])
+            return (self.identity[0], code, 0, self.identity[3])
         if position == "21":
-            return (self.identity[0], self._zero, code, self.identity[3])
+            return (self.identity[0], 0, code, self.identity[3])
         raise ValueError(f"position must be '12' or '21', got {position!r}")
 
     def format_element(self, g) -> str:

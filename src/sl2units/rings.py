@@ -99,9 +99,7 @@ class RingDescriptor:
         return RingElement(self, Fraction(num, den))
 
     def from_pair(self, a: int, b: int) -> "RingElement":
-        """Element a + b*sqrt(d); only valid for quadratic rings."""
-        if self.kind != QUADRATIC and b != 0:
-            raise ValueError(f"{self.name} has no irrational part")
+        """Element a + b*sqrt(d); b must be 0 outside quadratic rings."""
         return RingElement(self, Fraction(a), b)
 
     def zero(self) -> "RingElement":
@@ -334,9 +332,6 @@ class PrincipalIdeal:
     def ring(self) -> RingDescriptor:
         return self.generator.ring
 
-    def __contains__(self, x: RingElement) -> bool:
-        return in_ideal(x, self)
-
     def __str__(self):
         return f"({self.generator})"
 
@@ -365,18 +360,21 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class QuotientRing:
-    """The finite ring R/cR with canonical residue representatives.
+    """The finite ring R/cR as Z^2 = {x1 + x2*sqrt(d)} modulo the lattice of cR.
 
-    For Z and Z[1/m] the quotient is Z/c0 where c0 is the positive generator
-    of cR intersected with Z, with all primes of m stripped (none for Z).
-    For Z[sqrt(d)] residues live in the box below the Hermite normal form of
-    the rank-2 lattice spanned by c and c*sqrt(d); the index equals |N(c)|.
-    A residue x is a unit iff xR + cR is the whole ring: over Z/c0 iff
-    gcd(x, c0) = 1, over Z[sqrt(d)] iff that lattice has index 1.
+    The lattice is kept in row Hermite form (h11, h12; 0, h22).  Over
+    Z[sqrt(d)] it is spanned by c and c*sqrt(d), and its index is |N(c)|.  Off
+    the quadratic rings d = 0 and the form is (c0, 0; 0, 1), where c0 is the
+    positive generator of cR intersected with Z with every prime of m
+    stripped (none for Z), so the quotient is Z/c0.  A residue x is a unit iff
+    xR + cR is the whole ring, that is iff the lattice spanned by x,
+    x*sqrt(d) and the Hermite rows has index 1; for d = 0 that is
+    gcd(x, c0) = 1.
 
     Residues are exposed both as canonical RingElements and as dense integer
-    codes in range(index); the integer side exists so that group tables and
-    breadth-first searches stay cheap.
+    codes x1*h22 + x2 in range(index), with 0 <= x1 < h11 and 0 <= x2 < h22;
+    the integer side exists so that group tables and breadth-first searches
+    stay cheap.  Zero is code 0 in every quotient.
     """
 
     def __init__(self, modulus: PrincipalIdeal):
@@ -384,69 +382,51 @@ class QuotientRing:
         self.modulus = modulus
         c = modulus.generator
         if self.ring.kind == QUADRATIC:
-            d = self.ring.param
-            rows = [[int(c.rat), c.irr], [d * c.irr, int(c.rat)]]
-            self._hnf = _hnf_2x2(rows)
-            h11, _, h22 = self._hnf
-            self.index = h11 * h22
-            if self.index != abs(int(c.field_norm())):
+            self._d = d = self.ring.param
+            self._hnf = _hnf_2x2([[int(c.rat), c.irr], [d * c.irr, int(c.rat)]])
+            if self._hnf[0] * self._hnf[2] != abs(int(c.field_norm())):
                 raise AssertionError("HNF determinant disagrees with the field norm")
         else:
             # Z has param 0: strip by m = 1, which leaves |c|
-            self._c0 = _strip_primes(c.rat.numerator, self.ring.param or 1)
-            self.index = self._c0
+            self._d = 0
+            self._hnf = (_strip_primes(c.rat.numerator, self.ring.param or 1), 0, 1)
+        self.index = self._hnf[0] * self._hnf[2]
 
     def __repr__(self):
         return f"{self.ring.name}/{self.modulus} of index {self.index}"
 
     # encoded-residue arithmetic
 
+    def _code(self, x1: int, x2: int) -> int:
+        """Code of x1 + x2*sqrt(d): reduce into the Hermite box, then pack."""
+        h11, h12, h22 = self._hnf
+        k = x1 // h11
+        return (x1 - k * h11) * h22 + (x2 - k * h12) % h22
+
     def encode(self, x: RingElement) -> int:
         if x.ring != self.ring:
             raise MixedRings(f"{x.ring.name} vs {self.ring.name}")
-        if self.ring.kind == QUADRATIC:
-            r1, r2 = self._box_reduce(int(x.rat), x.irr)
-            return r1 * self._hnf[2] + r2
-        c0 = self._c0
         num, den = x.rat.numerator, x.rat.denominator
-        if den == 1:
-            return num % c0
-        return num * pow(den, -1, c0) % c0
+        if den != 1:  # over Z[1/m] only; den is m-smooth, so a unit mod c0
+            num *= pow(den, -1, self._hnf[0])
+        return self._code(num, x.irr)
 
     def decode(self, i: int) -> RingElement:
-        if self.ring.kind == QUADRATIC:
-            h22 = self._hnf[2]
-            return self.ring.from_pair(i // h22, i % h22)
-        return self.ring.from_int(i)
-
-    def _box_reduce(self, x1: int, x2: int) -> tuple[int, int]:
-        h11, h12, h22 = self._hnf
-        k = x1 // h11
-        return x1 - k * h11, (x2 - k * h12) % h22
+        return self.ring.from_pair(*divmod(i, self._hnf[2]))
 
     def add_enc(self, i: int, j: int) -> int:
-        if self.ring.kind != QUADRATIC:
-            return (i + j) % self.index
         h22 = self._hnf[2]
-        r1, r2 = self._box_reduce(i // h22 + j // h22, i % h22 + j % h22)
-        return r1 * h22 + r2
+        return self._code(i // h22 + j // h22, i % h22 + j % h22)
 
     def neg_enc(self, i: int) -> int:
-        if self.ring.kind != QUADRATIC:
-            return (-i) % self.index
         h22 = self._hnf[2]
-        r1, r2 = self._box_reduce(-(i // h22), -(i % h22))
-        return r1 * h22 + r2
+        return self._code(-(i // h22), -(i % h22))
 
     def mul_enc(self, i: int, j: int) -> int:
-        if self.ring.kind != QUADRATIC:
-            return (i * j) % self.index
-        d = self.ring.param
         h22 = self._hnf[2]
-        a, b = i // h22, i % h22
-        e, f = j // h22, j % h22
-        r1, r2 = self._box_reduce(a * e + d * b * f, a * f + b * e)
-        return r1 * h22 + r2
+        a, b = divmod(i, h22)
+        e, f = divmod(j, h22)
+        return self._code(a * e + self._d * b * f, a * f + b * e)
 
     @property
     def one_enc(self) -> int:
@@ -454,12 +434,10 @@ class QuotientRing:
 
     def is_unit(self, x: RingElement) -> bool:
         """Invertibility of the residue class of x."""
-        if self.ring.kind != QUADRATIC:
-            return math.gcd(self.encode(x), self.index) == 1
         # xR + cR is spanned by x, x*sqrt(d) and the HNF rows of cR; its index
         # in Z + Z*sqrt(d) is the gcd of the 2x2 minors (the second
         # determinantal divisor; Cohen, Computational Algebraic Number Theory, 2.4)
-        d = self.ring.param
+        d = self._d
         h11, h12, h22 = self._hnf
         a, b = divmod(self.encode(x), h22)
         rows = ((a, b), (d * b, a), (h11, h12), (0, h22))

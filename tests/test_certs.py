@@ -294,6 +294,9 @@ def test_mutated_payload_is_verdict_or_domain_error(build):
                 pass
             except Exception as exc:  # the defect this test exists to catch
                 escaped.append(f"{path} {_change(value)}: {type(exc).__name__}: {exc}")
+            else:
+                if value is DELETE:  # every field is read, so none may go missing
+                    escaped.append(f"{path} deleted: accepted")
             elapsed = time.perf_counter() - start
             if elapsed >= 1.0:
                 escaped.append(f"{path} {_change(value)}: took {elapsed:.2f} s")

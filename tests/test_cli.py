@@ -242,6 +242,30 @@ def test_allow_degenerate_exit_0(capsys):
     assert code == 0 and doc["payload"]["trivial_count"] == 10
 
 
+LEMMA_BOUND = ["norm", "lemma-bound", "--ring", "Z[1/2]", "--A", "[[1,0],[3,1]]", "--u", "64"]
+
+
+def test_negative_samples_exit_2(capsys):
+    code, out = invoke(capsys, *LEMMA_BOUND, "--modulus", "11", "--samples", "-3")
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--modulus", "11", "--samples", "0"],
+     ["--modulus", "11", "--samples", "0", "--allow-degenerate"],
+     ["--modulus", "5", "--samples", "4", "--allow-degenerate"]],
+    ids=["zero", "zero_degenerate", "all_trivial"],
+)
+def test_lemma_bound_requested_count_verifies(tmp_path, capsys, extra):
+    code, out = invoke(capsys, *LEMMA_BOUND, *extra)
+    assert code == 0
+    path = tmp_path / "experiment.json"
+    path.write_text(out)
+    code, summary = invoke_json(capsys, "verify", str(path))
+    assert code == 0 and summary["ok"] is True
+
+
 def test_parse_error_exit_1(capsys):
     code, err = invoke_json(capsys, "decompose", "--ring", "Z", "--A", "[[1,0],[0]]")
     assert code == 1 and err["error"] == "ParseError"

@@ -71,6 +71,24 @@ def test_table_group_laws(rng):
         assert table.conj(g, h) == table.mul(table.mul(g, h), table.inv(g))
 
 
+@pytest.mark.parametrize(
+    "ring,modulus", [(Z, str(n)) for n in range(2, 14)] + [(R2, "3")], ids=lambda v: str(v)
+)
+def test_tabulated_products_match_the_quotient(ring, modulus, rng):
+    table = _table(ring, modulus)
+    q = table.quotient
+    elems = list(table)
+    for _ in range(200):
+        (a, b, c, d), (e, f, i, j) = rng.choice(elems), rng.choice(elems)
+        assert table.mul((a, b, c, d), (e, f, i, j)) == (
+            q.add_enc(q.mul_enc(a, e), q.mul_enc(b, i)),
+            q.add_enc(q.mul_enc(a, f), q.mul_enc(b, j)),
+            q.add_enc(q.mul_enc(c, e), q.mul_enc(d, i)),
+            q.add_enc(q.mul_enc(c, f), q.mul_enc(d, j)),
+        )
+        assert table.inv((a, b, c, d)) == (d, q.neg_enc(b), q.neg_enc(c), a)
+
+
 def test_from_matrix_respects_reduction(rng):
     table = _table(Zh, "9")
     for _ in range(20):

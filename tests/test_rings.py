@@ -18,7 +18,9 @@ from sl2units.errors import (
     ZeroIdeal,
 )
 from sl2units.rings import (
+    QUADRATIC,
     PrincipalIdeal,
+    _hnf_2x2,
     _is_squarefree,
     _strip_primes,
     _xgcd,
@@ -251,12 +253,12 @@ def test_height_oracles():
 
 def test_principal_ideal_membership():
     three = PrincipalIdeal(Z.from_int(3))
-    assert Z.from_int(6) in three
-    assert Z.from_int(7) not in three
-    assert Zh.from_fraction(3, 2) in PrincipalIdeal(Zh.from_int(3))
+    assert in_ideal(Z.from_int(6), three)
+    assert not in_ideal(Z.from_int(7), three)
+    assert in_ideal(Zh.from_fraction(3, 2), PrincipalIdeal(Zh.from_int(3)))
     r = R2.from_pair(0, 1)  # sqrt(2) divides 2
-    assert R2.from_int(2) in PrincipalIdeal(r)
-    assert R2.from_int(3) not in PrincipalIdeal(r)
+    assert in_ideal(R2.from_int(2), PrincipalIdeal(r))
+    assert not in_ideal(R2.from_int(3), PrincipalIdeal(r))
     with pytest.raises(ZeroIdeal):
         PrincipalIdeal(Z.zero())
     with pytest.raises(MixedRings):
@@ -349,6 +351,101 @@ def test_quotient_is_unit_matches_row_stacking(d):
             far = x + c * random_element(ring, rng, 50)  # an unreduced representative
             expected = _row_stacking_is_unit(q, x)
             assert q.is_unit(x) == q.is_unit(far) == expected, (c, x, far)
+
+
+class _SplitResidues:
+    """The two residue representations QuotientRing kept before one lattice
+    form served every ring -- Z/c0 off the quadratic rings, the Hermite box of
+    c and c*sqrt(d) over Z[sqrt(d)] -- kept here as an oracle."""
+
+    def __init__(self, c):
+        self.ring = c.ring
+        if self.ring.kind == QUADRATIC:
+            d = self.ring.param
+            self._hnf = _hnf_2x2([[int(c.rat), c.irr], [d * c.irr, int(c.rat)]])
+            self.index = self._hnf[0] * self._hnf[2]
+        else:
+            self._c0 = self.index = _strip_primes(c.rat.numerator, self.ring.param or 1)
+
+    def _box_reduce(self, x1, x2):
+        h11, h12, h22 = self._hnf
+        k = x1 // h11
+        return x1 - k * h11, (x2 - k * h12) % h22
+
+    def encode(self, x):
+        if self.ring.kind == QUADRATIC:
+            r1, r2 = self._box_reduce(int(x.rat), x.irr)
+            return r1 * self._hnf[2] + r2
+        num, den = x.rat.numerator, x.rat.denominator
+        if den == 1:
+            return num % self._c0
+        return num * pow(den, -1, self._c0) % self._c0
+
+    def decode(self, i):
+        if self.ring.kind == QUADRATIC:
+            return self.ring.from_pair(i // self._hnf[2], i % self._hnf[2])
+        return self.ring.from_int(i)
+
+    def add_enc(self, i, j):
+        if self.ring.kind != QUADRATIC:
+            return (i + j) % self.index
+        h22 = self._hnf[2]
+        r1, r2 = self._box_reduce(i // h22 + j // h22, i % h22 + j % h22)
+        return r1 * h22 + r2
+
+    def neg_enc(self, i):
+        if self.ring.kind != QUADRATIC:
+            return (-i) % self.index
+        h22 = self._hnf[2]
+        r1, r2 = self._box_reduce(-(i // h22), -(i % h22))
+        return r1 * h22 + r2
+
+    def mul_enc(self, i, j):
+        if self.ring.kind != QUADRATIC:
+            return (i * j) % self.index
+        d, h22 = self.ring.param, self._hnf[2]
+        a, b = i // h22, i % h22
+        e, f = j // h22, j % h22
+        r1, r2 = self._box_reduce(a * e + d * b * f, a * f + b * e)
+        return r1 * h22 + r2
+
+    def is_unit(self, x):
+        if self.ring.kind != QUADRATIC:
+            return math.gcd(self.encode(x), self.index) == 1
+        return _row_stacking_is_unit(self, x)
+
+
+Z3 = localized(3)
+_LATTICE_MODULI = {
+    "Z": [Z.from_int(s * c0) for c0 in range(1, 61) for s in (1, -1)],
+    "Z[1/6]": [Z6.from_fraction(c0 * 2 ** (c0 % 3), 6 ** (c0 % 2)) for c0 in range(1, 61)],
+    "Z[1/3]": [Z3.from_fraction(49, 3), Z3.from_fraction(-20, 9), Z3.from_fraction(55, 27)],
+    **{
+        R.name: [parse_element(R, t.replace("r", f"sqrt({R.param})"))
+                 for t in ("1", "2", "3", "5", "r", "1+r", "3-2*r", "4+r", "-2+3*r")]
+        for R in (R2, R3, quadratic(5))
+    },
+}
+
+
+@pytest.mark.parametrize("ring_name", list(_LATTICE_MODULI))
+def test_lattice_residues_match_the_split_oracle(ring_name):
+    rng = random.Random(ring_name)
+    for c in _LATTICE_MODULI[ring_name]:
+        q = quotient(PrincipalIdeal(c))
+        oracle = _SplitResidues(c)
+        assert q.index == oracle.index
+        n = q.index
+        for i in range(n):
+            x = oracle.decode(i)
+            far = x + c * random_element(c.ring, rng, 50)  # an unreduced representative
+            assert q.decode(i) == x
+            assert q.encode(x) == q.encode(far) == oracle.encode(far) == i, (c, x, far)
+            assert q.is_unit(x) == q.is_unit(far) == oracle.is_unit(x), (c, x, far)
+            assert q.neg_enc(i) == oracle.neg_enc(i)
+            for j in {rng.randrange(n) for _ in range(8)} | {0, n - 1}:
+                assert q.add_enc(i, j) == oracle.add_enc(i, j), (c, i, j)
+                assert q.mul_enc(i, j) == oracle.mul_enc(i, j), (c, i, j)
 
 
 def test_unit_order_oracles():
