@@ -151,6 +151,12 @@ def axiom_report_payload(
 # ---------------------------------------------------------------------------
 # payload reading
 
+# shape -> (parser, the writer whose output the parser must have been given)
+_READERS = {
+    "element": (parse_element, str),
+    "matrix": (parse_matrix, str),
+    "word": (word_from_json, word_to_json),
+}
 _JSON_TYPES = {
     "element": str, "matrix": str, "matrices": list, "word": dict, "int": int,
     "bool": bool, "norm": (int, str), "object": dict, "objects": list, "any": object,
@@ -161,8 +167,10 @@ class _Fields:
     """One JSON object of a payload, read key by key against an expected shape.
 
     A missing key, a wrong JSON type (a bool is not an int, a norm is an int
-    or "inf"), or a value the parsers reject raises a ParseError that names
-    the certificate kind and the key.  Objects come back as nested readers.
+    or "inf"), a value the parsers reject, or text other than the canonical
+    text of what it parses to (no "+3", "6/4", "0/5" or spaces) raises a
+    ParseError that names the certificate kind and the key.  Objects come
+    back as nested readers.
     """
 
     def __init__(self, where: str, ring: RingDescriptor, data):
@@ -187,18 +195,23 @@ class _Fields:
             return _Fields(where, self.ring, value)
         if shape == "objects":
             return [_Fields(f"{where}[{i}]", self.ring, v) for i, v in enumerate(value)]
+        if shape == "matrices":
+            return [self._read(f"{where}[{i}]", "matrix", v) for i, v in enumerate(value)]
+        if shape in _READERS:
+            return self._read(where, shape, value)
+        return value
+
+    def _read(self, where: str, shape: str, value):
+        """Parse value and insist that it is the exact text the emitters write
+        for what it parses to; so every integer is as long as its digits."""
+        parse, write = _READERS[shape]
         try:
-            if shape == "element":
-                return parse_element(self.ring, value)
-            if shape == "matrix":
-                return parse_matrix(self.ring, value)
-            if shape == "matrices":
-                return [parse_matrix(self.ring, text) for text in value]
-            if shape == "word":
-                return word_from_json(self.ring, value)
+            parsed = parse(self.ring, value)
         except ParseError as exc:
             raise ParseError(f"{where}: {exc}") from None
-        return value
+        if write(parsed) != value:
+            raise ParseError(f"{where}: {value!r:.40} is not in canonical form")
+        return parsed
 
 
 def _expect(recorded, recomputed, message: str) -> None:

@@ -75,6 +75,10 @@ class DegenerateQuotient(AlgebraError):
     """All sampled elements reduce to the identity in the quotient."""
 
 
+class NegativeCount(AlgebraError):
+    """A count that must be >= 0, such as a sample size, is negative."""
+
+
 class QuotientTooLarge(AlgebraError):
     """Finite group table would exceed the configured size cap."""
 

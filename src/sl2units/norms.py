@@ -32,6 +32,7 @@ from .errors import (
     DegenerateQuotient,
     GeneratorsNotClosed,
     MixedRings,
+    NegativeCount,
     QuotientTooLarge,
     VerificationFailed,
 )
@@ -41,6 +42,7 @@ from .rings import (
     PrincipalIdeal,
     QuotientRing,
     RingElement,
+    _int_text,
     quotient,
     random_element,
 )
@@ -64,7 +66,8 @@ class FiniteGroupTable:
         n = q.index
         if n**3 > TABLE_CAP:
             raise QuotientTooLarge(
-                f"index {n} quotient may exceed {TABLE_CAP} elements (cap n^3)"
+                f"a quotient whose index has {len(_int_text(n))} digits may exceed "
+                f"{TABLE_CAP} elements (cap n^3)"
             )
         self.quotient = q
         codes = range(n)
@@ -281,6 +284,8 @@ def lemma_bound_experiment(
     sample_size genuinely nontrivial images and raises DegenerateQuotient
     when the quotient absorbs the whole ideal.
     """
+    if sample_size < 0:
+        raise NegativeCount(f"sample_size must be >= 0, not {_int_text(sample_size)}")
     if A.ring != modulus.ring or A.ring != cert.ring:
         raise MixedRings("matrix, certificate, and modulus must share one ring")
     verify_certificate(cert)

@@ -13,11 +13,14 @@ membership tests, finite quotient rings R/cR with canonical residue
 enumeration, multiplicative order computation in quotients, and units of
 infinite order (an inverted prime for Z[1/m], the fundamental Pell unit from
 the continued fraction of sqrt(d) for Z[sqrt(d)]).  The parser reads only
-the syntax str() writes, so a power n/p^e is refused.
+the syntax str() writes, so a power n/p^e is refused.  Integers go to and
+from decimal text in subquadratic time at any size up to DIGIT_BOUND digits
+when parsed, under CPython's default int <-> str digit limit.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 from dataclasses import dataclass
@@ -160,8 +163,8 @@ class RingElement:
             den = self.rat.denominator
             if den != 1 and _strip_primes(den, self.ring.param or 1) != 1:
                 if self.ring.kind == INTEGERS:
-                    raise ValueError(f"{self.rat} is not an integer")
-                raise ValueError(f"{self.rat} does not lie in {self.ring.name}")
+                    raise ValueError(f"{_fraction_text(self.rat)} is not an integer")
+                raise ValueError(f"{_fraction_text(self.rat)} does not lie in {self.ring.name}")
 
     # -- equality and hashing (canonical form makes this field comparison)
 
@@ -248,20 +251,20 @@ class RingElement:
 
     def __str__(self):
         if self.ring.kind != QUADRATIC:
-            return str(self.rat)
+            return _fraction_text(self.rat)
         a, b, d = int(self.rat), self.irr, self.ring.param
         if b == 0:
-            return str(a)
+            return _int_text(a)
         if b == 1:
             root = f"sqrt({d})"
         elif b == -1:
             root = f"-sqrt({d})"
         else:
-            root = f"{b}*sqrt({d})"
+            root = f"{_int_text(b)}*sqrt({d})"
         if a == 0:
             return root
         sign = "+" if not root.startswith("-") else ""
-        return f"{a}{sign}{root}"
+        return f"{_int_text(a)}{sign}{root}"
 
     def __repr__(self):
         return f"{self} in {self.ring.name}"
@@ -393,7 +396,7 @@ class QuotientRing:
         self.index = self._hnf[0] * self._hnf[2]
 
     def __repr__(self):
-        return f"{self.ring.name}/{self.modulus} of index {self.index}"
+        return f"{self.ring.name}/{self.modulus} of index {_int_text(self.index)}"
 
     # encoded-residue arithmetic
 
@@ -474,7 +477,7 @@ def unit_order(x: RingElement, q: QuotientRing) -> int:
             return k
         acc = q.mul_enc(acc, base)
     # the order divides |(R/cR)*| <= index, so the loop never gets here
-    raise AssertionError(f"{x} has no order up to {q.index} modulo {q.modulus}")
+    raise AssertionError(f"{x} has no order up to {_int_text(q.index)} modulo {q.modulus}")
 
 
 def pell_fundamental_unit(d: int) -> tuple[int, int]:
@@ -506,6 +509,84 @@ def infinite_order_unit(ring: RingDescriptor) -> RingElement:
         return ring.from_int(next((p for p in range(2, math.isqrt(m) + 1) if m % p == 0), m))
     a, b = pell_fundamental_unit(ring.param)
     return ring.from_pair(a, b)
+
+
+# ---------------------------------------------------------------------------
+# decimal text of integers
+#
+# CPython converts between int and str in quadratic time, and refuses more
+# than sys.get_int_max_str_digits() digits (4300 by default).  The two
+# helpers below split the work in halves instead (Brent and Zimmermann,
+# Modern Computer Arithmetic, 1.7; CPython 3.12's Lib/_pylong.py does the
+# same).  Formatting splits the binary digits and recombines the halves as
+# decimal.Decimal values, whose libmpdec multiplication is subquadratic;
+# parsing splits the decimal digits and recombines hi * 10**w + lo as
+# (hi * 5**w << w) + lo.  Pieces of at most _PLAIN_DIGITS digits go through
+# plain str() and int(): that is below 640, the least limit CPython accepts,
+# so the limit is never met and never changed.
+
+DIGIT_BOUND = 100_000  # most digits one integer may have in parsed element text
+_PLAIN_DIGITS = 600
+_PLAIN_BITS = 1993  # 2**1993 < 10**600
+
+
+def _int_text(n: int) -> str:
+    """str(n), at any size."""
+    if n.bit_length() <= _PLAIN_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:  # 2**w
+        if w not in powers:
+            half = w >> 1
+            powers[w] = (
+                decimal.Decimal(1 << w)
+                if w <= _PLAIN_BITS
+                else ctx.multiply(power(half), power(w - half))
+            )
+        return powers[w]
+
+    def convert(n: int, w: int) -> decimal.Decimal:  # 0 <= n < 2**w
+        if w <= _PLAIN_BITS:
+            return decimal.Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        lo = n - (hi << half)
+        return ctx.add(ctx.multiply(convert(hi, w - half), power(half)), convert(lo, half))
+
+    return str(convert(n, n.bit_length()))
+
+
+def _fraction_text(r: Fraction) -> str:
+    """str(r), at any size."""
+    if r.denominator == 1:
+        return _int_text(r.numerator)
+    return f"{_int_text(r.numerator)}/{_int_text(r.denominator)}"
+
+
+def _text_int(text: str) -> int:
+    """int(text) for text of an optional sign and decimal digits, at any size
+    up to DIGIT_BOUND digits; more raise a ParseError that names the bound."""
+    digits = text[1:] if text[:1] in "+-" else text
+    if len(digits) > DIGIT_BOUND:
+        raise ParseError(f"an integer of {len(digits)} digits exceeds the bound of {DIGIT_BOUND}")
+    if len(digits) <= _PLAIN_DIGITS:
+        return int(text)
+    powers: dict[int, int] = {}
+
+    def convert(start: int, stop: int) -> int:  # the value of digits[start:stop]
+        if stop - start <= _PLAIN_DIGITS:
+            return int(digits[start:stop])
+        w = (stop - start) >> 1
+        if w not in powers:
+            powers[w] = 5**w
+        return (convert(start, stop - w) * powers[w] << w) + convert(stop - w, stop)
+
+    n = convert(0, len(digits))
+    return -n if text[0] == "-" else n
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +626,11 @@ _QUAD_RE = re.compile(
 def parse_element(ring: RingDescriptor, text: str) -> RingElement:
     """Parse one element in the ring's text syntax; inverse of str().
 
-    A ValueError -- from int() on more digits than int-from-text conversion
-    allows, or from the element constructors -- becomes a ParseError.
+    Surrounding spaces, a leading +, leading zeros, and fractions not in
+    lowest terms are read too, so str(parse_element(ring, text)) may differ
+    from text; the certificate verifier refuses such text.  An integer of
+    more than DIGIT_BOUND digits raises a ParseError that names the bound,
+    and a ValueError from the element constructors becomes a ParseError.
     """
     if not isinstance(text, str):
         raise ParseError(f"an element must be given as text, not {type(text).__name__}")
@@ -558,17 +642,17 @@ def parse_element(ring: RingDescriptor, text: str) -> RingElement:
 
 def _parse_element(ring: RingDescriptor, text: str) -> RingElement:
     if _INT_RE.match(text):
-        return ring.from_int(int(text))
+        return ring.from_int(_text_int(text))
     if ring.kind == QUADRATIC:
         m = _QUAD_RE.match(text)
         if m and (m.group(1) is not None or m.group(5) is not None):
             rat_s, sign1, sign2, coeff_s, d_s = m.groups()
-            a = int(rat_s) if rat_s is not None else 0
+            a = _text_int(rat_s) if rat_s is not None else 0
             b = 0
             if d_s is not None:
-                if int(d_s) != ring.param:
+                if _text_int(d_s) != ring.param:
                     raise ParseError(f"{text!r}: root {d_s} does not match {ring.name}")
-                b = int(coeff_s) if coeff_s is not None else 1
+                b = _text_int(coeff_s) if coeff_s is not None else 1
                 sign = sign1 if sign1 is not None else sign2
                 if sign == "-":
                     b = -b
@@ -576,7 +660,7 @@ def _parse_element(ring: RingDescriptor, text: str) -> RingElement:
         raise ParseError(f"cannot parse {text!r} as an element of {ring.name}")
     m = _FRAC_RE.match(text)
     if m:
-        num, den = map(int, m.groups())
+        num, den = map(_text_int, m.groups())
         if den == 0:
             raise ParseError(f"{text!r} has a zero denominator")
         return ring.from_fraction(num, den)

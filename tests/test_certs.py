@@ -130,6 +130,30 @@ def test_malformed_documents_rejected():
         certs.verify_document(doc)
 
 
+@pytest.mark.parametrize(
+    "build,path,text",
+    [
+        (_many_units_doc, ("c",), "+3"),
+        (_many_units_doc, ("c",), "6/2"),
+        (_many_units_doc, ("y",), "6/4"),
+        (_many_units_doc, ("y",), "0/5"),
+        (_many_units_doc, ("c",), " 3"),
+        (_many_units_doc, ("c",), "3 "),
+        (_many_units_doc, ("c",), "03"),
+        (_witness_doc, ("matrix",), "[[1, 0],[3,1]]"),
+        (_witness_doc, ("factors", 0, "conjugator", "factors", 0, "argument"), "+3"),
+        (_axiom_doc, ("seed", 0), "[[1,+1],[0,1]]"),
+    ],
+)
+def test_non_canonical_element_text_refused(build, path, text):
+    """verify reads only the text str() writes, though the parsers and the
+    CLI read each of these values."""
+    doc = build()
+    certs.verify_document(doc)
+    with pytest.raises(ParseError, match="not in canonical form"):
+        certs.verify_document(_mutated(doc, path, text))
+
+
 def test_verified_flag_must_be_true():
     doc = _many_units_doc()
     doc["verified"] = False

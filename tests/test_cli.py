@@ -6,6 +6,7 @@ import time
 import pytest
 
 from sl2units.cli import run
+from sl2units.rings import DIGIT_BOUND
 
 
 def invoke(capsys, *argv):
@@ -272,9 +273,95 @@ def test_parse_error_exit_1(capsys):
 
 
 def test_element_over_the_digit_limit_exit_1(capsys):
-    code, err = invoke_json(capsys, "h-decompose", "--ring", "Z[1/2]", "--u", "1" + "0" * 5000)
+    code, err = invoke_json(
+        capsys, "h-decompose", "--ring", "Z[1/2]", "--u", "1" + "0" * DIGIT_BOUND
+    )
     assert code == 1 and err["error"] == "ParseError"
-    assert "limit" in err["message"]
+    assert f"bound of {DIGIT_BOUND}" in err["message"]
+
+
+@pytest.mark.parametrize("c", ["+3", " 3 ", "6/2", "03"])
+def test_element_arguments_stay_lenient(capsys, c):
+    # verify refuses such text in a document; on the command line it is read
+    assert invoke(capsys, "unit", "find", "--ring", "Z[1/2]", "--c", c) == invoke(
+        capsys, "unit", "find", "--ring", "Z[1/2]", "--c", "3"
+    )
+
+
+@pytest.mark.parametrize("ring,c", [("Z[1/3]", "49"), ("Z[1/2]", "61"), ("Z[1/2]", "101")])
+def test_unit_find_past_the_str_limit_emits_and_verifies(tmp_path, capsys, ring, c):
+    start = time.perf_counter()
+    code, out = invoke(capsys, "unit", "find", "--ring", ring, "--c", c)
+    assert code == 0 and time.perf_counter() - start < 2.0
+    payload = json.loads(out)["payload"]
+    assert max(len(v) for v in payload.values() if isinstance(v, str)) > 4300
+    path = tmp_path / "unit.json"
+    path.write_text(out)
+    start = time.perf_counter()
+    code, summary = invoke_json(capsys, "verify", str(path))
+    assert code == 0 and summary["ok"] is True
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("ring,digits", [("Z", 4000), ("Z[sqrt2]", 8000)])
+def test_quotient_too_large_for_a_long_modulus_exit_1(tmp_path, capsys, ring, digits):
+    modulus = "7" * 4000
+    code, err = invoke_json(capsys, "norm", "axioms", "--ring", ring, "--modulus", modulus,
+                            "--gen", "[[1,1],[0,1]]")
+    assert code == 1 and err["error"] == "QuotientTooLarge"
+    assert f"index has {digits} digits" in err["message"]
+    code, out = invoke(capsys, "norm", "axioms", "--ring", "Z", "--modulus", "3",
+                       "--gen", "[[1,1],[0,1]]")
+    assert code == 0
+    doc = json.loads(out)
+    doc["ring"] = ring
+    doc["payload"]["modulus"] = modulus
+    path = tmp_path / "axioms.json"
+    path.write_text(json.dumps(doc))
+    code, err = invoke_json(capsys, "verify", str(path))
+    assert code == 1 and err["error"] == "QuotientTooLarge"
+
+
+# a hostile document of HOSTILE_BYTES is refused or verified within HOSTILE_SECONDS
+HOSTILE_BYTES = 10**6
+HOSTILE_SECONDS = 20.0
+
+
+def _verify_text(tmp_path, capsys, text: str):
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out = invoke_json(capsys, "verify", str(path))
+    return code, out, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("digits", [DIGIT_BOUND + 1, HOSTILE_BYTES - 1000])
+def test_hostile_document_with_an_integer_over_the_bound(tmp_path, capsys, digits):
+    code, out = invoke(capsys, "unit", "find", "--ring", "Z[1/2]", "--c", "3")
+    assert code == 0
+    doc = json.loads(out)
+    doc["payload"]["u"] = "7" * digits
+    code, err, elapsed = _verify_text(tmp_path, capsys, json.dumps(doc))
+    assert code == 1 and err["error"] == "ParseError"
+    assert f"{digits} digits exceeds the bound of {DIGIT_BOUND}" in err["message"]
+    assert elapsed < 1.0
+
+
+def test_hostile_document_of_integers_at_the_bound(tmp_path, capsys):
+    """Ten transvections whose arguments have DIGIT_BOUND digits each: their
+    product has entries of about 10^6 digits, and verify finds that it is not
+    the recorded matrix."""
+    factors = [
+        {"kind": "elem", "position": "12" if i % 2 else "21", "argument": "7" * DIGIT_BOUND}
+        for i in range(HOSTILE_BYTES // DIGIT_BOUND)
+    ]
+    payload = {"matrix": "[[1,0],[0,1]]", "word": {"factors": factors}, "length": len(factors)}
+    doc = {"kind": "decomposition", "ring": "Z", "payload": payload, "verified": True}
+    text = json.dumps(doc)
+    assert len(text) >= HOSTILE_BYTES
+    code, err, elapsed = _verify_text(tmp_path, capsys, text)
+    assert code == 1 and err["error"] == "VerificationFailed"
+    assert elapsed < HOSTILE_SECONDS
 
 
 @pytest.mark.parametrize("u", ["3/2^4", "1/2^100000"])

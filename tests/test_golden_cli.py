@@ -27,6 +27,8 @@ CASES = {
     "ring-info-z": (["ring", "info", "--ring", "Z"], None, None),
     "unit-find": (["unit", "find", "--ring", "Z[1/2]", "--c", "3"], None, None),
     "unit-find-sqrt2": (["unit", "find", "--ring", "Z[sqrt2]", "--c", "2"], None, None),
+    # k = 2058: y, u and the epsilon generator are past CPython's 4300-digit str() limit
+    "unit-find-z3-c49": (["unit", "find", "--ring", "Z[1/3]", "--c", "49"], None, None),
     "witness": (["lemma", "witness", "--ring", "Z[1/2]", "--A", A3, "--z", "3"], None, None),
     "witness-elementary": (
         ["lemma", "witness", "--ring", "Z[1/2]", "--A", A3, "--z", "-6", "--elementary"],
@@ -62,6 +64,7 @@ CASES = {
     ),
     "domain-error": (["unit", "find", "--ring", "Z", "--c", "3"], None, None),
     "verify-many-units": (["verify", "-"], "unit-find", None),
+    "verify-many-units-z3-c49": (["verify", "-"], "unit-find-z3-c49", None),
     "verify-witness": (["verify", "-"], "witness", None),
     "verify-witness-elementary": (["verify", "-"], "witness-elementary", None),
     "verify-decomposition": (["verify", "-"], "decompose-sqrt2", None),
@@ -82,6 +85,7 @@ GOLDEN = {
     "ring-info-z": (0, "51cc2f1d61df9b48ee018704bc24731eb7bebe092b6ba0b2042ce7c2b255c7fc"),
     "unit-find": (0, "ae617cedcabc45b3240bdb3390148bd296f6f0a616fc14064f82dce473e28745"),
     "unit-find-sqrt2": (0, "5f9e72d702fa3b7b53a914ef0a09f0c2b2a0d05f3e18bb359936df9c3f166f24"),
+    "unit-find-z3-c49": (0, "64f532e4862729246e2ca544ecf35effea2cdc41955c32647958bcb7f42a70e0"),
     "witness": (0, "654e0d7c5787a28f37e2297f216f360cf7e27e51205333c94e60bc9320cb10a4"),
     "witness-elementary": (0, "8f5676931a208872748159d5184e8417f15bb63a7828acfcd4a767fb1e031822"),
     "lemma-y": (0, "39a395a19efbafd41f4e9b3a54fb5647cd65d1d54d6ba25e07ba9fb774d5f82b"),
@@ -95,6 +99,7 @@ GOLDEN = {
     "axioms": (0, "6037333bd0bdc76a689a151d029a27ec1c3a782ec9ec6f30a32c7325b64d7c4d"),
     "domain-error": (1, "db503a776ea07a58194a0f6eb0fb7a329c4af850a4b6dc36299ab52b4665b1a4"),
     "verify-many-units": (0, "9cf7695144955a6490c19e5b6942df6ce37be65c69e6f65ee4ffe898fb6b26f2"),
+    "verify-many-units-z3-c49": (0, "94b04e14dff7ad55fb95f1fa599a8c0c584c7d6ded15b0b5a41ba8f4a42a2fe9"),
     "verify-witness": (0, "d5ae3385e19bebebf388c6e0267f5ee431a4bd53d09ff92589cb478212b92f4c"),
     "verify-witness-elementary": (0, "d5ae3385e19bebebf388c6e0267f5ee431a4bd53d09ff92589cb478212b92f4c"),
     "verify-decomposition": (0, "1e0751af11174ee64d2c4f00321772fc48004914a187ecd55a1a2fc34f5b2d49"),

@@ -11,6 +11,7 @@ from sl2units.errors import (
     DegenerateQuotient,
     GeneratorsNotClosed,
     MixedRings,
+    NegativeCount,
     QuotientTooLarge,
     VerificationFailed,
 )
@@ -58,6 +59,13 @@ def test_table_cap():
     with pytest.raises(QuotientTooLarge):
         _table(Z, "101")  # 101^3 > 10^6
     _table(Z, "97")  # 97^3 fits
+
+
+@pytest.mark.parametrize("ring,digits", [(Z, 4000), (R2, 8000)], ids=["Z", "Z[sqrt2]"])
+def test_table_cap_names_the_digit_count_of_the_index(ring, digits):
+    # the index itself would be thousands of digits of text: N(c) = c^2 over Z[sqrt2]
+    with pytest.raises(QuotientTooLarge, match=f"index has {digits} digits"):
+        _table(ring, "7" * 4000)
 
 
 def test_table_group_laws(rng):
@@ -400,6 +408,14 @@ def test_experiment_rejects_mixed_rings():
     with pytest.raises(MixedRings):
         lemma_bound_experiment(
             elem21(Zh.from_int(3)), cert, PrincipalIdeal(Z.from_int(11)), 5
+        )
+
+
+def test_experiment_rejects_a_negative_sample_size():
+    cert = find_unit(Zh.from_int(3))
+    with pytest.raises(NegativeCount, match="not -3"):
+        lemma_bound_experiment(
+            elem21(Zh.from_int(3)), cert, PrincipalIdeal(Zh.from_int(11)), -3
         )
 
 

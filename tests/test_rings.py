@@ -1,7 +1,9 @@
 """Ring layer: canonical forms, divisibility, quotients, units, parsing."""
 
+import decimal
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -18,11 +20,15 @@ from sl2units.errors import (
     ZeroIdeal,
 )
 from sl2units.rings import (
+    _PLAIN_DIGITS,
+    DIGIT_BOUND,
     QUADRATIC,
     PrincipalIdeal,
     _hnf_2x2,
+    _int_text,
     _is_squarefree,
     _strip_primes,
+    _text_int,
     _xgcd,
     euclidean_size,
     exact_quotient,
@@ -148,6 +154,65 @@ def test_parse_element_rejects():
         parse_element(R2, "1/2")
     with pytest.raises(ParseError):
         parse_element(Z, "x")
+
+
+# ---------------------------------------------------------------------------
+# decimal text of integers past CPython's int <-> str digit limit
+
+
+@pytest.mark.parametrize(
+    "k", [_PLAIN_DIGITS - 1, _PLAIN_DIGITS, _PLAIN_DIGITS + 1, 4300, DIGIT_BOUND - 1, DIGIT_BOUND]
+)
+def test_int_text_of_powers_of_ten_and_their_neighbours(k):
+    # the expected text is built without str(), which refuses most of these
+    texts = {10**k - 1: "9" * k, 10**k: "1" + "0" * k, 10**k + 1: "1" + "0" * (k - 1) + "1"}
+    for n, text in texts.items():
+        for sign, value in (("", n), ("-", -n)):
+            assert _int_text(value) == sign + text
+            if len(text) <= DIGIT_BOUND:
+                assert _text_int(sign + text) == value
+            else:
+                with pytest.raises(ParseError, match=f"{k + 1} digits exceeds the bound of {k}"):
+                    _text_int(sign + text)
+
+
+def test_int_text_agrees_with_str_within_the_limit():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randrange(10 ** rng.randint(1, 4300)) * rng.choice((1, -1))
+        assert _int_text(n) == str(n)
+        assert _text_int(str(n)) == n
+        assert _text_int("+" + "0" * rng.randint(0, 900) + str(abs(n))) == abs(n)
+
+
+def test_int_text_leaves_the_interpreter_settings_alone():
+    limit, context = sys.get_int_max_str_digits(), repr(decimal.getcontext())
+    n = 7**100_000 + 1  # 84,510 digits
+    assert _text_int(_int_text(-n)) == -n
+    assert sys.get_int_max_str_digits() == limit
+    assert repr(decimal.getcontext()) == context
+
+
+@pytest.mark.parametrize("ring", [Z, Zh, Z6, R2], ids=str)
+def test_elements_past_the_str_limit_round_trip(ring):
+    big = 3**30_000 + 2  # 14,314 digits
+    values = [ring.from_int(big), ring.from_int(-big)]
+    if ring.kind == QUADRATIC:
+        values += [ring.from_pair(big, -big), ring.from_pair(-1, big)]
+    elif ring.param:
+        values += [ring.from_fraction(-big, 2**15_000)]  # a 4,516-digit denominator
+    for x in values:
+        text = str(x)
+        assert parse_element(ring, text) == x
+        assert len(text) > 14_000
+
+
+def test_parse_refuses_an_integer_over_the_digit_bound_at_once():
+    start = time.perf_counter()
+    for text in ("7" * (DIGIT_BOUND + 1), "1/" + "3" * 10**6, "-" + "1" * (DIGIT_BOUND + 1)):
+        with pytest.raises(ParseError, match=f"exceeds the bound of {DIGIT_BOUND}"):
+            parse_element(Zh, text)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parse_power_denominator():
