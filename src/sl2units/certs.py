@@ -35,7 +35,7 @@ from .norms import (
     format_norm,
     summarize_norms,
 )
-from .rings import PrincipalIdeal, RingDescriptor, in_ideal, parse_element, parse_ring, quotient
+from .rings import PrincipalIdeal, RingDescriptor, in_ideal, parse_element, parse_ring
 from .sl2 import Mat2, diag, parse_matrix, word_from_json, word_to_json
 
 
@@ -306,9 +306,8 @@ def _verify_experiment(fields: _Fields) -> None:
     _check_unit_certificate(cert, epsilon_generator)
     _expect(cert.c, matrix.c, "unit certificate does not match the matrix corner")
     eps_ideal = PrincipalIdeal(epsilon_generator)  # checked equal to epsilon_ideal(cert)
-    q = quotient(PrincipalIdeal(modulus))
-    _expect(quotient_index, q.index, "recorded quotient index is wrong")
-    table = FiniteGroupTable(q)
+    table = FiniteGroupTable.modulo(PrincipalIdeal(modulus))
+    _expect(quotient_index, table.quotient.index, "recorded quotient index is wrong")
     _expect(group_order, len(table), "recorded group order is wrong")
     norms = closure_norm_table(table, [matrix, matrix.inverse()])
     _expect(generator_count, len(norms.generating_set), "recorded generating set size is wrong")
@@ -345,7 +344,7 @@ def _verify_axiom_report(fields: _Fields) -> None:
         entry = axioms(name, "object")
         recorded[name] = (entry("passed", "bool"), entry("counterexample", "any"))
 
-    table = FiniteGroupTable(quotient(PrincipalIdeal(modulus)))
+    table = FiniteGroupTable.modulo(PrincipalIdeal(modulus))
     _expect(group_order, len(table), "recorded group order is wrong")
     norms = closure_norm_table(table, seed)
     _expect(generator_count, len(norms.generating_set), "recorded generating set size is wrong")

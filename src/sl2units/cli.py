@@ -40,7 +40,6 @@ from .rings import (
     infinite_order_unit,
     parse_element,
     parse_ring,
-    quotient,
 )
 from .sl2 import parse_matrix
 
@@ -130,7 +129,7 @@ def _cmd_h_decompose(args) -> dict:
 
 def _table(ring, args) -> FiniteGroupTable:
     modulus = parse_element(ring, args.modulus)
-    return FiniteGroupTable(quotient(PrincipalIdeal(modulus)))
+    return FiniteGroupTable.modulo(PrincipalIdeal(modulus))
 
 
 def _cmd_norm_bfs(args) -> dict:

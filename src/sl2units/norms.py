@@ -44,11 +44,21 @@ from .rings import (
     RingElement,
     _int_text,
     quotient,
+    quotient_index,
     random_element,
 )
 from .sl2 import Mat2, reduce_mat
 
 TABLE_CAP = 10**6
+
+
+def _check_cap(n: int) -> None:
+    # n > TABLE_CAP first, so an index of many digits is not cubed
+    if n > TABLE_CAP or n**3 > TABLE_CAP:
+        raise QuotientTooLarge(
+            f"a quotient whose index has {len(_int_text(n))} digits may exceed "
+            f"{TABLE_CAP} elements (cap n^3)"
+        )
 
 
 class FiniteGroupTable:
@@ -59,16 +69,12 @@ class FiniteGroupTable:
     entries instead of reducing through the Hermite form.  The cap
     n^3 <= TABLE_CAP keeps n <= 100, so each table holds at most 10^4 codes
     below 100.  generators are the elementary matrices that generate the
-    group.
+    group.  Build it with modulo(), which checks the cap before the quotient.
     """
 
     def __init__(self, q: QuotientRing):
         n = q.index
-        if n**3 > TABLE_CAP:
-            raise QuotientTooLarge(
-                f"a quotient whose index has {len(_int_text(n))} digits may exceed "
-                f"{TABLE_CAP} elements (cap n^3)"
-            )
+        _check_cap(n)
         self.quotient = q
         codes = range(n)
         self._add = add = [[q.add_enc(i, j) for j in codes] for i in codes]
@@ -92,6 +98,13 @@ class FiniteGroupTable:
         self.elements: tuple = tuple(elements)
         spans = [q.ring.one()] + ([q.ring.from_pair(0, 1)] if q.ring.kind == QUADRATIC else [])
         self.generators = tuple(self.transvection(p, x) for x in spans for p in ("12", "21"))
+
+    @classmethod
+    def modulo(cls, modulus: PrincipalIdeal) -> "FiniteGroupTable":
+        """SL2(R/cR), refused by the cap before the quotient is built: over
+        Z[sqrt(d)] the Hermite form takes time quadratic in c's digits."""
+        _check_cap(quotient_index(modulus))
+        return cls(quotient(modulus))
 
     def __len__(self):
         return len(self.elements)
@@ -293,8 +306,7 @@ def lemma_bound_experiment(
         raise VerificationFailed(
             f"certificate is for c = {cert.c}, matrix corner is {A.c}"
         )
-    q = quotient(modulus)
-    table = FiniteGroupTable(q)
+    table = FiniteGroupTable.modulo(modulus)
     norms = closure_norm_table(table, [A, A.inverse()])
     eps = epsilon_ideal(cert).generator
     rng = rng if rng is not None else random.Random(0)
@@ -325,7 +337,7 @@ def lemma_bound_experiment(
     return LemmaBoundReport(
         ring=A.ring.name,
         modulus=str(modulus.generator),
-        quotient_index=q.index,
+        quotient_index=table.quotient.index,
         group_order=len(table),
         generator_count=len(norms.generating_set),
         requested=sample_size,

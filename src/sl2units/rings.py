@@ -15,7 +15,8 @@ infinite order (an inverted prime for Z[1/m], the fundamental Pell unit from
 the continued fraction of sqrt(d) for Z[sqrt(d)]).  The parser reads only
 the syntax str() writes, so a power n/p^e is refused.  Integers go to and
 from decimal text in subquadratic time at any size up to DIGIT_BOUND digits
-when parsed, under CPython's default int <-> str digit limit.
+when parsed (DENOMINATOR_BOUND for a denominator), under CPython's default
+int <-> str digit limit.
 """
 
 from __future__ import annotations
@@ -384,16 +385,15 @@ class QuotientRing:
         self.ring = modulus.ring
         self.modulus = modulus
         c = modulus.generator
+        self.index = quotient_index(modulus)
         if self.ring.kind == QUADRATIC:
             self._d = d = self.ring.param
             self._hnf = _hnf_2x2([[int(c.rat), c.irr], [d * c.irr, int(c.rat)]])
-            if self._hnf[0] * self._hnf[2] != abs(int(c.field_norm())):
+            if self._hnf[0] * self._hnf[2] != self.index:
                 raise AssertionError("HNF determinant disagrees with the field norm")
         else:
-            # Z has param 0: strip by m = 1, which leaves |c|
             self._d = 0
-            self._hnf = (_strip_primes(c.rat.numerator, self.ring.param or 1), 0, 1)
-        self.index = self._hnf[0] * self._hnf[2]
+            self._hnf = (self.index, 0, 1)
 
     def __repr__(self):
         return f"{self.ring.name}/{self.modulus} of index {_int_text(self.index)}"
@@ -456,6 +456,15 @@ def _hnf_2x2(rows: list[list[int]]) -> tuple[int, int, int]:
     g, s, t = _xgcd(a1, a2)
     h22 = abs((-a2 // g) * b1 + (a1 // g) * b2)
     return g, (s * b1 + t * b2) % h22, h22
+
+
+def quotient_index(modulus: PrincipalIdeal) -> int:
+    """|R/cR| without building the quotient: |N(c)| over Z[sqrt(d)], else c0."""
+    c = modulus.generator
+    if c.ring.kind == QUADRATIC:
+        return abs(int(c.field_norm()))
+    # Z has param 0: strip by m = 1, which leaves |c|
+    return _strip_primes(c.rat.numerator, c.ring.param or 1)
 
 
 def quotient(modulus: PrincipalIdeal) -> QuotientRing:
@@ -526,8 +535,15 @@ def infinite_order_unit(ring: RingDescriptor) -> RingElement:
 # so the limit is never met and never changed.
 
 DIGIT_BOUND = 100_000  # most digits one integer may have in parsed element text
+# Most digits of a parsed denominator.  The element constructor checks that
+# it is m-smooth by dividing out the gcd once per pass (_strip_primes), which
+# takes time quadratic in its length: about 0.07 s at this bound, 33 s at
+# DIGIT_BOUND.  The bound holds the longest denominator that perfbench's
+# witness corners write (3,929 digits); a longer one is written but not read
+# back until the strip takes O(log e) divisions (ROADMAP 3(a)).
+DENOMINATOR_BOUND = 4_300
 _PLAIN_DIGITS = 600
-_PLAIN_BITS = 1993  # 2**1993 < 10**600
+_PLAIN_BITS = int(_PLAIN_DIGITS * math.log2(10))  # so 2**_PLAIN_BITS <= 10**_PLAIN_DIGITS
 
 
 def _int_text(n: int) -> str:
@@ -629,8 +645,9 @@ def parse_element(ring: RingDescriptor, text: str) -> RingElement:
     Surrounding spaces, a leading +, leading zeros, and fractions not in
     lowest terms are read too, so str(parse_element(ring, text)) may differ
     from text; the certificate verifier refuses such text.  An integer of
-    more than DIGIT_BOUND digits raises a ParseError that names the bound,
-    and a ValueError from the element constructors becomes a ParseError.
+    more than DIGIT_BOUND digits, or a denominator of more than
+    DENOMINATOR_BOUND, raises a ParseError that names the bound, and a
+    ValueError from the element constructors becomes a ParseError.
     """
     if not isinstance(text, str):
         raise ParseError(f"an element must be given as text, not {type(text).__name__}")
@@ -660,6 +677,11 @@ def _parse_element(ring: RingDescriptor, text: str) -> RingElement:
         raise ParseError(f"cannot parse {text!r} as an element of {ring.name}")
     m = _FRAC_RE.match(text)
     if m:
+        digits = len(m.group(2))
+        if digits > DENOMINATOR_BOUND:
+            raise ParseError(
+                f"a denominator of {digits} digits exceeds the bound of {DENOMINATOR_BOUND}"
+            )
         num, den = map(_text_int, m.groups())
         if den == 0:
             raise ParseError(f"{text!r} has a zero denominator")

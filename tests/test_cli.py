@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, JSON-only output, verify round-trips."""
 
 import json
+import random
 import time
 
 import pytest
 
 from sl2units.cli import run
-from sl2units.rings import DIGIT_BOUND
+from sl2units.rings import DENOMINATOR_BOUND, DIGIT_BOUND, _int_text
 
 
 def invoke(capsys, *argv):
@@ -303,13 +304,30 @@ def test_unit_find_past_the_str_limit_emits_and_verifies(tmp_path, capsys, ring,
     assert time.perf_counter() - start < 2.0
 
 
-@pytest.mark.parametrize("ring,digits", [("Z", 4000), ("Z[sqrt2]", 8000)])
-def test_quotient_too_large_for_a_long_modulus_exit_1(tmp_path, capsys, ring, digits):
-    modulus = "7" * 4000
+def _random_digits(rng, n: int) -> int:
+    return rng.randrange(10 ** (n - 1), 10**n)
+
+
+# a + b*sqrt(2) with random a, b of DIGIT_BOUND digits: its Hermite form would
+# take the extended Euclid loop many seconds, its norm a^2 - 2b^2 a few ms
+_RNG = random.Random(12)
+_A, _B = _random_digits(_RNG, DIGIT_BOUND), _random_digits(_RNG, DIGIT_BOUND)
+
+
+@pytest.mark.parametrize(
+    "ring,modulus,index",
+    [("Z", "7" * 4000, int("7" * 4000)),
+     ("Z[sqrt2]", "7" * 4000, int("7" * 4000) ** 2),
+     ("Z[sqrt2]", f"{_int_text(_A)}+{_int_text(_B)}*sqrt(2)", abs(_A * _A - 2 * _B * _B))],
+    ids=["Z", "Z[sqrt2]", "Z[sqrt2]-random"],
+)
+def test_quotient_too_large_for_a_long_modulus_exit_1(tmp_path, capsys, ring, modulus, index):
+    start = time.perf_counter()
     code, err = invoke_json(capsys, "norm", "axioms", "--ring", ring, "--modulus", modulus,
                             "--gen", "[[1,1],[0,1]]")
+    assert time.perf_counter() - start < 1.0
     assert code == 1 and err["error"] == "QuotientTooLarge"
-    assert f"index has {digits} digits" in err["message"]
+    assert f"index has {len(_int_text(index))} digits" in err["message"]
     code, out = invoke(capsys, "norm", "axioms", "--ring", "Z", "--modulus", "3",
                        "--gen", "[[1,1],[0,1]]")
     assert code == 0
@@ -318,7 +336,9 @@ def test_quotient_too_large_for_a_long_modulus_exit_1(tmp_path, capsys, ring, di
     doc["payload"]["modulus"] = modulus
     path = tmp_path / "axioms.json"
     path.write_text(json.dumps(doc))
+    start = time.perf_counter()
     code, err = invoke_json(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1.0
     assert code == 1 and err["error"] == "QuotientTooLarge"
 
 
@@ -335,15 +355,24 @@ def _verify_text(tmp_path, capsys, text: str):
     return code, out, time.perf_counter() - start
 
 
-@pytest.mark.parametrize("digits", [DIGIT_BOUND + 1, HOSTILE_BYTES - 1000])
-def test_hostile_document_with_an_integer_over_the_bound(tmp_path, capsys, digits):
+@pytest.mark.parametrize(
+    "u,message",
+    [("7" * (DIGIT_BOUND + 1), f"{DIGIT_BOUND + 1} digits exceeds the bound of {DIGIT_BOUND}"),
+     ("7" * (HOSTILE_BYTES - 1000),
+      f"{HOSTILE_BYTES - 1000} digits exceeds the bound of {DIGIT_BOUND}"),
+     # a unit of Z[1/2] under DIGIT_BOUND: 2^332000 has 99,942 digits
+     ("1/" + _int_text(2**332_000),
+      f"denominator of 99942 digits exceeds the bound of {DENOMINATOR_BOUND}")],
+    ids=["integer", "integer-1MB", "denominator"],
+)
+def test_hostile_document_with_an_integer_over_the_bound(tmp_path, capsys, u, message):
     code, out = invoke(capsys, "unit", "find", "--ring", "Z[1/2]", "--c", "3")
     assert code == 0
     doc = json.loads(out)
-    doc["payload"]["u"] = "7" * digits
+    doc["payload"]["u"] = u
     code, err, elapsed = _verify_text(tmp_path, capsys, json.dumps(doc))
     assert code == 1 and err["error"] == "ParseError"
-    assert f"{digits} digits exceeds the bound of {DIGIT_BOUND}" in err["message"]
+    assert message in err["message"]
     assert elapsed < 1.0
 
 

@@ -21,6 +21,7 @@ from sl2units.errors import (
 )
 from sl2units.rings import (
     _PLAIN_DIGITS,
+    DENOMINATOR_BOUND,
     DIGIT_BOUND,
     QUADRATIC,
     PrincipalIdeal,
@@ -200,7 +201,7 @@ def test_elements_past_the_str_limit_round_trip(ring):
     if ring.kind == QUADRATIC:
         values += [ring.from_pair(big, -big), ring.from_pair(-1, big)]
     elif ring.param:
-        values += [ring.from_fraction(-big, 2**15_000)]  # a 4,516-digit denominator
+        values += [ring.from_fraction(-big, 2**14_000)]  # a 4,215-digit denominator
     for x in values:
         text = str(x)
         assert parse_element(ring, text) == x
@@ -209,9 +210,22 @@ def test_elements_past_the_str_limit_round_trip(ring):
 
 def test_parse_refuses_an_integer_over_the_digit_bound_at_once():
     start = time.perf_counter()
-    for text in ("7" * (DIGIT_BOUND + 1), "1/" + "3" * 10**6, "-" + "1" * (DIGIT_BOUND + 1)):
+    for text in ("7" * (DIGIT_BOUND + 1), "3" * 10**6 + "/1", "-" + "1" * (DIGIT_BOUND + 1)):
         with pytest.raises(ParseError, match=f"exceeds the bound of {DIGIT_BOUND}"):
             parse_element(Zh, text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_refuses_a_denominator_over_its_bound_at_once():
+    # 1/2^e is a unit of Z[1/2]; checking that its denominator is 2-smooth
+    # divides by 2 once per pass, so a long one is refused before it is read
+    at_bound = _int_text(2**14_284)
+    assert len(at_bound) == DENOMINATOR_BOUND
+    assert parse_element(Zh, "1/" + at_bound) == Zh.from_fraction(1, 2**14_284)
+    start = time.perf_counter()
+    for den in (_int_text(2**14_288), _int_text(2**332_000), "3" * 10**6):
+        with pytest.raises(ParseError, match=f"exceeds the bound of {DENOMINATOR_BOUND}"):
+            parse_element(Zh, "1/" + den)
     assert time.perf_counter() - start < 1.0
 
 
