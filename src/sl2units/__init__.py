@@ -3,82 +3,3 @@ decompositions, unit certificates, bounded-conjugate witnesses, and word
 metrics on finite quotients."""
 
 __version__ = "0.1.0"
-
-from .errors import AlgebraError  # noqa: E402
-from .rings import (  # noqa: E402
-    PrincipalIdeal,
-    QuotientRing,
-    RingDescriptor,
-    RingElement,
-    integers,
-    localized,
-    parse_element,
-    parse_ring,
-    quadratic,
-    quotient,
-)
-from .sl2 import GroupWord, Mat2, diag, elem12, elem21, identity, parse_matrix  # noqa: E402
-from .elemgen import Decomposition, decompose, h_decomposition  # noqa: E402
-from .lemma import (  # noqa: E402
-    ConjugateWitness,
-    ManyUnitsCertificate,
-    compute_Y,
-    ensure_nonzero_corner,
-    epsilon_ideal,
-    find_unit,
-    lemma2_witness,
-    verify_certificate,
-    verify_witness,
-)
-from .norms import (  # noqa: E402
-    FiniteGroupTable,
-    NormTable,
-    bfs_norm,
-    check_norm_axioms,
-    conjugation_closure,
-    lemma_bound_experiment,
-)
-from .certs import dumps, make_document, verify_document  # noqa: E402
-
-__all__ = [
-    "AlgebraError",
-    "ConjugateWitness",
-    "Decomposition",
-    "FiniteGroupTable",
-    "GroupWord",
-    "ManyUnitsCertificate",
-    "Mat2",
-    "NormTable",
-    "PrincipalIdeal",
-    "QuotientRing",
-    "RingDescriptor",
-    "RingElement",
-    "__version__",
-    "bfs_norm",
-    "check_norm_axioms",
-    "compute_Y",
-    "conjugation_closure",
-    "decompose",
-    "diag",
-    "dumps",
-    "elem12",
-    "elem21",
-    "ensure_nonzero_corner",
-    "epsilon_ideal",
-    "find_unit",
-    "h_decomposition",
-    "identity",
-    "integers",
-    "lemma2_witness",
-    "lemma_bound_experiment",
-    "localized",
-    "make_document",
-    "parse_element",
-    "parse_matrix",
-    "parse_ring",
-    "quadratic",
-    "quotient",
-    "verify_certificate",
-    "verify_document",
-    "verify_witness",
-]

@@ -15,10 +15,11 @@ exact computation, and raises VerificationFailed on the first mismatch.
 from __future__ import annotations
 
 import json
+import re
 
-from . import __version__
+from . import __version__, rings
 from .elemgen import Decomposition
-from .errors import ParseError, VerificationFailed
+from .errors import DocumentTooLarge, ParseError, VerificationFailed
 from .lemma import (
     ConjugateFactor,
     ConjugateWitness,
@@ -40,8 +41,10 @@ from .sl2 import Mat2, diag, parse_matrix, word_from_json, word_to_json
 
 
 def make_document(kind: str, ring: RingDescriptor, payload: dict) -> dict:
+    """The certificate of payload, unless verify could not read it back."""
     if kind not in _VERIFIERS:
         raise ValueError(f"unknown certificate kind {kind!r}")
+    _check_readable(payload)
     return {
         "kind": kind,
         "ring": ring.name,
@@ -53,6 +56,24 @@ def make_document(kind: str, ring: RingDescriptor, payload: dict) -> dict:
 
 def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
+
+
+_DIGIT_RUN = re.compile(r"(/?)(\d+)")  # a run of digits, with the "/" of a denominator
+
+
+def _check_readable(value) -> None:
+    """Raise DocumentTooLarge if a string in value holds an integer longer than
+    verify reads: rings.DIGIT_BOUND digits, DENOMINATOR_BOUND for a denominator.
+    A string of at most DENOMINATOR_BOUND characters holds neither."""
+    if isinstance(value, (dict, list)):
+        for v in value.values() if isinstance(value, dict) else value:
+            _check_readable(v)
+    elif isinstance(value, str) and len(value) > rings.DENOMINATOR_BOUND:
+        for slash, digits in _DIGIT_RUN.findall(value):
+            bound = rings.DENOMINATOR_BOUND if slash else rings.DIGIT_BOUND
+            if len(digits) > bound:
+                what = "a denominator" if slash else "an integer"
+                raise DocumentTooLarge(f"{what} of {len(digits)} digits exceeds the bound of {bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +398,10 @@ def verify_document(doc) -> dict:
     if not isinstance(kind, str) or kind not in _VERIFIERS:
         raise ParseError(f"unknown certificate kind {kind!r}")
     ring = parse_ring(doc.get("ring", ""))
+    verified = doc.get("verified")
+    if not isinstance(verified, bool):
+        raise ParseError(f"field 'verified' must be bool, not {verified!r:.40}")
     _VERIFIERS[kind](_Fields(f"{kind} payload", ring, doc.get("payload")))
-    if not doc.get("verified", False):
+    if not verified:
         raise VerificationFailed("document is marked verified = false")
     return {"kind": kind, "ring": ring.name, "ok": True}

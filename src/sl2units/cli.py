@@ -186,14 +186,17 @@ def _cmd_norm_axioms(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {args.file}: {exc}") from None
+        text.encode("utf-8")  # a POSIX-locale stdin reads bytes not in UTF-8 as surrogates
+    except OSError as exc:
+        raise ParseError(f"cannot read {args.file}: {exc}") from None
+    except UnicodeError:
+        raise ParseError(f"{args.file} is not UTF-8 text") from None
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:

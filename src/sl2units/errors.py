@@ -63,10 +63,6 @@ class ZNotInIdeal(AlgebraError):
     """Witness parameter z lies outside the required ideal."""
 
 
-class ScalarInput(AlgebraError):
-    """Scalar matrices cannot be normalized to a nonzero corner."""
-
-
 class GeneratorsNotClosed(AlgebraError):
     """Generating set is not symmetric and conjugation-closed."""
 
@@ -85,3 +81,7 @@ class QuotientTooLarge(AlgebraError):
 
 class VerificationFailed(AlgebraError):
     """A serialized certificate failed re-verification."""
+
+
+class DocumentTooLarge(AlgebraError):
+    """A certificate holds an integer longer than the verifier reads."""

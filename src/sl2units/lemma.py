@@ -23,7 +23,6 @@ from .errors import (
     AlgebraError,
     MixedRings,
     NonUnit,
-    ScalarInput,
     UnitCongruenceViolated,
     VerificationFailed,
     ZeroCorner,
@@ -45,11 +44,8 @@ from .rings import (
 from .sl2 import (
     GroupWord,
     Mat2,
-    commutator,
-    conjugate,
     diag,
     elem12,
-    elem21,
     identity,
     reduce_mat,
     word_diag,
@@ -306,62 +302,3 @@ def rewrite_conjugators(
     rewritten = replace(w, factors=factors)
     _check_witness(rewritten)
     return rewritten
-
-
-# ---------------------------------------------------------------------------
-# corner normalization
-
-
-@dataclass(frozen=True)
-class Unchanged:
-    """The corner was already nonzero."""
-
-
-@dataclass(frozen=True)
-class Conjugated:
-    """The result is g * A * g^-1 for the recorded g."""
-
-    g: Mat2
-
-
-@dataclass(frozen=True)
-class CommutatorTaken:
-    """The result is A g A^-1 g^-1."""
-
-    g: Mat2
-
-
-CornerProvenance = object  # Unchanged | Conjugated | CommutatorTaken
-
-
-class CornerResult(NamedTuple):
-    matrix: Mat2
-    provenance: CornerProvenance
-    norm_factor: int
-
-
-def _antidiagonal_unit(ring: RingDescriptor) -> Mat2:
-    """[[0, 1], [-1, 0]] = E12(1) E21(-1) E12(1); conjugation by it swaps corners."""
-    one = ring.one()
-    return elem12(one) * elem21(-one) * elem12(one)
-
-
-def ensure_nonzero_corner(A: Mat2) -> CornerResult:
-    """Replace a non-scalar A by a conjugate or commutator whose lower-left
-    corner is nonzero.
-
-    Conjugation preserves any conjugation-invariant norm (factor 1); the
-    commutator route costs at most a factor of 2 by the triangle inequality,
-    which downstream ideal bookkeeping must account for.
-    """
-    if A.is_scalar():
-        raise ScalarInput("scalar matrices stay scalar under conjugation")
-    if A.c:
-        return CornerResult(A, Unchanged(), 1)
-    ring = A.ring
-    if A.b:
-        g = _antidiagonal_unit(ring)
-        return CornerResult(conjugate(g, A), Conjugated(g), 1)
-    # non-scalar diagonal A = diag(a, 1/a): [A, E21(1)] = E21(a^-2 - 1) with a^2 != 1
-    g = elem21(ring.one())
-    return CornerResult(commutator(A, g), CommutatorTaken(g), 2)

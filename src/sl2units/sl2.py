@@ -83,21 +83,6 @@ class Mat2:
         """Adjugate; exact because the determinant is one."""
         return Mat2._trusted(self.d, -self.b, -self.c, self.a)
 
-    def __pow__(self, n: int) -> "Mat2":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = identity(self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def is_scalar(self) -> bool:
-        return not self.b and not self.c and self.a == self.d
-
     def __str__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
@@ -138,16 +123,6 @@ def diag(u: RingElement) -> Mat2:
         raise NonUnitDiagonal(f"{u} is not a unit of {u.ring.name}")
     zero = u.ring.zero()
     return Mat2._trusted(u, zero, zero, inv)
-
-
-def conjugate(g: Mat2, m: Mat2) -> Mat2:
-    """g m g^-1."""
-    return g * m * g.inverse()
-
-
-def commutator(g: Mat2, m: Mat2) -> Mat2:
-    """g m g^-1 m^-1."""
-    return g * m * g.inverse() * m.inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from sl2units import certs
 from sl2units.elemgen import decompose, h_decomposition
-from sl2units.errors import AlgebraError, ParseError, VerificationFailed
+from sl2units.errors import AlgebraError, DocumentTooLarge, ParseError, VerificationFailed
 from sl2units.lemma import find_unit, lemma2_witness
 from sl2units.norms import (
     FiniteGroupTable,
@@ -18,7 +18,15 @@ from sl2units.norms import (
     conjugation_closure,
     lemma_bound_experiment,
 )
-from sl2units.rings import PrincipalIdeal, integers, localized, parse_element, quotient
+from sl2units.rings import (
+    DENOMINATOR_BOUND,
+    DIGIT_BOUND,
+    PrincipalIdeal,
+    integers,
+    localized,
+    parse_element,
+    quotient,
+)
 from sl2units.sl2 import elem12, elem21, parse_matrix
 
 Z = integers()
@@ -159,6 +167,37 @@ def test_verified_flag_must_be_true():
     doc["verified"] = False
     with pytest.raises(VerificationFailed):
         certs.verify_document(doc)
+    for flag in ("false", "true", 1, 0, None, [True]):
+        doc["verified"] = flag
+        with pytest.raises(ParseError, match="field 'verified' must be bool"):
+            certs.verify_document(doc)
+    del doc["verified"]
+    with pytest.raises(ParseError, match="field 'verified' must be bool"):
+        certs.verify_document(doc)
+
+
+def _set_u(doc, text):
+    doc["payload"]["u"] = text
+
+
+def _set_conjugator_argument(doc, text):
+    doc["payload"]["factors"][0]["conjugator"]["factors"][0]["argument"] = text
+
+
+@pytest.mark.parametrize(
+    "build,place,prefix,bound",
+    [(_many_units_doc, _set_u, "", DIGIT_BOUND),
+     (_witness_doc, _set_conjugator_argument, "-3/", DENOMINATOR_BOUND)],
+    ids=["integer", "denominator"],
+)
+def test_make_document_refuses_what_verify_cannot_read(build, place, prefix, bound):
+    """An emitter may write an integer up to the bound verify reads, and no longer."""
+    doc = build()
+    place(doc, prefix + "1" * bound)
+    assert certs.make_document(doc["kind"], Zh, doc["payload"])["payload"] is doc["payload"]
+    place(doc, prefix + "1" * (bound + 1))
+    with pytest.raises(DocumentTooLarge, match=f"{bound + 1} digits exceeds the bound of {bound}$"):
+        certs.make_document(doc["kind"], Zh, doc["payload"])
 
 
 def test_tampered_many_units():

@@ -1,13 +1,22 @@
 """Command-line interface: exit codes, JSON-only output, verify round-trips."""
 
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import sl2units.cli
 from sl2units.cli import run
 from sl2units.rings import DENOMINATOR_BOUND, DIGIT_BOUND, _int_text
+
+
+NOT_UTF8 = b"\xff\xfe{}"
 
 
 def invoke(capsys, *argv):
@@ -188,8 +197,6 @@ def test_verify_round_trip(tmp_path, capsys):
 
 
 def test_verify_stdin(capsys, monkeypatch):
-    import io
-
     code, out = invoke(capsys, "decompose", "--ring", "Z", "--A", "[[2,1],[3,2]]")
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
     code, doc = invoke_json(capsys, "verify", "-")
@@ -213,6 +220,41 @@ def test_verify_unreadable_and_invalid(tmp_path, capsys):
     path.write_text("{ not json")
     code, err = invoke_json(capsys, "verify", str(path))
     assert code == 1 and err["error"] == "ParseError"
+    path.write_bytes(NOT_UTF8)
+    code, err = invoke_json(capsys, "verify", str(path))
+    assert code == 1 and err == {"error": "ParseError", "message": f"{path} is not UTF-8 text"}
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_verify_stdin_not_utf8_exit_1(capsys, monkeypatch, errors):
+    """Bytes that are not UTF-8 are bad input whichever error handler the
+    locale gives stdin (surrogateescape under the POSIX locale)."""
+    stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8", errors=errors)
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, err = invoke_json(capsys, "verify", "-")
+    assert code == 1 and err == {"error": "ParseError", "message": "- is not UTF-8 text"}
+
+
+def test_console_main_exit_codes(tmp_path):
+    """python -m sl2units.cli as a process: JSON on stdout, usage on stderr."""
+    src = str(Path(sl2units.cli.__file__).resolve().parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+    def main(*argv):
+        return subprocess.run([sys.executable, "-m", "sl2units.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    done = main("unit", "find", "--ring", "Z[1/2]", "--c", "3")
+    assert done.returncode == 0 and json.loads(done.stdout)["payload"]["u"] == "64"
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    done = main("verify", str(bad))
+    assert done.returncode == 1 and json.loads(done.stdout)["error"] == "ParseError"
+    assert "Traceback" not in done.stderr
+    done = main("no-such-command")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage: sl2units")
 
 
 # ---------------------------------------------------------------------------

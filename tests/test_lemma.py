@@ -8,7 +8,6 @@ from sl2units import lemma
 from sl2units.errors import (
     MixedRings,
     NonUnit,
-    ScalarInput,
     UnitCongruenceViolated,
     VerificationFailed,
     ZeroCorner,
@@ -16,12 +15,8 @@ from sl2units.errors import (
     ZNotInIdeal,
 )
 from sl2units.lemma import (
-    CommutatorTaken,
-    Conjugated,
     ManyUnitsCertificate,
-    Unchanged,
     compute_Y,
-    ensure_nonzero_corner,
     epsilon_ideal,
     find_unit,
     lemma2_witness,
@@ -38,7 +33,7 @@ from sl2units.rings import (
     parse_element,
     quadratic,
 )
-from sl2units.sl2 import GroupWord, conjugate, diag, elem12, elem21, identity, parse_matrix
+from sl2units.sl2 import GroupWord, diag, elem12, elem21, identity, parse_matrix
 from tests.conftest import WITNESS_RINGS, random_nonzero_nonunit, random_witness_matrix
 
 Z = integers()
@@ -326,38 +321,3 @@ def test_diagonal_of_certified_unit_vanishes_mod_c(rng):
         c = random_nonzero_nonunit(ring, rng, size_cap=25)
         cert = find_unit(c)
         assert reduces_to_identity(diag(cert.u), PrincipalIdeal(c))
-
-
-# ---------------------------------------------------------------------------
-# corner normalization
-
-
-def test_corner_already_nonzero():
-    A = parse_matrix(Z, "[[2,1],[3,2]]")
-    res = ensure_nonzero_corner(A)
-    assert isinstance(res.provenance, Unchanged)
-    assert res.matrix == A and res.norm_factor == 1
-
-
-def test_corner_from_upper_entry():
-    res = ensure_nonzero_corner(elem12(Z.from_int(1)))
-    assert isinstance(res.provenance, Conjugated)
-    assert res.norm_factor == 1
-    assert res.matrix.c
-    g = res.provenance.g
-    assert conjugate(g, elem12(Z.from_int(1))) == res.matrix
-
-
-def test_corner_from_diagonal():
-    A = diag(Zh.from_int(2))
-    res = ensure_nonzero_corner(A)
-    assert isinstance(res.provenance, CommutatorTaken)
-    assert res.norm_factor == 2
-    assert res.matrix.c == Zh.from_fraction(-3, 4)
-
-
-def test_corner_scalar_rejected():
-    with pytest.raises(ScalarInput):
-        ensure_nonzero_corner(identity(Z))
-    with pytest.raises(ScalarInput):
-        ensure_nonzero_corner(parse_matrix(Z, "[[-1,0],[0,-1]]"))

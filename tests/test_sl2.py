@@ -26,8 +26,6 @@ from sl2units.rings import (
 from sl2units.sl2 import (
     GroupWord,
     Mat2,
-    commutator,
-    conjugate,
     diag,
     elem12,
     elem21,
@@ -78,14 +76,11 @@ def test_multiplication_and_inverse(rng):
             b = random_sl2(ring, rng)
             assert (a * b).inverse() == b.inverse() * a.inverse()
             assert a * a.inverse() == identity(ring)
-            assert a**3 == a * a * a
-            assert a**0 == identity(ring)
-            assert a**-2 == (a.inverse()) ** 2
 
 
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(["elem12", "elem21", "diag", "inverse", "pow"]),
+        st.sampled_from(["elem12", "elem21", "diag", "inverse"]),
         st.integers(-3, 3),
         st.integers(0, 2**32),
     ),
@@ -97,7 +92,7 @@ _OPS = st.lists(
 @settings(max_examples=120, deadline=None)
 @given(ring=st.sampled_from(ALL_RINGS), ops=_OPS)
 def test_closed_operations_stay_in_sl2(ring, ops):
-    """Products, inverses, powers, transvections and diagonals skip the
+    """Products, inverses, transvections and diagonals skip the
     determinant check; the validating constructor must accept each result."""
     v = ring.from_int(-1) if ring == Z else infinite_order_unit(ring)
     m = identity(ring)
@@ -107,10 +102,8 @@ def test_closed_operations_stay_in_sl2(ring, ops):
             step = elem12(x) if op == "elem12" else elem21(x)
         elif op == "diag":
             step = diag(v**n)
-        elif op == "inverse":
-            step = m.inverse()
         else:
-            step = m**n
+            step = m.inverse()
         for result in (step, m * step):
             checked = Mat2(*result.entries)
             assert checked == result
@@ -177,21 +170,16 @@ def test_mul_oracle():
     assert _m(Z, "[[2,1],[3,2]]") * _m(Z, "[[1,1],[0,1]]") == _m(Z, "[[2,3],[3,5]]")
 
 
-def test_scalar_and_trace():
-    assert _m(Z, "[[-1,0],[0,-1]]").is_scalar()
-    assert not _m(Z, "[[1,1],[0,1]]").is_scalar()
-    m = _m(Z, "[[2,1],[3,2]]")
-    assert m.a + m.d == 4
-
-
-def test_conjugate_and_commutator(rng):
-    g = _m(Z, "[[1,1],[0,1]]")
-    m = _m(Z, "[[1,0],[1,1]]")
-    assert conjugate(g, m) == g * m * g.inverse()
-    gm = conjugate(g, m)
-    assert gm.a + gm.d == m.a + m.d
-    assert commutator(g, g) == identity(Z)
-    assert commutator(g, m) == g * m * g.inverse() * m.inverse()
+def test_scalar_and_trace(rng):
+    """-I is central and conjugation keeps the trace."""
+    minus_one = _m(Z, "[[-1,0],[0,-1]]")
+    for ring in (Z, Zh, R2):
+        for _ in range(10):
+            g, m = random_sl2(ring, rng), random_sl2(ring, rng)
+            gm = g * m * g.inverse()
+            assert gm.a + gm.d == m.a + m.d
+    g = _m(Z, "[[2,1],[3,2]]")
+    assert g * minus_one * g.inverse() == minus_one
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +270,7 @@ def test_fresh_imports_free_the_previous_copy():
         for _ in range(3):
             for name in [n for n in sys.modules if n.split(".")[0] == "sl2units"]:
                 del sys.modules[name]
-            importlib.import_module("sl2units")
+            importlib.import_module("sl2units.cli")
         gc.collect()
         print(sum(isinstance(o, type) and o.__name__ == "RingElement" for o in gc.get_objects()))
     """)
