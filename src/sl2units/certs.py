@@ -327,7 +327,7 @@ def _verify_experiment(fields: _Fields) -> None:
     _check_unit_certificate(cert, epsilon_generator)
     _expect(cert.c, matrix.c, "unit certificate does not match the matrix corner")
     eps_ideal = PrincipalIdeal(epsilon_generator)  # checked equal to epsilon_ideal(cert)
-    table = FiniteGroupTable.modulo(PrincipalIdeal(modulus))
+    table = FiniteGroupTable(PrincipalIdeal(modulus))
     _expect(quotient_index, table.quotient.index, "recorded quotient index is wrong")
     _expect(group_order, len(table), "recorded group order is wrong")
     norms = closure_norm_table(table, [matrix, matrix.inverse()])
@@ -365,7 +365,7 @@ def _verify_axiom_report(fields: _Fields) -> None:
         entry = axioms(name, "object")
         recorded[name] = (entry("passed", "bool"), entry("counterexample", "any"))
 
-    table = FiniteGroupTable.modulo(PrincipalIdeal(modulus))
+    table = FiniteGroupTable(PrincipalIdeal(modulus))
     _expect(group_order, len(table), "recorded group order is wrong")
     norms = closure_norm_table(table, seed)
     _expect(generator_count, len(norms.generating_set), "recorded generating set size is wrong")

@@ -15,19 +15,17 @@ import traceback
 
 from . import certs
 from .elemgen import decompose, expand_diagonals, h_decomposition
-from .errors import AlgebraError, NoInfiniteOrderUnit, ParseError, UnitCongruenceViolated
+from .errors import AlgebraError, GeneratorsNotClosed, NoInfiniteOrderUnit, ParseError
 from .lemma import (
-    ManyUnitsCertificate,
+    certify_unit,
     compute_Y,
     find_unit,
     lemma2_witness,
     rewrite_conjugators,
-    verify_certificate,
 )
 from .norms import (
     FiniteGroupTable,
     NormTable,
-    bfs_norm,
     check_norm_axioms,
     closure_norm_table,
     conjugation_closure,
@@ -36,7 +34,6 @@ from .norms import (
 )
 from .rings import (
     PrincipalIdeal,
-    exact_quotient,
     infinite_order_unit,
     parse_element,
     parse_ring,
@@ -46,20 +43,6 @@ from .sl2 import parse_matrix
 
 def _ring(args):
     return parse_ring(args.ring)
-
-
-def _unit_certificate(c, u) -> ManyUnitsCertificate:
-    """Wrap an explicitly supplied unit as a trivial-power certificate."""
-    y = exact_quotient(u - 1, c * c)
-    if y is None:
-        raise UnitCongruenceViolated(
-            f"u - 1 = {u - 1} is not divisible by c^2 = {c * c}"
-        )
-    cert = ManyUnitsCertificate(
-        c=c, v=u, u=u, k=1, y=y, check_u8=(u**8 != c.ring.one())
-    )
-    verify_certificate(cert)
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +65,7 @@ def _cmd_ring_info(args) -> dict:
 
 def _cmd_unit_find(args) -> dict:
     ring = _ring(args)
-    cert = find_unit(parse_element(ring, args.c), ring)
+    cert = find_unit(parse_element(ring, args.c))
     return certs.make_document("many-units", ring, certs.many_units_payload(cert))
 
 
@@ -92,7 +75,7 @@ def _cmd_lemma_witness(args) -> dict:
     if args.u is not None:
         u = parse_element(ring, args.u)
     else:
-        u = find_unit(matrix.c, ring).u
+        u = find_unit(matrix.c).u
     witness = lemma2_witness(matrix, u, parse_element(ring, args.z))
     if args.elementary:
         witness = rewrite_conjugators(witness, expand_diagonals)
@@ -129,17 +112,20 @@ def _cmd_h_decompose(args) -> dict:
 
 def _table(ring, args) -> FiniteGroupTable:
     modulus = parse_element(ring, args.modulus)
-    return FiniteGroupTable.modulo(PrincipalIdeal(modulus))
+    return FiniteGroupTable(PrincipalIdeal(modulus))
 
 
 def _cmd_norm_bfs(args) -> dict:
     ring = _ring(args)
     table = _table(ring, args)
-    seed = [table.from_matrix(parse_matrix(ring, text)) for text in args.gen]
-    gens = conjugation_closure(table, seed) if args.closure else frozenset(seed)
+    seed = frozenset(table.from_matrix(parse_matrix(ring, text)) for text in args.gen)
     g = table.from_matrix(parse_matrix(ring, args.element))
-    # a closure is closed by construction; bfs_norm checks a user's own set
-    norm = NormTable(table, gens).lengths[g] if args.closure else bfs_norm(table, gens, g)
+    gens = conjugation_closure(table, seed)
+    # without --closure the user's own set must be its closure already
+    missing = gens - seed
+    if missing and not args.closure:
+        raise GeneratorsNotClosed(f"the generating set lacks {table.format_element(min(missing))}")
+    norm = NormTable(table, gens).lengths[g]
     return {
         "ring": ring.name,
         "modulus": str(table.quotient.modulus.generator),
@@ -154,9 +140,9 @@ def _cmd_norm_lemma_bound(args) -> dict:
     ring = _ring(args)
     matrix = parse_matrix(ring, args.A)
     if args.u is not None:
-        cert = _unit_certificate(matrix.c, parse_element(ring, args.u))
+        cert = certify_unit(matrix.c, parse_element(ring, args.u), 1)
     else:
-        cert = find_unit(matrix.c, ring)
+        cert = find_unit(matrix.c)
     report = lemma_bound_experiment(
         matrix,
         cert,

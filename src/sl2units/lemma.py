@@ -17,7 +17,7 @@ recorded data alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .errors import (
     AlgebraError,
@@ -91,27 +91,36 @@ def verify_certificate(cert: ManyUnitsCertificate) -> None:
         raise VerificationFailed("check_u8 flag is unset")
 
 
-def find_unit(c: RingElement, ring: Optional[RingDescriptor] = None) -> ManyUnitsCertificate:
+def certify_unit(c: RingElement, v: RingElement, k: int) -> ManyUnitsCertificate:
+    """Certify u = v^k with u - 1 divisible by c^2 and u^8 != 1: ZeroIdeal for
+    c = 0, UnitCongruenceViolated if c^2 does not divide u - 1, and
+    VerificationFailed from verify_certificate otherwise."""
+    if not c:
+        raise ZeroIdeal("cannot certify a unit for c = 0")
+    u = v**k
+    y = exact_quotient(u - 1, c * c)
+    if y is None:
+        raise UnitCongruenceViolated(f"u - 1 = {u - 1} is not divisible by c^2 = {c * c}")
+    cert = ManyUnitsCertificate(c=c, v=v, u=u, k=k, y=y, check_u8=(u**8 != c.ring.one()))
+    verify_certificate(cert)
+    return cert
+
+
+def find_unit(c: RingElement) -> ManyUnitsCertificate:
     """Certify a unit u with u - 1 divisible by c^2 and u^8 != 1.
 
     Takes v of infinite order, computes the order k of v in (R/c^2 R)*, and
     sets u = v^k.  The smallest such k is used so results are deterministic.
     """
-    if ring is None:
-        ring = c.ring
-    elif ring != c.ring:
-        raise MixedRings(f"{c.ring.name} vs {ring.name}")
     if not c:
         raise ZeroIdeal("cannot certify a unit for c = 0")
-    v = infinite_order_unit(ring)
+    v = infinite_order_unit(c.ring)
     k = unit_order(v, quotient(PrincipalIdeal(c * c)))
-    u = v**k
-    y = exact_quotient(u - 1, c * c)
-    if y is None:
-        raise AssertionError("u - 1 is not divisible by c^2 despite the order computation")
-    cert = ManyUnitsCertificate(c=c, v=v, u=u, k=k, y=y, check_u8=(u**8 != ring.one()))
-    verify_certificate(cert)
-    return cert
+    try:
+        return certify_unit(c, v, k)
+    except UnitCongruenceViolated:  # k is the order of v mod c^2: a bug, not bad input
+        message = "u - 1 is not divisible by c^2 despite the order computation"
+        raise AssertionError(message) from None
 
 
 def epsilon_ideal(cert: ManyUnitsCertificate) -> PrincipalIdeal:

@@ -26,11 +26,10 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .errors import (
     DegenerateQuotient,
-    GeneratorsNotClosed,
     MixedRings,
     NegativeCount,
     QuotientTooLarge,
@@ -40,7 +39,6 @@ from .lemma import ManyUnitsCertificate, epsilon_ideal, verify_certificate
 from .rings import (
     QUADRATIC,
     PrincipalIdeal,
-    QuotientRing,
     RingElement,
     _int_text,
     quotient,
@@ -52,15 +50,6 @@ from .sl2 import Mat2, reduce_mat
 TABLE_CAP = 10**6
 
 
-def _check_cap(n: int) -> None:
-    # n > TABLE_CAP first, so an index of many digits is not cubed
-    if n > TABLE_CAP or n**3 > TABLE_CAP:
-        raise QuotientTooLarge(
-            f"a quotient whose index has {len(_int_text(n))} digits may exceed "
-            f"{TABLE_CAP} elements (cap n^3)"
-        )
-
-
 class FiniteGroupTable:
     """All of SL2(R/cR), enumerated; elements are 4-tuples of residue codes.
 
@@ -69,13 +58,19 @@ class FiniteGroupTable:
     entries instead of reducing through the Hermite form.  The cap
     n^3 <= TABLE_CAP keeps n <= 100, so each table holds at most 10^4 codes
     below 100.  generators are the elementary matrices that generate the
-    group.  Build it with modulo(), which checks the cap before the quotient.
+    group.  The cap is checked before the quotient is built: over Z[sqrt(d)]
+    the Hermite form takes time quadratic in c's digits.
     """
 
-    def __init__(self, q: QuotientRing):
-        n = q.index
-        _check_cap(n)
-        self.quotient = q
+    def __init__(self, modulus: PrincipalIdeal):
+        n = quotient_index(modulus)
+        # n > TABLE_CAP first, so an index of many digits is not cubed
+        if n > TABLE_CAP or n**3 > TABLE_CAP:
+            raise QuotientTooLarge(
+                f"a quotient whose index has {len(_int_text(n))} digits may exceed "
+                f"{TABLE_CAP} elements (cap n^3)"
+            )
+        self.quotient = q = quotient(modulus)
         codes = range(n)
         self._add = add = [[q.add_enc(i, j) for j in codes] for i in codes]
         self._mul = mul = [[q.mul_enc(i, j) for j in codes] for i in codes]
@@ -98,13 +93,6 @@ class FiniteGroupTable:
         self.elements: tuple = tuple(elements)
         spans = [q.ring.one()] + ([q.ring.from_pair(0, 1)] if q.ring.kind == QUADRATIC else [])
         self.generators = tuple(self.transvection(p, x) for x in spans for p in ("12", "21"))
-
-    @classmethod
-    def modulo(cls, modulus: PrincipalIdeal) -> "FiniteGroupTable":
-        """SL2(R/cR), refused by the cap before the quotient is built: over
-        Z[sqrt(d)] the Hermite form takes time quadratic in c's digits."""
-        _check_cap(quotient_index(modulus))
-        return cls(quotient(modulus))
 
     def __len__(self):
         return len(self.elements)
@@ -172,46 +160,25 @@ def conjugation_closure(table: FiniteGroupTable, seed: Iterable) -> frozenset:
     return frozenset(closed)
 
 
-def _distances(table: FiniteGroupTable, gens: frozenset):
-    dist = {table.identity: 0}
-    frontier = deque([table.identity])
-    while frontier:
-        g = frontier.popleft()
-        d = dist[g] + 1
-        for s in gens:
-            h = table.mul(g, s)
-            if h not in dist:
-                dist[h] = d
-                frontier.append(h)
-    return dist
-
-
-def bfs_norm(table: FiniteGroupTable, gens, g) -> Union[int, float]:
-    """Cayley-graph distance from the identity; math.inf when unreachable.
-
-    The generating set must be symmetric and conjugation-closed (checked;
-    GeneratorsNotClosed otherwise) so the resulting word length is a
-    conjugation-invariant norm.
-    """
-    gens = frozenset(gens)
-    missing = conjugation_closure(table, gens) - gens
-    if missing:
-        raise GeneratorsNotClosed(f"the generating set lacks {table.format_element(min(missing))}")
-    return NormTable(table, gens).lengths.get(g, math.inf)
-
-
 class NormTable:
-    """Word lengths of every group element over a fixed generating set, taken
-    as given (bfs_norm checks the ones a user chooses)."""
+    """Word lengths of every group element over a generating set taken as
+    given, by breadth-first search; math.inf where unreachable."""
 
     def __init__(self, group: FiniteGroupTable, generating_set):
         gens = frozenset(generating_set)
         self.group = group
         self.generating_set = gens
-        finite = _distances(group, gens)
-        self.lengths: dict = {
-            g: finite.get(g, math.inf) for g in group.elements
-        }
+        dist = {group.identity: 0}
+        frontier = deque([group.identity])
+        while frontier:
+            g = frontier.popleft()
+            d = dist[g] + 1
+            for s in gens:
+                h = group.mul(g, s)
+                if h not in dist:
+                    dist[h] = d
+                    frontier.append(h)
+        self.lengths: dict = {g: dist.get(g, math.inf) for g in group.elements}
 
 
 def closure_norm_table(table: FiniteGroupTable, seed: Iterable[Mat2]) -> NormTable:
@@ -286,7 +253,7 @@ def lemma_bound_experiment(
     modulus: PrincipalIdeal,
     sample_size: int,
     *,
-    rng: Optional[random.Random] = None,
+    rng: random.Random,
     require_nontrivial: bool = True,
 ) -> LemmaBoundReport:
     """Sample j from ((u^8 - 1)c) and check E12(j) lies in the 4-ball of the
@@ -306,10 +273,9 @@ def lemma_bound_experiment(
         raise VerificationFailed(
             f"certificate is for c = {cert.c}, matrix corner is {A.c}"
         )
-    table = FiniteGroupTable.modulo(modulus)
+    table = FiniteGroupTable(modulus)
     norms = closure_norm_table(table, [A, A.inverse()])
     eps = epsilon_ideal(cert).generator
-    rng = rng if rng is not None else random.Random(0)
     bound = 4
     trivial = 0
     samples: list = []

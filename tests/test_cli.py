@@ -150,12 +150,20 @@ def test_norm_axioms_mod_13_emits_and_verifies_quickly(capsys, monkeypatch):
 
 
 def test_norm_bfs_open_generating_set_exit_1(capsys):
-    code, err = invoke_json(
-        capsys,
-        "norm", "bfs", "--ring", "Z", "--modulus", "5",
-        "--gen", "[[1,1],[0,1]]", "--element", "[[-1,0],[0,-1]]",
-    )
-    assert code == 1 and err["error"] == "GeneratorsNotClosed"
+    # {E12(1)} mod 5; and lifts of the mod-3 conjugates of E12(1), which miss
+    # its inverse E12(-1) because -1 is not a square
+    cases = [
+        ("5", ["[[1,1],[0,1]]"], "[[0,1],[4,2]]"),
+        ("3", ["[[0,1],[-1,2]]", "[[1,0],[2,1]]", "[[1,1],[0,1]]", "[[2,1],[-1,0]]"],
+         "[[0,2],[1,2]]"),
+    ]
+    for modulus, gens, missing in cases:
+        flags = [arg for g in gens for arg in ("--gen", g)]
+        code, err = invoke_json(capsys, "norm", "bfs", "--ring", "Z", "--modulus", modulus,
+                                *flags, "--element", "[[-1,0],[0,-1]]")
+        assert code == 1
+        assert err == {"error": "GeneratorsNotClosed",
+                       "message": f"the generating set lacks {missing}"}
 
 
 @pytest.mark.parametrize(
@@ -266,6 +274,29 @@ def test_domain_error_exit_1(capsys):
     assert code == 1
     assert err["error"] == "NoInfiniteOrderUnit"
     assert "message" in err
+
+
+def test_lemma_bound_zero_corner_with_u_exit_1(capsys):
+    argv = ["norm", "lemma-bound", "--ring", "Z[1/2]", "--A", "[[1,1],[0,1]]",
+            "--modulus", "5", "--samples", "2"]
+    code, out = invoke(capsys, *argv)
+    code_u, out_u = invoke(capsys, *argv, "--u", "64")
+    assert code == code_u == 1
+    assert out_u == out
+    assert json.loads(out)["error"] == "ZeroIdeal"
+
+
+def test_wrong_unit_order_exit_3(capsys, monkeypatch):
+    import sl2units.lemma as lemma
+
+    real_unit_order = lemma.unit_order
+    monkeypatch.setattr(lemma, "unit_order", lambda v, q: real_unit_order(v, q) + 1)
+    code, err = invoke_json(capsys, "unit", "find", "--ring", "Z[1/2]", "--c", "3")
+    assert code == 3
+    assert err == {
+        "error": "InternalError",
+        "message": "AssertionError: u - 1 is not divisible by c^2 despite the order computation",
+    }
 
 
 def test_degenerate_quotient_exit_1(capsys):

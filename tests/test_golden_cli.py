@@ -51,9 +51,34 @@ CASES = {
         None,
         None,
     ),
+    # no --closure: -I alone is closed; E12(1) alone is not (GeneratorsNotClosed)
+    "norm-bfs-closed-set": (
+        ["norm", "bfs", "--ring", "Z", "--modulus", "5", "--gen", "[[-1,0],[0,-1]]",
+         "--element", "[[1,1],[0,1]]"],
+        None,
+        None,
+    ),
+    "norm-bfs-open-set": (
+        ["norm", "bfs", "--ring", "Z", "--modulus", "5", "--gen", "[[1,1],[0,1]]",
+         "--element", "[[1,1],[0,1]]"],
+        None,
+        None,
+    ),
     "lemma-bound": (
         ["norm", "lemma-bound", "--ring", "Z[1/3]", "--A", "[[1,0],[2,1]]", "--u", "9",
          "--modulus", "7", "--samples", "10", "--seed", "4"],
+        None,
+        None,
+    ),
+    "lemma-bound-found-unit": (
+        ["norm", "lemma-bound", "--ring", "Z[1/2]", "--A", A3, "--modulus", "11",
+         "--samples", "10", "--seed", "4"],
+        None,
+        None,
+    ),
+    "lemma-bound-bad-unit": (
+        ["norm", "lemma-bound", "--ring", "Z[1/2]", "--A", A3, "--u", "2",
+         "--modulus", "11", "--samples", "10"],
         None,
         None,
     ),
@@ -62,7 +87,13 @@ CASES = {
         None,
         None,
     ),
+    "axioms-too-large": (
+        ["norm", "axioms", "--ring", "Z", "--modulus", "101", "--gen", "[[1,1],[0,1]]"],
+        None,
+        None,
+    ),
     "domain-error": (["unit", "find", "--ring", "Z", "--c", "3"], None, None),
+    "unit-find-zero": (["unit", "find", "--ring", "Z", "--c", "0"], None, None),
     "verify-many-units": (["verify", "-"], "unit-find", None),
     "verify-many-units-z3-c49": (["verify", "-"], "unit-find-z3-c49", None),
     "verify-witness": (["verify", "-"], "witness", None),
@@ -72,6 +103,7 @@ CASES = {
     "verify-decomposition-tie-negative": (["verify", "-"], "decompose-tie-negative", None),
     "verify-h-decomposition": (["verify", "-"], "h-decompose", None),
     "verify-norm-experiment": (["verify", "-"], "lemma-bound", None),
+    "verify-norm-experiment-found-unit": (["verify", "-"], "lemma-bound-found-unit", None),
     "verify-axiom-report": (["verify", "-"], "axioms", None),
     "verify-tampered": (["verify", "-"], "unit-find", ("u", "32")),
     "verify-bad-json": (["verify", "-"], None, None),
@@ -95,9 +127,15 @@ GOLDEN = {
     "decompose-sqrt2": (0, "ac34a4fe39a1f280029137f561a35b13cbbf2f7d213bb23832bb560a2e2a1889"),
     "h-decompose": (0, "1e0a5de18ed61989c04328efe9e5497e000c1e4890378e2f79792328cbdebea3"),
     "norm-bfs": (0, "d16af212851b6d20714799af358eb92bb9b1c034c5b88b2dc794329e4e0222b0"),
+    "norm-bfs-closed-set": (0, "ab322c5c51604ca962e3b72e1fe3946417621505c221304c4f5baea421dfa12c"),
+    "norm-bfs-open-set": (1, "52eaa70e91032b14bf3aecb02ae9d5453ad883bbfbf85a0c43c90f7eec619484"),
     "lemma-bound": (0, "e7749862ce8248432deb94a6ad0852511a04e5923096212b27c95672ed61d058"),
+    "lemma-bound-found-unit": (0, "29e33707346dbaa1f242c373ebfb980fbdad2aafe3aa801adce96202c7de5d4f"),
+    "lemma-bound-bad-unit": (1, "1c31a8210edc903d8e4e44d19b84e87c1fdd04a8dae2a91446322ca0a26f3a41"),
     "axioms": (0, "6037333bd0bdc76a689a151d029a27ec1c3a782ec9ec6f30a32c7325b64d7c4d"),
+    "axioms-too-large": (1, "2f4cda414763faa7f73e1240cac24dcca4c4c59af84e094eaddc7a59023af644"),
     "domain-error": (1, "db503a776ea07a58194a0f6eb0fb7a329c4af850a4b6dc36299ab52b4665b1a4"),
+    "unit-find-zero": (1, "d78ea12abd04797f6e23a3c3f0efb3514fc3d732a6098d7598dacb6044a6b464"),
     "verify-many-units": (0, "9cf7695144955a6490c19e5b6942df6ce37be65c69e6f65ee4ffe898fb6b26f2"),
     "verify-many-units-z3-c49": (0, "94b04e14dff7ad55fb95f1fa599a8c0c584c7d6ded15b0b5a41ba8f4a42a2fe9"),
     "verify-witness": (0, "d5ae3385e19bebebf388c6e0267f5ee431a4bd53d09ff92589cb478212b92f4c"),
@@ -107,6 +145,7 @@ GOLDEN = {
     "verify-decomposition-tie-negative": (0, "f7c67dd06b0119a89ba581df1f26f15a8d26f8e76bf3e039f626b509502fd377"),
     "verify-h-decomposition": (0, "b2031a22d77454b6eed2ba56ed7f13c849f18b1cbdf9671e5f5b64e90854f0ec"),
     "verify-norm-experiment": (0, "562b43463068b142a0dccc0972bb2738afed7d1e0fe5397463b1fc594930d36a"),
+    "verify-norm-experiment-found-unit": (0, "f79a5cd0cc67d65603849d0e8ff68caffc39e916c6975ddbda2de5181bb085c4"),
     "verify-axiom-report": (0, "0f232e135753272d0a2d453fef1cc8fa25f2d7bf8c24f86b89e9d04322a615ee"),
     "verify-tampered": (1, "ac5741f140354fb13b5964de1800d54676f30b4f854cf91c8f1a9349c9d04c29"),
     "verify-bad-json": (1, "db68790f3664768737515fbc5879e06aa4948a6b384fda258cb73a79cf58265f"),

@@ -16,6 +16,7 @@ from sl2units.errors import (
 )
 from sl2units.lemma import (
     ManyUnitsCertificate,
+    certify_unit,
     compute_Y,
     epsilon_ideal,
     find_unit,
@@ -84,8 +85,19 @@ def test_find_unit_errors():
         find_unit(Z.from_int(3))
     with pytest.raises(ZeroIdeal):
         find_unit(Zh.zero())
-    with pytest.raises(MixedRings):
-        find_unit(Zh.from_int(3), ring=Z)
+
+
+def test_certify_unit():
+    c = Zh.from_int(3)
+    cert = certify_unit(c, Zh.from_int(64), 1)
+    assert (cert.v, cert.u, cert.k, cert.y) == (64, 64, 1, 7)
+    assert certify_unit(c, Zh.from_int(2), 6) == find_unit(c)
+    with pytest.raises(ZeroIdeal, match="c = 0"):
+        certify_unit(Zh.zero(), Zh.from_int(64), 1)
+    with pytest.raises(UnitCongruenceViolated, match=r"u - 1 = 1 is not divisible by c\^2 = 9"):
+        certify_unit(c, Zh.from_int(2), 1)
+    with pytest.raises(VerificationFailed, match="not a unit"):
+        certify_unit(c, Zh.from_int(10), 1)  # 10 = 1 + 9, but 5 is not invertible
 
 
 def test_find_unit_randomized(rng):

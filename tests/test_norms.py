@@ -9,7 +9,6 @@ import pytest
 
 from sl2units.errors import (
     DegenerateQuotient,
-    GeneratorsNotClosed,
     MixedRings,
     NegativeCount,
     QuotientTooLarge,
@@ -19,12 +18,11 @@ from sl2units.lemma import find_unit
 from sl2units.norms import (
     FiniteGroupTable,
     NormTable,
-    bfs_norm,
     check_norm_axioms,
     conjugation_closure,
     lemma_bound_experiment,
 )
-from sl2units.rings import PrincipalIdeal, integers, localized, parse_element, quadratic, quotient
+from sl2units.rings import PrincipalIdeal, integers, localized, parse_element, quadratic
 from sl2units.sl2 import elem12, elem21, parse_matrix
 from tests.conftest import random_sl2, verdicts_by_exhaustion
 
@@ -35,7 +33,7 @@ R3 = quadratic(3)
 
 
 def _table(ring, gen_text):
-    return FiniteGroupTable.modulo(PrincipalIdeal(parse_element(ring, gen_text)))
+    return FiniteGroupTable(PrincipalIdeal(parse_element(ring, gen_text)))
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +56,6 @@ def test_group_order_composite_and_extensions():
 def test_table_cap():
     with pytest.raises(QuotientTooLarge):
         _table(Z, "101")  # 101^3 > 10^6
-    with pytest.raises(QuotientTooLarge):
-        FiniteGroupTable(quotient(PrincipalIdeal(Z.from_int(101))))
     _table(Z, "97")  # 97^3 fits
 
 
@@ -208,32 +204,27 @@ def test_closure_of_central_element_is_tiny():
 def test_bfs_norm_oracles():
     table = _table(Z, "5")
     e12 = table.from_matrix(elem12(Z.one()))
-    gens = conjugation_closure(table, [e12, table.inv(e12)])
+    lengths = NormTable(table, conjugation_closure(table, [e12, table.inv(e12)])).lengths
     minus_i = table.from_matrix(parse_matrix(Z, "[[-1,0],[0,-1]]"))
-    assert bfs_norm(table, gens, table.identity) == 0
-    assert bfs_norm(table, gens, e12) == 1
-    assert bfs_norm(table, gens, minus_i) == 3
-
-
-def test_bfs_norm_requires_closed_generators():
-    table = _table(Z, "5")
-    e12 = table.from_matrix(elem12(Z.one()))
-    with pytest.raises(GeneratorsNotClosed, match="lacks"):
-        bfs_norm(table, {e12}, table.identity)
-    # mod 3 the conjugates of E12(1) miss its inverse E12(-1): -1 is not a square
-    t3 = _table(Z, "3")
-    e12 = t3.from_matrix(elem12(Z.one()))
-    with pytest.raises(GeneratorsNotClosed):
-        bfs_norm(t3, {t3.conj(g, e12) for g in t3}, e12)
+    assert lengths[table.identity] == 0
+    assert lengths[e12] == 1
+    assert lengths[minus_i] == 3
 
 
 def test_norm_table_matches_bfs():
+    # the balls S^0, S^1, S^2, ... grown as sets: n(g) is the first radius whose
+    # ball holds g, a second computation of the word length
     table = _table(Z, "3")
     e12 = table.from_matrix(elem12(Z.one()))
     gens = conjugation_closure(table, [e12])
     norms = NormTable(table, gens)
-    for g in list(table)[::5]:
-        assert norms.lengths[g] == bfs_norm(table, gens, g)
+    ball = {table.identity}
+    expected = {table.identity: 0}
+    for radius in range(1, len(table)):  # S generates the group: radius < |G| suffices
+        ball = ball | {table.mul(g, s) for g in ball for s in gens}
+        for g in ball:
+            expected.setdefault(g, radius)
+    assert norms.lengths == expected
 
 
 def test_norm_table_unreachable_is_inf():
@@ -394,7 +385,7 @@ def test_experiment_rejects_mismatched_certificate():
     cert = find_unit(Zh.from_int(3))
     with pytest.raises(VerificationFailed):
         lemma_bound_experiment(
-            elem21(Zh.from_int(1)), cert, PrincipalIdeal(Zh.from_int(11)), 5
+            elem21(Zh.from_int(1)), cert, PrincipalIdeal(Zh.from_int(11)), 5, rng=random.Random(0)
         )
 
 
@@ -402,7 +393,7 @@ def test_experiment_rejects_mixed_rings():
     cert = find_unit(Zh.from_int(3))
     with pytest.raises(MixedRings):
         lemma_bound_experiment(
-            elem21(Zh.from_int(3)), cert, PrincipalIdeal(Z.from_int(11)), 5
+            elem21(Zh.from_int(3)), cert, PrincipalIdeal(Z.from_int(11)), 5, rng=random.Random(0)
         )
 
 
@@ -410,7 +401,7 @@ def test_experiment_rejects_a_negative_sample_size():
     cert = find_unit(Zh.from_int(3))
     with pytest.raises(NegativeCount, match="not -3"):
         lemma_bound_experiment(
-            elem21(Zh.from_int(3)), cert, PrincipalIdeal(Zh.from_int(11)), -3
+            elem21(Zh.from_int(3)), cert, PrincipalIdeal(Zh.from_int(11)), -3, rng=random.Random(0)
         )
 
 
