@@ -211,6 +211,36 @@ def test_bfs_norm_oracles():
     assert lengths[minus_i] == 3
 
 
+def test_bfs_norm_requires_closed_generators(capsys):
+    # `norm bfs` without --closure refuses a set that is not its own closure
+    import json
+
+    from sl2units.cli import run
+
+    def norm_bfs(modulus, gens):
+        flags = [arg for g in gens for arg in ("--gen", str(g))]
+        code = run(["norm", "bfs", "--ring", "Z", "--modulus", modulus, *flags,
+                    "--element", "[[-1,0],[0,-1]]"])
+        return code, json.loads(capsys.readouterr().out)
+
+    code, err = norm_bfs("5", [elem12(Z.one())])
+    assert code == 1 and err["error"] == "GeneratorsNotClosed" and "lacks" in err["message"]
+    # mod 3 the conjugates of E12(1) miss its inverse E12(-1): -1 is not a square.
+    # Lift them to SL2(Z) by conjugating with integer words in E12(1), E21(1).
+    t3 = _table(Z, "3")
+    e12 = elem12(Z.one())
+    conjugates = {}
+    frontier = [parse_matrix(Z, "[[1,0],[0,1]]")]
+    while len(conjugates) < len({t3.conj(g, t3.from_matrix(e12)) for g in t3}):
+        frontier = [w * s for w in frontier for s in (e12, elem21(Z.one()))]
+        for w in frontier:
+            lift = w * e12 * w.inverse()
+            conjugates.setdefault(t3.from_matrix(lift), lift)
+    assert t3.inv(t3.from_matrix(e12)) not in conjugates
+    code, err = norm_bfs("3", conjugates.values())
+    assert code == 1 and err["error"] == "GeneratorsNotClosed" and "lacks" in err["message"]
+
+
 def test_norm_table_matches_bfs():
     # the balls S^0, S^1, S^2, ... grown as sets: n(g) is the first radius whose
     # ball holds g, a second computation of the word length
