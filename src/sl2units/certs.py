@@ -14,7 +14,6 @@ exact computation, and raises VerificationFailed on the first mismatch.
 
 from __future__ import annotations
 
-import json
 import re
 
 from . import __version__, rings
@@ -41,9 +40,8 @@ from .sl2 import Mat2, diag, parse_matrix, word_from_json, word_to_json
 
 
 def make_document(kind: str, ring: RingDescriptor, payload: dict) -> dict:
-    """The certificate of payload, unless verify could not read it back."""
-    if kind not in _VERIFIERS:
-        raise ValueError(f"unknown certificate kind {kind!r}")
+    """The certificate of payload, unless verify could not read it back; kind
+    is one of the keys of _VERIFIERS."""
     _check_readable(payload)
     return {
         "kind": kind,
@@ -52,10 +50,6 @@ def make_document(kind: str, ring: RingDescriptor, payload: dict) -> dict:
         "verified": True,
         "tool_version": __version__,
     }
-
-
-def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
 
 
 _DIGIT_RUN = re.compile(r"(/?)(\d+)")  # a run of digits, with the "/" of a denominator

@@ -28,7 +28,6 @@ from .rings import (
     quotient,
 )
 from .sl2 import (
-    DiagFactor,
     ElemFactor,
     GroupWord,
     Mat2,
@@ -85,10 +84,8 @@ def expand_diagonals(word: GroupWord) -> GroupWord:
     for f in word.factors:
         if isinstance(f, ElemFactor):
             out.append(f)
-        elif isinstance(f, DiagFactor):
-            out.extend(h_decomposition(f.unit).word.factors)
         else:
-            raise TypeError(f"unknown factor {f!r}")
+            out.extend(h_decomposition(f.unit).word.factors)
     return GroupWord(word.ring, tuple(out))
 
 

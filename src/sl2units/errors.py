@@ -19,20 +19,12 @@ class ParseError(AlgebraError):
     """Malformed ring, element, matrix, or word text."""
 
 
-class MixedRings(AlgebraError):
-    """Operands belong to different rings."""
-
-
 class NonUnit(AlgebraError):
     """An operation required a unit but the element is not invertible."""
 
 
 class ZeroIdeal(AlgebraError):
     """Principal ideals must have a nonzero generator."""
-
-
-class NotUnitInQuotient(AlgebraError):
-    """Element is not invertible modulo the given ideal."""
 
 
 class NoInfiniteOrderUnit(AlgebraError):
@@ -69,10 +61,6 @@ class GeneratorsNotClosed(AlgebraError):
 
 class DegenerateQuotient(AlgebraError):
     """All sampled elements reduce to the identity in the quotient."""
-
-
-class NegativeCount(AlgebraError):
-    """A count that must be >= 0, such as a sample size, is negative."""
 
 
 class QuotientTooLarge(AlgebraError):

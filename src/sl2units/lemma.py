@@ -21,7 +21,6 @@ from typing import Callable, NamedTuple
 
 from .errors import (
     AlgebraError,
-    MixedRings,
     NonUnit,
     UnitCongruenceViolated,
     VerificationFailed,
@@ -31,7 +30,6 @@ from .errors import (
 )
 from .rings import (
     PrincipalIdeal,
-    RingDescriptor,
     RingElement,
     exact_quotient,
     height,
@@ -63,10 +61,6 @@ class ManyUnitsCertificate:
     k: int
     y: RingElement
     check_u8: bool
-
-    @property
-    def ring(self) -> RingDescriptor:
-        return self.c.ring
 
 
 def verify_certificate(cert: ManyUnitsCertificate) -> None:
@@ -146,8 +140,6 @@ def compute_Y(A: Mat2, u: RingElement) -> YParts:
     [[u^-4, q], [0, u^4]] for some q in cR; x, t, q all lie in cR.  The form
     checks raise AssertionError: firing would falsify the algebra.
     """
-    if u.ring != A.ring:
-        raise MixedRings(f"{A.ring.name} vs {u.ring.name}")
     c = A.c
     if not c:
         raise ZeroCorner("lower-left corner is zero")
@@ -177,11 +169,6 @@ class ConjugateFactor:
     conjugator: GroupWord
     core_inverted: bool
 
-    def evaluate(self, core: Mat2) -> Mat2:
-        g = self.conjugator.evaluate()
-        inner = core.inverse() if self.core_inverted else core
-        return g * inner * g.inverse()
-
 
 @dataclass(frozen=True)
 class ConjugateWitness:
@@ -201,10 +188,6 @@ class ConjugateWitness:
     Y: Mat2
     factors: tuple[ConjugateFactor, ...]
     target: Mat2
-
-    @property
-    def ring(self) -> RingDescriptor:
-        return self.matrix.ring
 
 
 def verify_witness(w: ConjugateWitness) -> None:
@@ -264,8 +247,6 @@ def lemma2_witness(A: Mat2, u: RingElement, z: RingElement) -> ConjugateWitness:
     was built from and runs the checks of verify_witness that follow it.  A
     wrong q or t still fails there: the product misses the target.
     """
-    if z.ring != A.ring:
-        raise MixedRings(f"{A.ring.name} vs {z.ring.name}")
     parts = compute_Y(A, u)
     c = A.c
     if not in_ideal(z, PrincipalIdeal(c)):

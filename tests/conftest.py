@@ -48,7 +48,7 @@ def random_witness_matrix(ring, rng, *, corner_cap=60, entry_cap=1000):
             continue
         if euclidean_size(m.c) > corner_cap:
             continue
-        if max(height(e) for e in m.entries) > entry_cap:
+        if max(height(e) for e in (m.a, m.b, m.c, m.d)) > entry_cap:
             continue
         return m
 

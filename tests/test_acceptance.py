@@ -67,7 +67,8 @@ def test_criterion_1_witness_suite(announce):
             # recompute the product of the four conjugate factors from scratch
             product = identity(ring)
             for f in w.factors:
-                product = product * f.evaluate(A)
+                g = f.conjugator.evaluate()
+                product = product * g * (A.inverse() if f.core_inverted else A) * g.inverse()
             u4 = u**4
             ideal = PrincipalIdeal(c)
             case_ok = (

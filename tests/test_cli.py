@@ -13,7 +13,7 @@ import pytest
 
 import sl2units.cli
 from sl2units.cli import run
-from sl2units.rings import DENOMINATOR_BOUND, DIGIT_BOUND, _int_text
+from sl2units.rings import DENOMINATOR_BOUND, DIGIT_BOUND, _int_text, localized, parse_element
 
 
 NOT_UTF8 = b"\xff\xfe{}"
@@ -219,6 +219,26 @@ def test_verify_tampered(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, err = invoke_json(capsys, "verify", str(path))
     assert code == 1 and err["error"] == "VerificationFailed"
+
+
+@pytest.mark.parametrize("shifts", [{"t": 3}, {"q": 3, "p": -3}], ids=["t+3", "q+3,p-3"])
+def test_verify_witness_with_a_wrong_q_or_t_exit_1(capsys, monkeypatch, shifts):
+    """Only the q and t check reads the recorded t, and q once p = -q - z still
+    holds: the conjugator words that carry them are recorded apart, and the
+    shifted values stay in (c) = (3)."""
+    argv = ["lemma", "witness", "--ring", "Z[1/2]", "--A", "[[1,0],[3,1]]", "--z", "3"]
+    code, out = invoke(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    for key, shift in shifts.items():
+        doc["payload"][key] = str(parse_element(localized(2), doc["payload"][key]) + shift)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, err = invoke_json(capsys, "verify", "-")
+    assert code == 1
+    assert err == {
+        "error": "VerificationFailed",
+        "message": "recorded q or t does not match the recomputation",
+    }
 
 
 def test_verify_unreadable_and_invalid(tmp_path, capsys):

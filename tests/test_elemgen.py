@@ -130,7 +130,7 @@ def test_decompose_regression_length_bound():
     worst = 0
     for _ in range(200):
         m = random_sl2(Z, rng, factors=8, arg_height=4)
-        if max(abs(int(e.rat)) for e in m.entries) > 100:
+        if max(abs(int(e.rat)) for e in (m.a, m.b, m.c, m.d)) > 100:
             continue
         worst = max(worst, decompose(m).length)
     assert worst <= 12

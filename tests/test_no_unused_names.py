@@ -5,10 +5,16 @@ somewhere in the package outside its own definition.
 References are read from the syntax tree (`Name`, `Attribute` and import
 nodes), so a mention in a docstring or a comment does not count.  A method
 is matched by its bare name, as `x.mul(...)` does not say which class `x` is.
+Two rules keep that match from being fooled by a name spelled the same way:
+an attribute of a module bound by a plain `import` (`json.dumps`) belongs to
+that module and is not a reference, and a bare name defined more than once
+in the package must be listed in SHARED_NAMES with the use of each of its
+definitions.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sl2units"
 
@@ -16,8 +22,16 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sl2units"
 ALLOWED = {
     "elemgen.reduces_to_identity": "the independent oracle of acceptance criterion 1 "
     "(conjugators congruent to I mod c), called from the tests",
-    "sl2.Mat2.entries": "read by tests/test_sl2.py only; it goes, with those two uses, "
-    "in the next change to sl2.py (ROADMAP 8)",
+}
+
+# bare name defined more than once -> where each definition is read
+SHARED_NAMES = {
+    "name": "AlgebraError.name gives cli.run the error name it prints; RingDescriptor.name "
+    "is the ring text of every certificate and message",
+    "ring": "Mat2.ring gives decompose and the witness code the ring of a matrix; "
+    "PrincipalIdeal.ring gives QuotientRing its ring",
+    "inverse": "RingElement.inverse inverts a unit (u^-4 in compute_Y and the witness target); "
+    "Mat2.inverse is the adjugate (A^-1 in the witness and the norm seeds)",
 }
 
 
@@ -36,22 +50,39 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
+def _imported_modules(tree):
+    """Names that a plain `import` binds to a module outside the package."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+
+
 def _references(tree):
-    """(bare name, line) of each name the tree reads, imports or looks up."""
+    """(bare name, line) of each name the tree reads, imports or looks up,
+    leaving out attributes of outside modules."""
+    outside = _imported_modules(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            if not (isinstance(node.value, ast.Name) and node.value.id in outside):
+                yield node.attr, node.lineno
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 yield alias.name.split(".")[-1], node.lineno
 
 
-def test_every_definition_is_referenced_elsewhere():
+def _trees():
     sources = sorted(SRC.glob("*.py"))
     assert sources
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sources}
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sources}
+
+
+def test_every_definition_is_referenced_elsewhere():
+    trees = _trees()
     refs = {stem: list(_references(tree)) for stem, tree in trees.items()}
     unused = []
     for stem, tree in trees.items():
@@ -67,3 +98,14 @@ def test_every_definition_is_referenced_elsewhere():
     assert not unexplained, "defined but never referenced in src/:\n" + "\n".join(unexplained)
     stale = sorted(set(ALLOWED) - set(unused))
     assert not stale, f"allow-list entries that are referenced now: {stale}"
+
+
+def test_names_defined_twice_are_explained():
+    """A reference to a name defined twice counts for both definitions, so
+    one of them could be dead; each must be known to be read."""
+    counts = Counter(name for tree in _trees().values() for _, name, _ in _definitions(tree))
+    shared = {name for name, n in counts.items() if n > 1}
+    unexplained = sorted(shared - set(SHARED_NAMES))
+    assert not unexplained, f"names defined more than once in src/, not in SHARED_NAMES: {unexplained}"
+    stale = sorted(set(SHARED_NAMES) - shared)
+    assert not stale, f"SHARED_NAMES entries defined only once now: {stale}"

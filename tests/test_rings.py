@@ -11,14 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2units.errors import (
-    MixedRings,
-    NoInfiniteOrderUnit,
-    NonUnit,
-    NotUnitInQuotient,
-    ParseError,
-    ZeroIdeal,
-)
+from sl2units.errors import NoInfiniteOrderUnit, NonUnit, ParseError, ZeroIdeal
 from sl2units.rings import (
     _PLAIN_DIGITS,
     DENOMINATOR_BOUND,
@@ -279,13 +272,6 @@ def test_negative_powers_localized():
         Z.from_int(2) ** -1
 
 
-def test_mixed_rings_rejected():
-    with pytest.raises(MixedRings):
-        Z.from_int(1) + Zh.from_int(1)
-    with pytest.raises(MixedRings):
-        R2.from_pair(0, 1) * R3.from_pair(0, 1)
-
-
 # ---------------------------------------------------------------------------
 # units, division, sizes
 
@@ -340,8 +326,6 @@ def test_principal_ideal_membership():
     assert not in_ideal(R2.from_int(3), PrincipalIdeal(r))
     with pytest.raises(ZeroIdeal):
         PrincipalIdeal(Z.zero())
-    with pytest.raises(MixedRings):
-        in_ideal(Zh.one(), three)
 
 
 @pytest.mark.parametrize(
@@ -375,9 +359,16 @@ def test_quotient_encode_homomorphism(rng):
         assert q.encode(ring.one()) == q.one_enc
 
 
+def _unit_codes(q):
+    """Codes of the units of q, read off its multiplication: i is a unit iff
+    i*j = 1 for some code j."""
+    one = q.one_enc
+    return {i for i in range(q.index) if any(q.mul_enc(i, j) == one for j in range(q.index))}
+
+
 def test_quotient_unit_group_orders():
     def unit_count(q):
-        return sum(1 for i in range(q.index) if q.is_unit(q.decode(i)))
+        return len(_unit_codes(q))
 
     assert unit_count(quotient(PrincipalIdeal(Z.from_int(5)))) == 4
     assert unit_count(quotient(PrincipalIdeal(Z.from_int(9)))) == 6
@@ -387,8 +378,9 @@ def test_quotient_unit_group_orders():
 
 
 def _lattice_index_is_one(rows):
-    """Row-stacking HNF test that integer rows span all of Z^2 (the routine
-    QuotientRing.is_unit used before the minors gcd; kept here as an oracle)."""
+    """Row-stacking HNF test that integer rows span all of Z^2, an oracle for
+    the units of a quotient: x is a unit iff xR + cR, spanned by x,
+    x*sqrt(d) and the Hermite rows of cR, is the whole ring."""
     acc = None
     seconds = []
     for r in [r for r in rows if r[0] or r[1]]:
@@ -425,11 +417,12 @@ def test_quotient_is_unit_matches_row_stacking(d):
             moduli.append(c)
     for c in moduli:
         q = quotient(PrincipalIdeal(c))
+        units = _unit_codes(q)
         for i in range(q.index):
             x = q.decode(i)
             far = x + c * random_element(ring, rng, 50)  # an unreduced representative
             expected = _row_stacking_is_unit(q, x)
-            assert q.is_unit(x) == q.is_unit(far) == expected, (c, x, far)
+            assert (i in units) == (q.encode(far) in units) == expected, (c, x, far)
 
 
 class _SplitResidues:
@@ -488,11 +481,6 @@ class _SplitResidues:
         r1, r2 = self._box_reduce(a * e + d * b * f, a * f + b * e)
         return r1 * h22 + r2
 
-    def is_unit(self, x):
-        if self.ring.kind != QUADRATIC:
-            return math.gcd(self.encode(x), self.index) == 1
-        return _row_stacking_is_unit(self, x)
-
 
 Z3 = localized(3)
 _LATTICE_MODULI = {
@@ -520,7 +508,6 @@ def test_lattice_residues_match_the_split_oracle(ring_name):
             far = x + c * random_element(c.ring, rng, 50)  # an unreduced representative
             assert q.decode(i) == x
             assert q.encode(x) == q.encode(far) == oracle.encode(far) == i, (c, x, far)
-            assert q.is_unit(x) == q.is_unit(far) == oracle.is_unit(x), (c, x, far)
             assert q.neg_enc(i) == oracle.neg_enc(i)
             for j in {rng.randrange(n) for _ in range(8)} | {0, n - 1}:
                 assert q.add_enc(i, j) == oracle.add_enc(i, j), (c, i, j)
@@ -530,8 +517,6 @@ def test_lattice_residues_match_the_split_oracle(ring_name):
 def test_unit_order_oracles():
     assert unit_order(Zh.from_int(2), quotient(PrincipalIdeal(Zh.from_int(9)))) == 6
     assert unit_order(Z.from_int(2), quotient(PrincipalIdeal(Z.from_int(7)))) == 3
-    with pytest.raises(NotUnitInQuotient):
-        unit_order(Z.from_int(2), quotient(PrincipalIdeal(Z.from_int(4))))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import sl2units
 
-from sl2units.errors import DeterminantNotOne, MixedRings, NonUnitDiagonal, ParseError
+from sl2units.errors import DeterminantNotOne, NonUnitDiagonal, ParseError
 from sl2units.rings import (
     PrincipalIdeal,
     RingElement,
@@ -55,8 +55,6 @@ def _m(ring, text):
 def test_determinant_enforced():
     with pytest.raises(DeterminantNotOne):
         Mat2(Z.from_int(2), Z.from_int(0), Z.from_int(0), Z.from_int(2))
-    with pytest.raises(MixedRings):
-        Mat2(Z.one(), Z.zero(), Zh.zero(), Zh.one())
 
 
 def test_constructors():
@@ -105,7 +103,7 @@ def test_closed_operations_stay_in_sl2(ring, ops):
         else:
             step = m.inverse()
         for result in (step, m * step):
-            checked = Mat2(*result.entries)
+            checked = Mat2(result.a, result.b, result.c, result.d)
             assert checked == result
             assert hash(checked) == hash(result)
         m = m * step
@@ -141,11 +139,12 @@ def test_product_equals_schoolbook(ring, left, right):
         m = m * _factor(ring, *step)
     for step in right:
         n = n * _factor(ring, *step)
-    a, b, c, d = m.entries
-    e, f, g, h = n.entries
+    a, b, c, d = m.a, m.b, m.c, m.d
+    e, f, g, h = n.a, n.b, n.c, n.d
     schoolbook = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-    assert (m * n).entries == schoolbook
-    assert str(m * n) == str(Mat2(*schoolbook))
+    p = m * n
+    assert (p.a, p.b, p.c, p.d) == schoolbook
+    assert str(p) == str(Mat2(*schoolbook))
 
 
 def test_product_adds_no_zero_terms(monkeypatch):
