@@ -19,24 +19,13 @@ from fractions import Fraction
 from .errors import NonUnit, UnsupportedRing
 from .rings import (
     QUADRATIC,
-    PrincipalIdeal,
     RingDescriptor,
     RingElement,
     euclidean_size,
     exact_quotient,
     is_unit,
-    quotient,
 )
-from .sl2 import (
-    ElemFactor,
-    GroupWord,
-    Mat2,
-    diag,
-    elem12,
-    elem21,
-    reduce_mat,
-    word_elem,
-)
+from .sl2 import ElemFactor, GroupWord, Mat2, diag, elem12, elem21, word_elem
 
 
 @dataclass(frozen=True)
@@ -187,11 +176,3 @@ def decompose(matrix: Mat2) -> Decomposition:
         if shifted:
             factors.append(ElemFactor("12", shifted))
     return Decomposition(matrix, GroupWord(ring, tuple(factors)))
-
-
-def reduces_to_identity(matrix: Mat2, ideal: PrincipalIdeal) -> bool:
-    """Necessary condition for membership in the relative elementary subgroup
-    of the ideal: the image of the matrix in SL2(R/cR) is the identity."""
-    q = quotient(ideal)
-    one = q.one_enc
-    return reduce_mat(matrix, q) == (one, 0, 0, one)

@@ -71,10 +71,14 @@ def verify_certificate(cert: ManyUnitsCertificate) -> None:
         raise VerificationFailed(f"exponent k = {cert.k} is not positive")
     if is_unit(cert.v) is None:
         raise VerificationFailed(f"base {cert.v} is not a unit")
-    # height(v^k) >= 2^(k-2) for a unit v != +-1: a k that u is too small for
-    # is refused before v**k is taken
-    too_small = cert.v not in (1, -1) and cert.k > height(cert.u).bit_length() + 1
-    if too_small or cert.u != cert.v**cert.k:
+    # height(v^k) >= 2^(k-2) for a unit v != +-1; also height(v^k) = height(v)^k over
+    # Z[1/m], and height(v^k) >= height(v)^k / (1 + sqrt(d)) > height(v)^k / 2^bits(d)
+    # over Z[sqrt(d)]: a k that u is too small for is refused before v**k is taken
+    hu = height(cert.u).bit_length()
+    d = cert.v.ring.param if cert.v.irr else 0  # a unit v != +-1 of Z[sqrt(d)] has irr != 0
+    too_small = cert.v not in (1, -1) and cert.k > hu + 1
+    too_high = cert.k * (height(cert.v).bit_length() - 1) >= hu + d.bit_length()
+    if too_small or too_high or cert.u != cert.v**cert.k:
         raise VerificationFailed(f"u is not {cert.v}^{cert.k}")
     if cert.u - 1 != cert.c * cert.c * cert.y:
         raise VerificationFailed("u - 1 does not equal c^2 * y")

@@ -58,10 +58,7 @@ class RingDescriptor:
     param: int = 0
 
     def __post_init__(self):
-        if self.kind == INTEGERS:
-            if self.param != 0:
-                raise ValueError("integers take no parameter")
-        elif self.kind == LOCALIZED:
+        if self.kind == LOCALIZED:
             if self.param < 2:
                 raise ValueError("localization parameter m must be >= 2")
         elif self.kind == QUADRATIC:
@@ -69,8 +66,6 @@ class RingDescriptor:
                 raise ValueError("quadratic parameter d must be below 10^18")
             if self.param < 2 or not _is_squarefree(self.param):
                 raise ValueError("quadratic parameter d must be squarefree and >= 2")
-        else:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
 
     @property
     def name(self) -> str:
@@ -146,18 +141,13 @@ class RingElement:
     irr: int = 0
 
     def __post_init__(self):
-        if self.ring.kind == QUADRATIC:
-            if self.rat.denominator != 1:
-                raise ValueError("quadratic ring elements have integer coordinates")
-        else:
-            if self.irr != 0:
-                raise ValueError(f"{self.ring.name} has no irrational part")
-            # Z has param 0: strip by m = 1, which leaves |den|
-            den = self.rat.denominator
-            if den != 1 and _strip_primes(den, self.ring.param or 1) != 1:
-                if self.ring.kind == INTEGERS:
-                    raise ValueError(f"{_fraction_text(self.rat)} is not an integer")
-                raise ValueError(f"{_fraction_text(self.rat)} does not lie in {self.ring.name}")
+        # quadratic elements are built from ints only (the parser, from_pair, closed
+        # arithmetic), so den is 1 there; Z has param 0: strip by m = 1, which leaves |den|
+        den = self.rat.denominator
+        if den != 1 and _strip_primes(den, self.ring.param or 1) != 1:
+            if self.ring.kind == INTEGERS:
+                raise ValueError(f"{_fraction_text(self.rat)} is not an integer")
+            raise ValueError(f"{_fraction_text(self.rat)} does not lie in {self.ring.name}")
 
     # -- equality and hashing (canonical form makes this field comparison)
 

@@ -14,7 +14,10 @@ GroupWord is an unevaluated flat product of elementary transvections and
 diagonal unit matrices, which lets callers exhibit *how* a matrix was built
 (e.g. each conjugator of a witness as E12(t), diag(u^2), M diag(u^2) or
 M E12(t)) and still evaluate it exactly.  Its JSON form is one flat list,
-so a word is never longer than the document text it is read from.
+so a word is never longer than the document text it is read from.  Word
+letters are checked once, where they enter: word_from_json refuses a
+position other than "12" or "21", and diag() refuses a non-unit when a word
+is evaluated; the package itself writes only "12", "21" and certified units.
 """
 
 from __future__ import annotations
@@ -125,20 +128,12 @@ class ElemFactor:
     position: str
     argument: RingElement
 
-    def __post_init__(self):
-        if self.position not in ("12", "21"):
-            raise ValueError(f"position must be '12' or '21', got {self.position!r}")
-
 
 @dataclass(frozen=True)
 class DiagFactor:
-    """Diagonal factor diag(u, 1/u)."""
+    """Diagonal factor diag(u, 1/u); GroupWord.evaluate refuses a non-unit u."""
 
     unit: RingElement
-
-    def __post_init__(self):
-        if is_unit(self.unit) is None:
-            raise NonUnitDiagonal(f"{self.unit} is not a unit of {self.unit.ring.name}")
 
 
 # a string: a typing.Union would stay in typing's cache and keep old imports alive
@@ -219,7 +214,10 @@ def _factor_from_json(ring: RingDescriptor, data) -> Factor:
     kind = data.get("kind")
     try:
         if kind == "elem":
-            return ElemFactor(data["position"], parse_element(ring, data["argument"]))
+            position, argument = data["position"], parse_element(ring, data["argument"])
+            if position not in ("12", "21"):
+                raise ValueError(f"position must be '12' or '21', got {position!r}")
+            return ElemFactor(position, argument)
         if kind == "diag":
             return DiagFactor(parse_element(ring, data["unit"]))
     except (KeyError, ValueError) as exc:

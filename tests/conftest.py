@@ -12,9 +12,10 @@ from sl2units.rings import (
     integers,
     localized,
     quadratic,
+    quotient,
     random_element,
 )
-from sl2units.sl2 import elem12, elem21, identity
+from sl2units.sl2 import elem12, elem21, identity, reduce_mat
 
 ALL_RINGS = [integers(), localized(2), localized(3), localized(6), quadratic(2), quadratic(3)]
 
@@ -65,6 +66,14 @@ def random_nonzero_nonunit(ring, rng, *, size_cap=40, height_bound=8):
             continue
         return c
 
+
+def reduces_to_identity(matrix, ideal):
+    """The oracle of acceptance criterion 1, a necessary condition for
+    membership in the relative elementary subgroup of the ideal: the image of
+    the matrix in SL2(R/cR) is the identity."""
+    q = quotient(ideal)
+    one = q.one_enc
+    return reduce_mat(matrix, q) == (one, 0, 0, one)
 
 
 @functools.lru_cache(maxsize=2)

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from sl2units.cli import run as cli_run
-from sl2units.elemgen import decompose, h_decomposition, reduces_to_identity
+from sl2units.elemgen import decompose, h_decomposition
 from sl2units.errors import DegenerateQuotient
 from sl2units.lemma import find_unit, lemma2_witness, verify_certificate
 from sl2units.norms import (
@@ -33,7 +33,12 @@ from sl2units.rings import (
     random_element,
 )
 from sl2units.sl2 import diag, elem12, elem21, identity
-from tests.conftest import random_nonzero_nonunit, random_witness_matrix, verdicts_by_exhaustion
+from tests.conftest import (
+    random_nonzero_nonunit,
+    random_witness_matrix,
+    reduces_to_identity,
+    verdicts_by_exhaustion,
+)
 
 Z = integers()
 Zh = localized(2)

@@ -22,6 +22,7 @@ from sl2units.rings import (
     DENOMINATOR_BOUND,
     DIGIT_BOUND,
     PrincipalIdeal,
+    _int_text,
     integers,
     localized,
     parse_element,
@@ -277,6 +278,100 @@ def test_tampered_axiom_report():
 
 
 # ---------------------------------------------------------------------------
+# one tampered field per check, refused with that check's own message: where a
+# later check would refuse the document too, it would say something else
+
+
+def _witness_doc_of_a_matrix_not_I_mod_c():
+    """A witness for A = [[2,1],[3,2]], which is not congruent to I mod c = 3."""
+    w = lemma2_witness(parse_matrix(Zh, "[[2,1],[3,2]]"), Zh.from_int(64), Zh.from_int(3))
+    return certs.make_document("lemma2-witness", Zh, certs.witness_payload(w))
+
+
+def _k_is_true(payload):
+    payload["k"] = True
+    return "many-units payload: field 'k' must be int, not True"
+
+
+def _c_is_zero(payload):
+    payload["c"] = "0"
+    return "certificate has c = 0"
+
+
+def _sample_with_trivial_image(payload):
+    """A multiple of the epsilon generator by the modulus 11: E12(j) reduces to I."""
+    j = parse_element(Zh, payload["unit_certificate"]["epsilon_generator"]) * 11
+    payload["samples"][0]["j"] = str(j)
+    return f"sampled {j} has trivial image, not a valid sample"
+
+
+def _requested_matches_neither_count(payload):
+    payload["requested"] = 999
+    return "requested 999 matches neither count of samples"
+
+
+def _zero_corner(payload):
+    payload["matrix"] = "[[1,0],[0,1]]"
+    return "witnessed matrix has zero lower-left corner"
+
+
+def _other_Y(payload):
+    payload["Y"] = "[[1,0],[0,1]]"
+    return "recorded Y does not match the recomputation"
+
+
+def _z_outside_the_ideal(payload):
+    payload["z"] = "1"
+    return "z = 1 is not in (3)"
+
+
+def _other_target(payload):
+    payload["target"] = "[[1,0],[0,1]]"
+    return "target is not E12((u^4 - u^-4)*z)"
+
+
+def _two_more_factors(payload):
+    """I*A*I and I*A^-1*I: the product of all six factors still meets the target."""
+    payload["factors"] += [{"conjugator": {"factors": []}, "core": core} for core in ("A", "A^-1")]
+    return "expected exactly 4 factors, found 6"
+
+
+def _conjugator_times_A(payload):
+    """g*A conjugates A as g does, so the product still meets the target."""
+    of_A = certs.decomposition_payload(decompose(parse_matrix(Zh, payload["matrix"])))
+    payload["factors"][1]["conjugator"]["factors"] += of_A["word"]["factors"]
+    return "conjugator 1 is not congruent to I mod (3)"
+
+
+OWN_CHECK_CASES = [
+    (_many_units_doc, _k_is_true, ParseError),
+    (_many_units_doc, _c_is_zero, VerificationFailed),
+    (_experiment_doc, _sample_with_trivial_image, VerificationFailed),
+    (_experiment_doc, _requested_matches_neither_count, VerificationFailed),
+    (_witness_doc, _zero_corner, VerificationFailed),
+    (_witness_doc, _other_Y, VerificationFailed),
+    (_witness_doc, _z_outside_the_ideal, VerificationFailed),
+    (_witness_doc, _other_target, VerificationFailed),
+    (_witness_doc, _two_more_factors, VerificationFailed),
+    (_witness_doc_of_a_matrix_not_I_mod_c, _conjugator_times_A, VerificationFailed),
+]
+
+
+@pytest.mark.parametrize(
+    "build,tamper,error",
+    OWN_CHECK_CASES,
+    ids=[tamper.__name__.strip("_") for _, tamper, _ in OWN_CHECK_CASES],
+)
+def test_tampered_field_refused_by_its_own_check(build, tamper, error):
+    doc = build()
+    certs.verify_document(doc)
+    message = tamper(doc["payload"])
+    with pytest.raises(error) as refused:
+        certs.verify_document(doc)
+    assert str(refused.value) == message
+
+
+# ---------------------------------------------------------------------------
 # malformed payloads: every outcome is a verdict or a domain error
 
 
@@ -376,6 +471,31 @@ def test_huge_exponent_rejected_before_the_power(c, k):
     with pytest.raises(VerificationFailed, match="u is not 2"):
         certs.verify_document(doc)
     assert time.perf_counter() - start < 1.0
+
+
+def _many_units_doc_over_Z3(v: int, u: int, k: int):
+    """A many-units document over Z[1/3] that claims u = v^k, with c = 1."""
+    payload = {"c": "1", "v": _int_text(v), "u": _int_text(u), "k": k, "y": _int_text(u - 1),
+               "check_u8": True, "epsilon_generator": "1"}
+    return {"kind": "many-units", "ring": "Z[1/3]", "payload": payload, "verified": True}
+
+
+@pytest.mark.parametrize(
+    "v,u,k,seconds",
+    [(3**200, 10**7999, 26_500, 0.1),  # 16 KB; v^k would have 2.5 million digits
+     # v and u of 1,000 and 100,000 digits, k at the 2^(k-2) bound
+     (3**2095, 10**(DIGIT_BOUND - 1), (10**(DIGIT_BOUND - 1)).bit_length() + 1, 1.0)],
+    ids=["16KB", "parse-bounds"],
+)
+def test_exponent_too_large_for_the_height_of_v_refused_before_the_power(v, u, k, seconds):
+    """k is under the 2^(k-2) bound, but height(v)^k > height(u), which
+    k * (bits(height(v)) - 1) >= bits(height(u)) proves."""
+    doc = _many_units_doc_over_Z3(v, u, k)
+    start = time.perf_counter()
+    with pytest.raises(VerificationFailed) as refused:
+        certs.verify_document(doc)
+    assert time.perf_counter() - start < seconds
+    assert str(refused.value) == f"u is not {_int_text(v)}^{k}"
 
 
 def test_power_denominator_in_a_document_refused_before_the_power():

@@ -241,6 +241,45 @@ def test_verify_witness_with_a_wrong_q_or_t_exit_1(capsys, monkeypatch, shifts):
     }
 
 
+def test_verify_word_letter_at_an_unknown_position_exit_1(capsys, monkeypatch):
+    """Only the JSON reader checks a letter's position, so "13" is not read as "21"."""
+    code, out = invoke(capsys, "decompose", "--ring", "Z", "--A", "[[2,1],[3,2]]")
+    assert code == 0 and '"21"' in out
+    monkeypatch.setattr("sys.stdin", io.StringIO(out.replace('"21"', '"13"')))
+    code, err = invoke_json(capsys, "verify", "-")
+    assert code == 1
+    assert err == {
+        "error": "ParseError",
+        "message": "decomposition payload.word: bad elem factor: "
+        "position must be '12' or '21', got '13'",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,letter,expected",
+    [(["decompose", "--ring", "Z", "--A", "[[2,1],[3,2]]"], ("word", "factors", 0),
+      {"error": "VerificationFailed",
+       "message": "decomposition words admit only transvection factors"}),
+     (["lemma", "witness", "--ring", "Z[1/2]", "--A", "[[1,0],[3,1]]", "--u", "64", "--z", "3"],
+      ("factors", 1, "conjugator", "factors", 0),
+      {"error": "NonUnitDiagonal", "message": "3 is not a unit of Z[1/2]"})],
+    ids=["decomposition", "witness"],
+)
+def test_verify_diagonal_letter_of_a_non_unit_exit_1(capsys, monkeypatch, argv, letter, expected):
+    """A decomposition refuses every diagonal letter before it evaluates its
+    word; a witness conjugator's diag(3) is refused when it is evaluated."""
+    code, out = invoke(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    parent = doc["payload"]
+    for step in letter[:-1]:
+        parent = parent[step]
+    parent[letter[-1]] = {"kind": "diag", "unit": "3"}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, err = invoke_json(capsys, "verify", "-")
+    assert code == 1 and err == expected
+
+
 def test_verify_unreadable_and_invalid(tmp_path, capsys):
     code, err = invoke_json(capsys, "verify", str(tmp_path / "missing.json"))
     assert code == 1 and err["error"] == "ParseError"

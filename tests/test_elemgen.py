@@ -16,7 +16,6 @@ from sl2units.elemgen import (
     decompose,
     expand_diagonals,
     h_decomposition,
-    reduces_to_identity,
 )
 from sl2units.errors import NonUnit, UnsupportedRing
 from sl2units.rings import PrincipalIdeal, euclidean_size, integers, localized, quadratic
@@ -30,7 +29,7 @@ from sl2units.sl2 import (
     word_diag,
     word_elem,
 )
-from tests.conftest import ALL_RINGS, random_sl2
+from tests.conftest import ALL_RINGS, random_sl2, reduces_to_identity
 
 Z = integers()
 Zh = localized(2)

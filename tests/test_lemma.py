@@ -34,7 +34,12 @@ from sl2units.rings import (
     quadratic,
 )
 from sl2units.sl2 import GroupWord, diag, elem12, elem21, identity, parse_matrix
-from tests.conftest import WITNESS_RINGS, random_nonzero_nonunit, random_witness_matrix
+from tests.conftest import (
+    WITNESS_RINGS,
+    random_nonzero_nonunit,
+    random_witness_matrix,
+    reduces_to_identity,
+)
 
 Z = integers()
 Zh = localized(2)
@@ -138,13 +143,22 @@ def test_verify_certificate_u8_trap():
 
 
 def test_exponent_cap_admits_every_true_power():
-    # verify_certificate refuses k > bit_length(height(u)) + 1 before computing
-    # v**k; that needs height(v^k) >= 2^(k-2) for every unit v != +-1
+    # before computing v**k, verify_certificate refuses k > bits(height(u)) + 1, which
+    # needs height(v^k) >= 2^(k-2) for every unit v != +-1, and
+    # k * (bits(height(v)) - 1) >= bits(height(u)) + bits(d), which needs
+    # height(v^k) >= height(v)^k / (1 + sqrt(d)); the heights 2^j - 1 are where
+    # bits(height(v)) - 1 is furthest below log2 height(v)
     for ring, text in [(Zh, "1/2"), (localized(6), "-3/2"), (R2, "1+sqrt(2)"),
-                       (R2, "1-sqrt(2)"), (quadratic(3), "2-sqrt(3)")]:
+                       (R2, "1-sqrt(2)"), (quadratic(3), "2-sqrt(3)"),
+                       (localized(7), "1/7"), (localized(6), "-2/3"), (localized(10), "5/2"),
+                       (R2, "3+2*sqrt(2)"), (quadratic(3), "7-4*sqrt(3)"),
+                       (quadratic(5), "2+sqrt(5)"), (quadratic(7), "8+3*sqrt(7)")]:
         v = parse_element(ring, text)
+        d = ring.param if v.irr else 0
         for k in range(1, 300):
-            assert k <= height(v**k).bit_length() + 1
+            bits = height(v**k).bit_length()
+            assert k <= bits + 1
+            assert k * (height(v).bit_length() - 1) < bits + d.bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +328,6 @@ def test_verify_witness_non_unit_u_is_a_verdict():
 
 
 def test_witness_conjugators_vanish_mod_c():
-    from sl2units.elemgen import reduces_to_identity
-
     w = lemma2_witness(elem21(Zh.from_int(3)), Zh.from_int(64), Zh.from_int(6))
     ideal = PrincipalIdeal(Zh.from_int(3))
     for f in w.factors:
@@ -325,8 +337,6 @@ def test_witness_conjugators_vanish_mod_c():
 def test_diagonal_of_certified_unit_vanishes_mod_c(rng):
     # the normal-generation shadow: u = 1 mod c^2 makes diag(u, 1/u)
     # congruent to the identity modulo c
-    from sl2units.elemgen import reduces_to_identity
-
     for ring in WITNESS_RINGS:
         c = random_nonzero_nonunit(ring, rng, size_cap=25)
         cert = find_unit(c)

@@ -19,10 +19,7 @@ from collections import Counter
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sl2units"
 
 # "module.name" -> why it stays although the package never refers to it
-ALLOWED = {
-    "elemgen.reduces_to_identity": "the independent oracle of acceptance criterion 1 "
-    "(conjugators congruent to I mod c), called from the tests",
-}
+ALLOWED = {}
 
 # bare name defined more than once -> where each definition is read
 SHARED_NAMES = {

@@ -250,8 +250,6 @@ def test_membership_enforced():
         Z.from_fraction(1, 2)
     with pytest.raises(ValueError):
         Zh.from_fraction(1, 3)
-    with pytest.raises(ValueError):
-        Z.from_pair(1, 1)  # no irrational part outside quadratic rings
 
 
 def test_quadratic_arithmetic():
