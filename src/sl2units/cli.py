@@ -41,16 +41,12 @@ from .rings import (
 from .sl2 import parse_matrix
 
 
-def _ring(args):
-    return parse_ring(args.ring)
-
-
 # ---------------------------------------------------------------------------
-# handlers (each returns the JSON-ready dict to print)
+# handlers (each takes the parsed --ring, None for verify, and returns the
+# JSON-ready dict to print)
 
 
-def _cmd_ring_info(args) -> dict:
-    ring = _ring(args)
+def _cmd_ring_info(ring, args) -> dict:
     try:
         v = str(infinite_order_unit(ring))
     except NoInfiniteOrderUnit:
@@ -63,14 +59,12 @@ def _cmd_ring_info(args) -> dict:
     }
 
 
-def _cmd_unit_find(args) -> dict:
-    ring = _ring(args)
+def _cmd_unit_find(ring, args) -> dict:
     cert = find_unit(parse_element(ring, args.c))
     return certs.make_document("many-units", ring, certs.many_units_payload(cert))
 
 
-def _cmd_lemma_witness(args) -> dict:
-    ring = _ring(args)
+def _cmd_lemma_witness(ring, args) -> dict:
     matrix = parse_matrix(ring, args.A)
     if args.u is not None:
         u = parse_element(ring, args.u)
@@ -82,8 +76,7 @@ def _cmd_lemma_witness(args) -> dict:
     return certs.make_document("lemma2-witness", ring, certs.witness_payload(witness))
 
 
-def _cmd_lemma_y(args) -> dict:
-    ring = _ring(args)
+def _cmd_lemma_y(ring, args) -> dict:
     parts = compute_Y(parse_matrix(ring, args.A), parse_element(ring, args.u))
     return {
         "ring": ring.name,
@@ -95,14 +88,12 @@ def _cmd_lemma_y(args) -> dict:
     }
 
 
-def _cmd_decompose(args) -> dict:
-    ring = _ring(args)
+def _cmd_decompose(ring, args) -> dict:
     dec = decompose(parse_matrix(ring, args.A))
     return certs.make_document("decomposition", ring, certs.decomposition_payload(dec))
 
 
-def _cmd_h_decompose(args) -> dict:
-    ring = _ring(args)
+def _cmd_h_decompose(ring, args) -> dict:
     u = parse_element(ring, args.u)
     dec = h_decomposition(u)
     return certs.make_document(
@@ -110,14 +101,8 @@ def _cmd_h_decompose(args) -> dict:
     )
 
 
-def _table(ring, args) -> FiniteGroupTable:
-    modulus = parse_element(ring, args.modulus)
-    return FiniteGroupTable(PrincipalIdeal(modulus))
-
-
-def _cmd_norm_bfs(args) -> dict:
-    ring = _ring(args)
-    table = _table(ring, args)
+def _cmd_norm_bfs(ring, args) -> dict:
+    table = FiniteGroupTable(PrincipalIdeal(parse_element(ring, args.modulus)))
     seed = frozenset(table.from_matrix(parse_matrix(ring, text)) for text in args.gen)
     g = table.from_matrix(parse_matrix(ring, args.element))
     gens = conjugation_closure(table, seed)
@@ -136,8 +121,7 @@ def _cmd_norm_bfs(args) -> dict:
     }
 
 
-def _cmd_norm_lemma_bound(args) -> dict:
-    ring = _ring(args)
+def _cmd_norm_lemma_bound(ring, args) -> dict:
     matrix = parse_matrix(ring, args.A)
     if args.u is not None:
         cert = certify_unit(matrix.c, parse_element(ring, args.u), 1)
@@ -156,9 +140,8 @@ def _cmd_norm_lemma_bound(args) -> dict:
     )
 
 
-def _cmd_norm_axioms(args) -> dict:
-    ring = _ring(args)
-    table = _table(ring, args)
+def _cmd_norm_axioms(ring, args) -> dict:
+    table = FiniteGroupTable(PrincipalIdeal(parse_element(ring, args.modulus)))
     seed = [parse_matrix(ring, text) for text in args.gen]
     norms = closure_norm_table(table, seed)
     check_norm_axioms(norms)
@@ -171,7 +154,7 @@ def _cmd_norm_axioms(args) -> dict:
     return certs.make_document("axiom-report", ring, payload)
 
 
-def _cmd_verify(args) -> dict:
+def _cmd_verify(ring, args) -> dict:
     try:
         if args.file == "-":
             text = sys.stdin.read()
@@ -321,7 +304,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        result = args.handler(args)
+        ring = parse_ring(args.ring) if "ring" in args else None
+        result = args.handler(ring, args)
     except AlgebraError as exc:
         print(json.dumps({"error": exc.name, "message": str(exc)}, sort_keys=True, indent=2))
         return 1

@@ -99,7 +99,8 @@ def certify_unit(c: RingElement, v: RingElement, k: int) -> ManyUnitsCertificate
     y = exact_quotient(u - 1, c * c)
     if y is None:
         raise UnitCongruenceViolated(f"u - 1 = {u - 1} is not divisible by c^2 = {c * c}")
-    cert = ManyUnitsCertificate(c=c, v=v, u=u, k=k, y=y, check_u8=(u**8 != c.ring.one()))
+    # verify_certificate refuses u^8 = 1 before it reads the flag
+    cert = ManyUnitsCertificate(c=c, v=v, u=u, k=k, y=y, check_u8=True)
     verify_certificate(cert)
     return cert
 

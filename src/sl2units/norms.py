@@ -91,9 +91,6 @@ class FiniteGroupTable:
     def __len__(self):
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
-
     def mul(self, g, h):
         add, mul = self._add, self._mul
         a, b, c, d = g
@@ -264,13 +261,8 @@ def lemma_bound_experiment(
     trivial = 0
     samples: list = []
     draws = 0
-    max_draws = 40 * sample_size + 200
-    while draws < max_draws:
-        if require_nontrivial:
-            if len(samples) >= sample_size:
-                break
-        elif draws >= sample_size:
-            break
+    max_draws = 40 * sample_size + 200 if require_nontrivial else sample_size
+    while draws < max_draws and len(samples) < sample_size:
         draws += 1
         j = eps * random_element(A.ring, rng, 8)
         image = table.transvection("12", j)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import NoInfiniteOrderUnit, NonUnit, ParseError, ZeroIdeal
+from .errors import DocumentTooLarge, NoInfiniteOrderUnit, NonUnit, ParseError, ZeroIdeal
 
 INTEGERS = "integers"
 LOCALIZED = "localized"
@@ -174,14 +174,9 @@ class RingElement:
         o = self._coerce(other)
         return RingElement(self.ring, self.rat + o.rat, self.irr + o.irr)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "RingElement":
         o = self._coerce(other)
         return RingElement(self.ring, self.rat - o.rat, self.irr - o.irr)
-
-    def __rsub__(self, other) -> "RingElement":
-        return self._coerce(other) - self
 
     def __neg__(self) -> "RingElement":
         return RingElement(self.ring, -self.rat, -self.irr)
@@ -194,8 +189,6 @@ class RingElement:
             e, f = int(o.rat), o.irr
             return RingElement(self.ring, Fraction(a * e + d * b * f), a * f + b * e)
         return RingElement(self.ring, self.rat * o.rat)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "RingElement":
         if n < 0:
@@ -432,14 +425,19 @@ def quotient(modulus: PrincipalIdeal) -> QuotientRing:
 
 def unit_order(x: RingElement, q: QuotientRing) -> int:
     """Smallest k >= 1 with x^k = 1 modulo the ideal, by iterated multiplication.
-    x is a unit of R, so it is a unit modulo every nonzero ideal."""
+    x is a unit of R, so it is a unit modulo every nonzero ideal.  A unit
+    x != +-1 has height(x^k) >= 2^(k-2), so past ORDER_BOUND x^k would have
+    more than DIGIT_BOUND digits, and DocumentTooLarge is raised instead."""
     one = q.one_enc
     base = q.encode(x)
     acc = base
-    for k in range(1, q.index + 1):
+    for k in range(1, min(q.index, ORDER_BOUND) + 1):
         if acc == one:
             return k
         acc = q.mul_enc(acc, base)
+    if q.index > ORDER_BOUND:
+        message = f"the order of {x} modulo {q.modulus} exceeds {ORDER_BOUND}, so its power"
+        raise DocumentTooLarge(f"{message} would have more than {DIGIT_BOUND} digits")
     # the order divides |(R/cR)*| <= index, so the loop never gets here
     raise AssertionError(f"{x} has no order up to {_int_text(q.index)} modulo {q.modulus}")
 
@@ -490,6 +488,7 @@ def infinite_order_unit(ring: RingDescriptor) -> RingElement:
 # so the limit is never met and never changed.
 
 DIGIT_BOUND = 100_000  # most digits one integer may have in parsed element text
+ORDER_BOUND = math.ceil(DIGIT_BOUND * math.log2(10)) + 2  # 2^(k-2) > 10^DIGIT_BOUND past it
 # Most digits of a parsed denominator.  The element constructor checks that
 # it is m-smooth by dividing out the gcd once per pass (_strip_primes), which
 # takes time quadratic in its length: about 0.07 s at this bound, 33 s at

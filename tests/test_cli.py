@@ -13,7 +13,14 @@ import pytest
 
 import sl2units.cli
 from sl2units.cli import run
-from sl2units.rings import DENOMINATOR_BOUND, DIGIT_BOUND, _int_text, localized, parse_element
+from sl2units.rings import (
+    DENOMINATOR_BOUND,
+    DIGIT_BOUND,
+    ORDER_BOUND,
+    _int_text,
+    localized,
+    parse_element,
+)
 
 
 NOT_UTF8 = b"\xff\xfe{}"
@@ -413,6 +420,70 @@ def test_element_over_the_digit_limit_exit_1(capsys):
     assert f"bound of {DIGIT_BOUND}" in err["message"]
 
 
+# c = 1000003: the index of R/c^2R is about 10^12 over Z[1/2] and 10^24 over
+# Z[sqrt2], and the order of v there is past ORDER_BOUND
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["unit", "find", "--ring", "Z[1/2]", "--c", "1000003"],
+        ["unit", "find", "--ring", "Z[sqrt2]", "--c", "1000003"],
+        ["lemma", "witness", "--ring", "Z[1/2]", "--A", "[[1,0],[1000003,1]]", "--z", "1000003"],
+        ["norm", "lemma-bound", "--ring", "Z[1/2]", "--A", "[[1,0],[1000003,1]]",
+         "--modulus", "5"],
+    ],
+    ids=["unit-Z[1/2]", "unit-Z[sqrt2]", "witness", "lemma-bound"],
+)
+def test_order_past_the_bound_exit_1_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, err = invoke_json(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 1 and err["error"] == "DocumentTooLarge"
+    tail = f"exceeds {ORDER_BOUND}, so its power would have more than {DIGIT_BOUND} digits"
+    assert err["message"].endswith(f" modulo (1000006000009) {tail}")
+
+
+def test_zero_denominator_argument_exit_1(capsys):
+    code, err = invoke_json(capsys, "unit", "find", "--ring", "Z", "--c", "1/0")
+    assert code == 1
+    assert err == {"error": "ParseError", "message": "'1/0' has a zero denominator"}
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"kind": "many-units", "ring": "Z", "payload": 5, "verified": True},
+         "many-units payload must be a JSON object"),
+        ({"kind": "many-units", "ring": 5, "payload": {}, "verified": True},
+         "a ring must be given as text, not int"),
+        ({"kind": "decomposition", "ring": "Z", "verified": True,
+          "payload": {"matrix": "[[1,0],[0,1]]", "word": {"factors": [5]}, "length": 1}},
+         "decomposition payload.word: each factor must be a JSON object"),
+    ],
+    ids=["payload", "ring", "factor"],
+)
+def test_verify_field_of_the_wrong_json_type_exit_1(tmp_path, capsys, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, err = invoke_json(capsys, "verify", str(path))
+    assert code == 1
+    assert err == {"error": "ParseError", "message": message}
+
+
+def test_decompose_upper_triangular_with_a_non_unit_pivot(tmp_path, capsys):
+    """c = 0, a != 1 and b != 0: the word ends with E12(b/a) after the six
+    letters of diag(a, 1/a)."""
+    code, out = invoke(capsys, "decompose", "--ring", "Z[1/2]", "--A", "[[2,1],[0,1/2]]")
+    assert code == 0
+    doc = json.loads(out)
+    factors = doc["payload"]["word"]["factors"]
+    assert doc["payload"]["length"] == len(factors) == 7
+    assert factors[-1] == {"kind": "elem", "position": "12", "argument": "1/2"}
+    path = tmp_path / "dec.json"
+    path.write_text(out)
+    code, summary = invoke_json(capsys, "verify", str(path))
+    assert code == 0 and summary["ok"] is True
+
+
 @pytest.mark.parametrize("c", ["+3", " 3 ", "6/2", "03"])
 def test_element_arguments_stay_lenient(capsys, c):
     # verify refuses such text in a document; on the command line it is read
@@ -586,7 +657,7 @@ def test_usage_error_exit_2(capsys):
 def test_internal_error_exit_3(capsys, monkeypatch):
     import sl2units.cli as cli
 
-    def broken(args):
+    def broken(ring, args):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "_cmd_ring_info", broken)
@@ -598,6 +669,16 @@ def test_internal_error_exit_3(capsys, monkeypatch):
 def test_help_exit_0(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["ring info", "unit find", "lemma witness", "lemma y", "decompose", "h-decompose",
+     "norm bfs", "norm lemma-bound", "norm axioms", "verify"],
+)
+def test_subcommand_help_exit_0(capsys, command):
+    assert run([*command.split(), "--help"]) == 0
+    assert "usage: sl2units " + command in capsys.readouterr().out
 
 
 def test_deterministic_output(capsys):

@@ -56,7 +56,7 @@ def test_table_cap():
 
 def test_table_group_laws(rng):
     table = _table(Z, "3")
-    elems = list(table)
+    elems = list(table.elements)
     for _ in range(50):
         g = rng.choice(elems)
         h = rng.choice(elems)
@@ -71,7 +71,7 @@ def test_table_group_laws(rng):
 def test_tabulated_products_match_the_quotient(ring, modulus, rng):
     table = _table(ring, modulus)
     q = table.quotient
-    elems = list(table)
+    elems = list(table.elements)
     for _ in range(200):
         (a, b, c, d), (e, f, i, j) = rng.choice(elems), rng.choice(elems)
         assert table.mul((a, b, c, d), (e, f, i, j)) == (
@@ -177,7 +177,7 @@ def test_closure_sizes():
 def test_closure_invariant_under_full_conjugation():
     table = _table(Z, "3")
     gens = conjugation_closure(table, [table.from_matrix(elem12(Z.one()))])
-    for g in table:
+    for g in table.elements:
         for a in gens:
             assert table.conj(g, a) in gens
     assert all(table.inv(a) in gens for a in gens)
@@ -224,7 +224,7 @@ def test_bfs_norm_requires_closed_generators(capsys):
     e12 = elem12(Z.one())
     conjugates = {}
     frontier = [parse_matrix(Z, "[[1,0],[0,1]]")]
-    while len(conjugates) < len({t3.conj(g, t3.from_matrix(e12)) for g in t3}):
+    while len(conjugates) < len({t3.conj(g, t3.from_matrix(e12)) for g in t3.elements}):
         frontier = [w * s for w in frontier for s in (e12, elem21(Z.one()))]
         for w in frontier:
             lift = w * e12 * w.inverse()
@@ -346,7 +346,7 @@ def test_certificate_needs_a_symmetric_set():
     table = _table(Z, "3")
     e12 = table.from_matrix(elem12(Z.one()))
     with pytest.raises(AssertionError, match="not closed"):
-        check_norm_axioms(NormTable(table, {table.conj(g, e12) for g in table}))
+        check_norm_axioms(NormTable(table, {table.conj(g, e12) for g in table.elements}))
 
 
 def test_scalar_norm_is_conjugation_invariant():
@@ -356,7 +356,7 @@ def test_scalar_norm_is_conjugation_invariant():
     norms = NormTable(table, gens)
     minus_i = table.from_matrix(parse_matrix(Z, "[[-1,0],[0,-1]]"))
     n = norms.lengths[minus_i]
-    assert all(norms.lengths[table.conj(g, minus_i)] == n for g in table)
+    assert all(norms.lengths[table.conj(g, minus_i)] == n for g in table.elements)
 
 
 # ---------------------------------------------------------------------------
