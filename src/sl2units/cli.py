@@ -14,15 +14,9 @@ import sys
 import traceback
 
 from . import certs
-from .elemgen import decompose, expand_diagonals, h_decomposition
+from .elemgen import decompose, h_decomposition
 from .errors import AlgebraError, GeneratorsNotClosed, NoInfiniteOrderUnit, ParseError
-from .lemma import (
-    certify_unit,
-    compute_Y,
-    find_unit,
-    lemma2_witness,
-    rewrite_conjugators,
-)
+from .lemma import certify_unit, compute_Y, find_unit, lemma2_witness
 from .norms import (
     FiniteGroupTable,
     NormTable,
@@ -70,9 +64,7 @@ def _cmd_lemma_witness(ring, args) -> dict:
         u = parse_element(ring, args.u)
     else:
         u = find_unit(matrix.c).u
-    witness = lemma2_witness(matrix, u, parse_element(ring, args.z))
-    if args.elementary:
-        witness = rewrite_conjugators(witness, expand_diagonals)
+    witness = lemma2_witness(matrix, u, parse_element(ring, args.z), args.elementary)
     return certs.make_document("lemma2-witness", ring, certs.witness_payload(witness))
 
 

@@ -16,9 +16,10 @@ recorded data alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
+from .elemgen import expand_diagonals
 from .errors import (
     AlgebraError,
     NonUnit,
@@ -241,16 +242,21 @@ def _check_witness(w: ConjugateWitness) -> None:
         raise VerificationFailed("product of the four conjugate factors misses the target")
 
 
-def lemma2_witness(A: Mat2, u: RingElement, z: RingElement) -> ConjugateWitness:
+def lemma2_witness(
+    A: Mat2, u: RingElement, z: RingElement, elementary: bool = False
+) -> ConjugateWitness:
     """Build and self-check the four-conjugate witness for E12((u^4 - u^-4)*z).
 
     The four conjugators are E12(t), diag(u^2), M*diag(u^2), and M*E12(t),
     where M = [[u^4, p], [0, u^-4]] = diag(u^4)*E12(p*u^-4) is recorded in
-    exactly that regrouped form so the words stay inspectable.
+    exactly that regrouped form so the words stay inspectable.  With
+    elementary set, the words of diag(u^2) and M are built with every
+    diagonal letter expanded into its six transvections.
 
     The self-check is one pass: it reuses the compute_Y result the witness
     was built from and runs the checks of verify_witness that follow it.  A
-    wrong q or t still fails there: the product misses the target.
+    wrong q or t, or a wrong expansion, still fails there: the product
+    misses the target.
     """
     parts = compute_Y(A, u)
     c = A.c
@@ -262,6 +268,8 @@ def lemma2_witness(A: Mat2, u: RingElement, z: RingElement) -> ConjugateWitness:
     g1 = word_elem("12", parts.t)
     g2 = word_diag(u2)
     m_word = word_diag(u4) * word_elem("12", p * u4.inverse())
+    if elementary:
+        g2, m_word = expand_diagonals(g2), expand_diagonals(m_word)
     factors = (
         ConjugateFactor(g1, core_inverted=True),
         ConjugateFactor(g2, core_inverted=False),
@@ -281,19 +289,3 @@ def lemma2_witness(A: Mat2, u: RingElement, z: RingElement) -> ConjugateWitness:
     )
     _check_witness(witness)
     return witness
-
-
-def rewrite_conjugators(
-    w: ConjugateWitness, rewrite: Callable[[GroupWord], GroupWord]
-) -> ConjugateWitness:
-    """w with every conjugator word passed through rewrite, checked again.
-
-    w must be checked already (by lemma2_witness or verify_witness).  Y, q
-    and t do not depend on the words, so only the checks that follow them
-    run: a rewritten word of another value fails the congruence or the
-    product test.
-    """
-    factors = tuple(replace(f, conjugator=rewrite(f.conjugator)) for f in w.factors)
-    rewritten = replace(w, factors=factors)
-    _check_witness(rewritten)
-    return rewritten

@@ -207,10 +207,8 @@ class RingElement:
         return RingElement(self.ring, self.rat, -self.irr)
 
     def field_norm(self) -> Fraction:
-        """Product of self with its conjugate (a^2 - d*b^2 for quadratic rings)."""
-        if self.ring.kind == QUADRATIC:
-            return self.rat * self.rat - self.ring.param * self.irr * self.irr
-        return self.rat
+        """Product of self with its conjugate: a^2 - d*b^2, and rat^2 off the quadratic rings."""
+        return self.rat * self.rat - self.ring.param * self.irr * self.irr
 
     def inverse(self) -> "RingElement":
         inv = is_unit(self)
@@ -334,10 +332,13 @@ class QuotientRing:
     """The finite ring R/cR as Z^2 = {x1 + x2*sqrt(d)} modulo the lattice of cR.
 
     The lattice is kept in row Hermite form (h11, h12; 0, h22).  Over
-    Z[sqrt(d)] it is spanned by c and c*sqrt(d), and its index is |N(c)|.  Off
-    the quadratic rings d = 0 and the form is (c0, 0; 0, 1), where c0 is the
-    positive generator of cR intersected with Z with every prime of m
-    stripped (none for Z), so the quotient is Z/c0.
+    Z[sqrt(d)] it is spanned by c and c*sqrt(d), and its index n is |N(c)|.
+    Off the quadratic rings d = 0 and n = c0, the positive generator of cR
+    intersected with Z with every prime of m stripped (none for Z).  Either
+    way n lies in cR, so cR = (c mod n)R + nZ^2: the form comes from c mod n
+    by one extended gcd on numbers below n, whatever the size of c.  Off the
+    quadratic rings c0 divides the numerator of c, so c mod n = 0, the form
+    is (c0, 0; 0, 1) and the quotient is Z/c0.
 
     Residues are exposed both as canonical RingElements and as dense integer
     codes x1*h22 + x2 in range(index), with 0 <= x1 < h11 and 0 <= x2 < h22;
@@ -349,15 +350,13 @@ class QuotientRing:
         self.ring = modulus.ring
         self.modulus = modulus
         c = modulus.generator
-        self.index = quotient_index(modulus)
-        if self.ring.kind == QUADRATIC:
-            self._d = d = self.ring.param
-            self._hnf = _hnf_2x2([[int(c.rat), c.irr], [d * c.irr, int(c.rat)]])
-            if self._hnf[0] * self._hnf[2] != self.index:
-                raise AssertionError("HNF determinant disagrees with the field norm")
-        else:
-            self._d = 0
-            self._hnf = (self.index, 0, 1)
+        self._d = d = self.ring.param if self.ring.kind == QUADRATIC else 0
+        self.index = n = quotient_index(modulus)
+        # rows c mod n = (a, b) and c*sqrt(d) mod n = (d*b, a); h11 also divides n
+        a, b = c.rat.numerator % n, c.irr % n
+        g, s, t = _xgcd(a, d * b % n)
+        h11, r, _ = _xgcd(g, n)
+        self._hnf = (h11, r * (s * b + t * a) % (n // h11), n // h11)
 
     def __repr__(self):
         return f"{self.ring.name}/{self.modulus} of index {_int_text(self.index)}"
@@ -396,17 +395,6 @@ class QuotientRing:
     @property
     def one_enc(self) -> int:
         return self.encode(self.ring.one())
-
-
-def _hnf_2x2(rows: list[list[int]]) -> tuple[int, int, int]:
-    """Row Hermite form (h11, h12; 0, h22) of a nonsingular 2x2 integer matrix.
-
-    Normalized so h11, h22 > 0 and 0 <= h12 < h22.
-    """
-    (a1, b1), (a2, b2) = rows
-    g, s, t = _xgcd(a1, a2)
-    h22 = abs((-a2 // g) * b1 + (a1 // g) * b2)
-    return g, (s * b1 + t * b2) % h22, h22
 
 
 def quotient_index(modulus: PrincipalIdeal) -> int:

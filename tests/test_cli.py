@@ -20,6 +20,7 @@ from sl2units.rings import (
     _int_text,
     localized,
     parse_element,
+    quadratic,
 )
 
 
@@ -442,6 +443,40 @@ def test_order_past_the_bound_exit_1_at_once(capsys, argv):
     assert err["message"].endswith(f" modulo (1000006000009) {tail}")
 
 
+@pytest.fixture(scope="module")
+def hostile_unit():
+    """(1+sqrt2)^260000, a unit whose coordinates have 99,522 digits each: text
+    of 200 KB, past the per-argument limit of the OS, so it is passed in-process."""
+    ring = quadratic(2)
+    return ring.from_pair(1, 1) ** 260000
+
+
+def test_small_index_modulus_with_huge_coordinates_runs_at_once(tmp_path, capsys, hostile_unit):
+    """The Hermite form of cR comes from c mod |N(c)|, so a modulus of index 1
+    or 7 costs no Euclid on its digits."""
+    c, seven = str(hostile_unit), str(hostile_unit * quadratic(2).from_pair(3, 1))
+    start = time.perf_counter()
+    code, doc = invoke_json(capsys, "norm", "bfs", "--ring", "Z[sqrt2]", "--modulus", c,
+                            "--gen", "[[1,1],[0,1]]", "--element", "[[1,0],[0,1]]")
+    assert code == 0 and doc["group_order"] == 1
+    assert time.perf_counter() - start < 2.0
+    start = time.perf_counter()
+    code, out = invoke(capsys, "norm", "axioms", "--ring", "Z[sqrt2]", "--modulus", seven,
+                       "--gen", "[[1,1],[0,1]]")
+    assert code == 0 and json.loads(out)["payload"]["group_order"] == 336
+    assert time.perf_counter() - start < 2.0
+    path = tmp_path / "axioms.json"
+    path.write_text(out)
+    start = time.perf_counter()
+    code, summary = invoke_json(capsys, "verify", str(path))
+    assert code == 0 and summary["ok"] is True
+    assert time.perf_counter() - start < 2.0
+    start = time.perf_counter()
+    code, err = invoke_json(capsys, "unit", "find", "--ring", "Z[sqrt2]", "--c", c)
+    assert code == 1 and err["error"] == "DocumentTooLarge"
+    assert time.perf_counter() - start < 5.0
+
+
 def test_zero_denominator_argument_exit_1(capsys):
     code, err = invoke_json(capsys, "unit", "find", "--ring", "Z", "--c", "1/0")
     assert code == 1
@@ -458,8 +493,11 @@ def test_zero_denominator_argument_exit_1(capsys):
         ({"kind": "decomposition", "ring": "Z", "verified": True,
           "payload": {"matrix": "[[1,0],[0,1]]", "word": {"factors": [5]}, "length": 1}},
          "decomposition payload.word: each factor must be a JSON object"),
+        ({"kind": "axiom-report", "ring": "Z", "verified": True,
+          "payload": {"modulus": "5", "seed": [5]}},
+         "axiom-report payload.seed[0]: a matrix must be given as text, not int"),
     ],
-    ids=["payload", "ring", "factor"],
+    ids=["payload", "ring", "factor", "matrix"],
 )
 def test_verify_field_of_the_wrong_json_type_exit_1(tmp_path, capsys, doc, message):
     path = tmp_path / "doc.json"
@@ -706,26 +744,31 @@ def test_elementary_witness_verifies(tmp_path, capsys):
 def test_elementary_witness_computes_Y_once(capsys, monkeypatch):
     import sl2units.lemma as lemma
 
-    calls = [0]
-    real_compute_Y = lemma.compute_Y
+    calls = {"compute_Y": 0, "_check_witness": 0}
 
-    def counted(*args):
-        calls[0] += 1
-        return real_compute_Y(*args)
+    def counted(name):
+        real = getattr(lemma, name)
 
-    monkeypatch.setattr(lemma, "compute_Y", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(lemma, name, counted(name))
     code, _ = invoke(capsys, "lemma", "witness", "--ring", "Z[1/2]",
                      "--A", "[[1,0],[3,1]]", "--z", "3", "--elementary")
     assert code == 0
-    assert calls[0] == 1
+    assert calls == {"compute_Y": 1, "_check_witness": 1}
 
 
 def test_elementary_witness_with_a_wrong_word_fails(capsys, monkeypatch):
-    import sl2units.cli as cli
+    import sl2units.lemma as lemma
     from sl2units.sl2 import GroupWord
 
     # the empty word is I, congruent to I mod c, so the product test must catch it
-    monkeypatch.setattr(cli, "expand_diagonals", lambda word: GroupWord(word.ring))
+    monkeypatch.setattr(lemma, "expand_diagonals", lambda word: GroupWord(word.ring))
     code, err = invoke_json(capsys, "lemma", "witness", "--ring", "Z[1/2]",
                             "--A", "[[1,0],[3,1]]", "--z", "3", "--elementary")
     assert code == 1

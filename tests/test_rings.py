@@ -18,7 +18,6 @@ from sl2units.rings import (
     DIGIT_BOUND,
     QUADRATIC,
     PrincipalIdeal,
-    _hnf_2x2,
     _int_text,
     _is_squarefree,
     _strip_primes,
@@ -257,6 +256,8 @@ def test_quadratic_arithmetic():
     s = R2.from_pair(1, -1)
     assert r * s == -1
     assert r.field_norm() == -1
+    assert Zh.from_fraction(3, 2).field_norm() == Fraction(9, 4)
+    assert Z.from_int(-3).field_norm() == 9
     assert r.conjugate() == s
     assert r**2 == R2.from_pair(3, 2)
     assert r**-1 == R2.from_pair(-1, 1)
@@ -421,6 +422,31 @@ def test_quotient_is_unit_matches_row_stacking(d):
             far = x + c * random_element(ring, rng, 50)  # an unreduced representative
             expected = _row_stacking_is_unit(q, x)
             assert (i in units) == (q.encode(far) in units) == expected, (c, x, far)
+
+
+def _hnf_2x2(rows: list[list[int]]) -> tuple[int, int, int]:
+    """Row Hermite form (h11, h12; 0, h22) of a nonsingular 2x2 integer matrix,
+    normalized so h11, h22 > 0 and 0 <= h12 < h22: the reference that
+    QuotientRing's form from c mod N(c) must equal."""
+    (a1, b1), (a2, b2) = rows
+    g, s, t = _xgcd(a1, a2)
+    h22 = abs((-a2 // g) * b1 + (a1 // g) * b2)
+    return g, (s * b1 + t * b2) % h22, h22
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 1009])
+def test_hermite_form_from_c_mod_n_matches_the_full_form(d):
+    ring = quadratic(d)
+    rng = random.Random(d)
+    unit = infinite_order_unit(ring) ** 40  # large coordinates, the same ideal
+    for _ in range(300):
+        c = ring.from_pair(rng.randint(-10**6, 10**6), rng.randint(-10**4, 10**4))
+        if not c:
+            continue
+        for gen in (c, c * unit):
+            q = quotient(PrincipalIdeal(gen))
+            assert q._hnf == _hnf_2x2([[int(gen.rat), gen.irr], [d * gen.irr, int(gen.rat)]])
+            assert q._hnf[0] * q._hnf[2] == q.index
 
 
 class _SplitResidues:
