@@ -23,7 +23,7 @@ from .lemma import (
     ConjugateFactor,
     ConjugateWitness,
     ManyUnitsCertificate,
-    epsilon_ideal,
+    epsilon_generator,
     verify_certificate,
     verify_witness,
 )
@@ -35,7 +35,7 @@ from .norms import (
     format_norm,
     summarize_norms,
 )
-from .rings import PrincipalIdeal, RingDescriptor, in_ideal, parse_element, parse_ring
+from .rings import RingDescriptor, in_ideal, parse_element, parse_ring
 from .sl2 import Mat2, diag, parse_matrix, word_from_json, word_to_json
 
 
@@ -82,7 +82,7 @@ def many_units_payload(cert: ManyUnitsCertificate) -> dict:
         "k": cert.k,
         "y": str(cert.y),
         "check_u8": cert.check_u8,
-        "epsilon_generator": str(epsilon_ideal(cert).generator),
+        "epsilon_generator": str(epsilon_generator(cert)),
     }
 
 
@@ -125,7 +125,7 @@ def experiment_payload(
         "matrix": str(matrix),
         "unit_certificate": many_units_payload(cert),
         "modulus": report.modulus,
-        "quotient_index": report.quotient_index,
+        "quotient_index": report.index,
         "group_order": report.group_order,
         "generator_count": report.generator_count,
         "requested": report.requested,
@@ -247,9 +247,9 @@ def _read_unit_certificate(fields: _Fields) -> tuple:
     return cert, fields("epsilon_generator", "element")
 
 
-def _check_unit_certificate(cert: ManyUnitsCertificate, epsilon_generator) -> None:
+def _check_unit_certificate(cert: ManyUnitsCertificate, epsilon) -> None:
     verify_certificate(cert)
-    _expect(epsilon_generator, epsilon_ideal(cert).generator, "recorded epsilon generator is wrong")
+    _expect(epsilon, epsilon_generator(cert), "recorded epsilon generator is wrong")
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +304,9 @@ def _verify_h_decomposition(fields: _Fields) -> None:
 
 def _verify_experiment(fields: _Fields) -> None:
     matrix = fields("matrix", "matrix")
-    cert, epsilon_generator = _read_unit_certificate(fields("unit_certificate", "object"))
+    cert, epsilon = _read_unit_certificate(fields("unit_certificate", "object"))
     modulus = fields("modulus", "element")
-    quotient_index = fields("quotient_index", "int")
+    index = fields("quotient_index", "int")
     group_order = fields("group_order", "int")
     generator_count = fields("generator_count", "int")
     requested = fields("requested", "int")
@@ -318,17 +318,16 @@ def _verify_experiment(fields: _Fields) -> None:
     within = fields("all_within_bound", "bool")
     samples = [(s("j", "element"), s("norm", "norm")) for s in fields("samples", "objects")]
 
-    _check_unit_certificate(cert, epsilon_generator)
+    _check_unit_certificate(cert, epsilon)  # so epsilon is the nonzero (u^8 - 1) * c
     _expect(cert.c, matrix.c, "unit certificate does not match the matrix corner")
-    eps_ideal = PrincipalIdeal(epsilon_generator)  # checked equal to epsilon_ideal(cert)
-    table = FiniteGroupTable(PrincipalIdeal(modulus))
-    _expect(quotient_index, table.quotient.index, "recorded quotient index is wrong")
+    table = FiniteGroupTable(modulus)
+    _expect(index, table.quotient.index, "recorded quotient index is wrong")
     _expect(group_order, len(table), "recorded group order is wrong")
     norms = closure_norm_table(table, [matrix, matrix.inverse()])
     _expect(generator_count, len(norms.generating_set), "recorded generating set size is wrong")
     recomputed = []
     for j, recorded in samples:
-        if not in_ideal(j, eps_ideal):
+        if not in_ideal(j, epsilon):
             raise VerificationFailed(f"sampled {j} lies outside the epsilon ideal")
         image = table.transvection("12", j)
         if image == table.identity:
@@ -359,7 +358,7 @@ def _verify_axiom_report(fields: _Fields) -> None:
         entry = axioms(name, "object")
         recorded[name] = (entry("passed", "bool"), entry("counterexample", "any"))
 
-    table = FiniteGroupTable(PrincipalIdeal(modulus))
+    table = FiniteGroupTable(modulus)
     _expect(group_order, len(table), "recorded group order is wrong")
     norms = closure_norm_table(table, seed)
     _expect(generator_count, len(norms.generating_set), "recorded generating set size is wrong")

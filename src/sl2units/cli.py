@@ -26,12 +26,7 @@ from .norms import (
     format_norm,
     lemma_bound_experiment,
 )
-from .rings import (
-    PrincipalIdeal,
-    infinite_order_unit,
-    parse_element,
-    parse_ring,
-)
+from .rings import infinite_order_unit, parse_element, parse_ring
 from .sl2 import parse_matrix
 
 
@@ -94,7 +89,7 @@ def _cmd_h_decompose(ring, args) -> dict:
 
 
 def _cmd_norm_bfs(ring, args) -> dict:
-    table = FiniteGroupTable(PrincipalIdeal(parse_element(ring, args.modulus)))
+    table = FiniteGroupTable(parse_element(ring, args.modulus))
     seed = frozenset(table.from_matrix(parse_matrix(ring, text)) for text in args.gen)
     g = table.from_matrix(parse_matrix(ring, args.element))
     gens = conjugation_closure(table, seed)
@@ -105,7 +100,7 @@ def _cmd_norm_bfs(ring, args) -> dict:
     norm = NormTable(table, gens).lengths[g]
     return {
         "ring": ring.name,
-        "modulus": str(table.quotient.modulus.generator),
+        "modulus": str(table.quotient.modulus),
         "group_order": len(table),
         "generator_count": len(gens),
         "element": args.element,
@@ -122,7 +117,7 @@ def _cmd_norm_lemma_bound(ring, args) -> dict:
     report = lemma_bound_experiment(
         matrix,
         cert,
-        PrincipalIdeal(parse_element(ring, args.modulus)),
+        parse_element(ring, args.modulus),
         args.samples,
         rng=random.Random(args.seed),
         require_nontrivial=not args.allow_degenerate,
@@ -133,12 +128,12 @@ def _cmd_norm_lemma_bound(ring, args) -> dict:
 
 
 def _cmd_norm_axioms(ring, args) -> dict:
-    table = FiniteGroupTable(PrincipalIdeal(parse_element(ring, args.modulus)))
+    table = FiniteGroupTable(parse_element(ring, args.modulus))
     seed = [parse_matrix(ring, text) for text in args.gen]
     norms = closure_norm_table(table, seed)
     check_norm_axioms(norms)
     payload = certs.axiom_report_payload(
-        modulus_text=str(table.quotient.modulus.generator),
+        modulus_text=str(table.quotient.modulus),
         seed_texts=[str(m) for m in seed],
         group_order=len(table),
         generator_count=len(norms.generating_set),

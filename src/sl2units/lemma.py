@@ -30,7 +30,6 @@ from .errors import (
     ZNotInIdeal,
 )
 from .rings import (
-    PrincipalIdeal,
     RingElement,
     exact_quotient,
     height,
@@ -115,7 +114,7 @@ def find_unit(c: RingElement) -> ManyUnitsCertificate:
     if not c:
         raise ZeroIdeal("cannot certify a unit for c = 0")
     v = infinite_order_unit(c.ring)
-    k = unit_order(v, quotient(PrincipalIdeal(c * c)))
+    k = unit_order(v, quotient(c * c))
     try:
         return certify_unit(c, v, k)
     except UnitCongruenceViolated:  # k is the order of v mod c^2: a bug, not bad input
@@ -123,9 +122,10 @@ def find_unit(c: RingElement) -> ManyUnitsCertificate:
         raise AssertionError(message) from None
 
 
-def epsilon_ideal(cert: ManyUnitsCertificate) -> PrincipalIdeal:
-    """The ideal ((u^8 - 1) * c); nonzero in these integral domains since u^8 != 1."""
-    return PrincipalIdeal((cert.u**8 - 1) * cert.c)
+def epsilon_generator(cert: ManyUnitsCertificate) -> RingElement:
+    """(u^8 - 1) * c, the generator of the epsilon ideal; nonzero in these
+    integral domains since u^8 != 1 and c != 0."""
+    return (cert.u**8 - 1) * cert.c
 
 
 class YParts(NamedTuple):
@@ -162,7 +162,7 @@ def compute_Y(A: Mat2, u: RingElement) -> YParts:
     if Y.c or Y.a != u**-4 or Y.d != u**4:
         raise AssertionError("Y is not upper triangular with diagonal (u^-4, u^4)")
     q = Y.b
-    if not in_ideal(q, PrincipalIdeal(c)):
+    if not in_ideal(q, c):
         raise AssertionError("q is not in cR")
     return YParts(Y=Y, q=q, t=t, x=x, y=y)
 
@@ -217,9 +217,8 @@ def _check_witness(w: ConjugateWitness) -> None:
     convention, the target, and the product of the four conjugates."""
     A = w.matrix
     c = A.c
-    ideal = PrincipalIdeal(c)
     for name, value in (("z", w.z), ("t", w.t), ("q", w.q), ("p", w.p)):
-        if not in_ideal(value, ideal):
+        if not in_ideal(value, c):
             raise VerificationFailed(f"{name} = {value} is not in ({c})")
     if w.p != -w.q - w.z:
         raise VerificationFailed("p does not follow the p = -q - z convention")
@@ -228,7 +227,7 @@ def _check_witness(w: ConjugateWitness) -> None:
         raise VerificationFailed("target is not E12((u^4 - u^-4)*z)")
     if len(w.factors) != 4:
         raise VerificationFailed(f"expected exactly 4 factors, found {len(w.factors)}")
-    mod_c = quotient(ideal)
+    mod_c = quotient(c)
     identity_mod_c = reduce_mat(identity(A.ring), mod_c)
     cores = (A, A.inverse())
     product = identity(A.ring)
@@ -260,7 +259,7 @@ def lemma2_witness(
     """
     parts = compute_Y(A, u)
     c = A.c
-    if not in_ideal(z, PrincipalIdeal(c)):
+    if not in_ideal(z, c):
         raise ZNotInIdeal(f"{z} is not in ({c})")
     p = -parts.q - z
     u2 = u * u

@@ -29,16 +29,8 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import DegenerateQuotient, QuotientTooLarge
-from .lemma import ManyUnitsCertificate, epsilon_ideal
-from .rings import (
-    QUADRATIC,
-    PrincipalIdeal,
-    RingElement,
-    _int_text,
-    quotient,
-    quotient_index,
-    random_element,
-)
+from .lemma import ManyUnitsCertificate, epsilon_generator
+from .rings import QUADRATIC, RingElement, _int_text, euclidean_size, quotient, random_element
 from .sl2 import Mat2, reduce_mat
 
 TABLE_CAP = 10**6
@@ -52,12 +44,13 @@ class FiniteGroupTable:
     entries instead of reducing through the Hermite form.  The cap
     n^3 <= TABLE_CAP keeps n <= 100, so each table holds at most 10^4 codes
     below 100.  generators are the elementary matrices that generate the
-    group.  The cap is checked before the quotient is built: over Z[sqrt(d)]
-    the Hermite form takes time quadratic in c's digits.
+    group.  The cap is checked on euclidean_size(modulus) before the quotient
+    is built, as the Hermite form takes an extended gcd on numbers below the
+    index; a zero modulus has size 0 and is refused by the quotient.
     """
 
-    def __init__(self, modulus: PrincipalIdeal):
-        n = quotient_index(modulus)
+    def __init__(self, modulus: RingElement):
+        n = euclidean_size(modulus)
         # n > TABLE_CAP first, so an index of many digits is not cubed
         if n > TABLE_CAP or n**3 > TABLE_CAP:
             raise QuotientTooLarge(
@@ -222,7 +215,7 @@ class LemmaBoundReport:
     """Outcome of the 4-ball experiment in one finite quotient."""
 
     modulus: str
-    quotient_index: int
+    index: int
     group_order: int
     generator_count: int
     requested: int
@@ -238,7 +231,7 @@ class LemmaBoundReport:
 def lemma_bound_experiment(
     A: Mat2,
     cert: ManyUnitsCertificate,
-    modulus: PrincipalIdeal,
+    modulus: RingElement,
     sample_size: int,
     *,
     rng: random.Random,
@@ -256,7 +249,7 @@ def lemma_bound_experiment(
     """
     table = FiniteGroupTable(modulus)
     norms = closure_norm_table(table, [A, A.inverse()])
-    eps = epsilon_ideal(cert).generator
+    eps = epsilon_generator(cert)
     bound = 4
     trivial = 0
     samples: list = []
@@ -273,12 +266,12 @@ def lemma_bound_experiment(
     if require_nontrivial and len(samples) < sample_size:
         raise DegenerateQuotient(
             f"only {len(samples)} nontrivial images of ({eps}) in {draws} draws; "
-            f"the ideal may reduce to zero modulo {modulus.generator}"
+            f"the ideal may reduce to zero modulo {modulus}"
         )
     histogram, max_norm, within = summarize_norms([v for _, v in samples], bound)
     return LemmaBoundReport(
-        modulus=str(modulus.generator),
-        quotient_index=table.quotient.index,
+        modulus=str(modulus),
+        index=table.quotient.index,
         group_order=len(table),
         generator_count=len(norms.generating_set),
         requested=sample_size,

@@ -8,15 +8,18 @@ localization that inverts nothing: membership, units, exact division and
 Euclidean size all strip the primes of m from an integer, and with m = 1
 that leaves its absolute value.
 
-Alongside the element type the module provides principal ideals with exact
-membership tests, finite quotient rings R/cR with canonical residue
-enumeration, multiplicative order computation in quotients, and units of
-infinite order (an inverted prime for Z[1/m], the fundamental Pell unit from
-the continued fraction of sqrt(d) for Z[sqrt(d)]).  The parser reads only
-the syntax str() writes, so a power n/p^e is refused.  Integers go to and
-from decimal text in subquadratic time at any size up to DIGIT_BOUND digits
-when parsed (DENOMINATOR_BOUND for a denominator), under CPython's default
-int <-> str digit limit.
+Every ideal the package uses is principal, so an ideal cR is handled as its
+nonzero generator c: in_ideal tests exact divisibility by c, and quotient(c)
+builds the finite ring R/cR with canonical residue enumeration and
+multiplicative order computation.  euclidean_size is the one size function:
+it is the index |R/cR|, and it is 1 exactly on the units.  Units of infinite
+order are an inverted prime for Z[1/m] and the fundamental Pell unit from
+the continued fraction of sqrt(d) for Z[sqrt(d)].  The parser reads the
+syntax str() writes, and also surrounding spaces, a leading +, leading zeros
+and fractions not in lowest terms; a power n/p^e is refused.  Integers go to
+and from decimal text in subquadratic time at any size up to DIGIT_BOUND
+digits when parsed (DENOMINATOR_BOUND for a denominator), under CPython's
+default int <-> str digit limit.
 """
 
 from __future__ import annotations
@@ -240,19 +243,15 @@ class RingElement:
 
 
 def is_unit(x: RingElement) -> Optional[RingElement]:
-    """Return the inverse of x if x is invertible in its ring, else None."""
-    if not x:
+    """Return the inverse of x if x is invertible in its ring, else None; the
+    units are the elements of Euclidean size 1."""
+    if euclidean_size(x) != 1:
         return None
     ring = x.ring
-    if ring.kind == QUADRATIC:
-        n = x.field_norm()
-        if n == 1 or n == -1:
-            s = 1 if n == 1 else -1
-            return RingElement(ring, x.rat * s, -x.irr * s)
-        return None
-    if _strip_primes(x.rat.numerator, ring.param or 1) == 1:
-        return RingElement(ring, 1 / x.rat)
-    return None
+    if ring.kind == QUADRATIC:  # x * conjugate(x) = N(x) = +-1
+        s = int(x.field_norm())
+        return RingElement(ring, x.rat * s, -x.irr * s)
+    return RingElement(ring, 1 / x.rat)
 
 
 def exact_quotient(x: RingElement, y: RingElement) -> Optional[RingElement]:
@@ -273,7 +272,9 @@ def exact_quotient(x: RingElement, y: RingElement) -> Optional[RingElement]:
 
 
 def euclidean_size(x: RingElement) -> int:
-    """Non-negative size used by division chains; 0 only for x = 0, 1 exactly on units."""
+    """Non-negative size used by division chains, and the index |R/xR| of a
+    nonzero x: |N(x)| over Z[sqrt(d)], else the numerator of x with every
+    prime of m stripped.  0 only for x = 0, 1 exactly on units."""
     ring = x.ring
     if ring.kind == QUADRATIC:
         return abs(int(x.field_norm()))
@@ -287,30 +288,10 @@ def height(x: RingElement) -> int:
     return max(abs(x.rat.numerator), x.rat.denominator)
 
 
-@dataclass(frozen=True)
-class PrincipalIdeal:
-    """The ideal gR of all multiples of a fixed nonzero generator."""
-
-    generator: RingElement
-
-    def __post_init__(self):
-        if not self.generator:
-            raise ZeroIdeal("principal ideals require a nonzero generator")
-
-    @property
-    def ring(self) -> RingDescriptor:
-        return self.generator.ring
-
-    def __str__(self):
-        return f"({self.generator})"
-
-    def __repr__(self):
-        return f"({self.generator}) in {self.ring.name}"
-
-
-def in_ideal(x: RingElement, ideal: PrincipalIdeal) -> bool:
-    """Exact divisibility test: true iff x / generator lies in the ring."""
-    return exact_quotient(x, ideal.generator) is not None
+def in_ideal(x: RingElement, c: RingElement) -> bool:
+    """Exact divisibility test: true iff x lies in cR, that is x / c lies in
+    the ring; c is nonzero."""
+    return exact_quotient(x, c) is not None
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -331,27 +312,30 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 class QuotientRing:
     """The finite ring R/cR as Z^2 = {x1 + x2*sqrt(d)} modulo the lattice of cR.
 
-    The lattice is kept in row Hermite form (h11, h12; 0, h22).  Over
-    Z[sqrt(d)] it is spanned by c and c*sqrt(d), and its index n is |N(c)|.
-    Off the quadratic rings d = 0 and n = c0, the positive generator of cR
-    intersected with Z with every prime of m stripped (none for Z).  Either
-    way n lies in cR, so cR = (c mod n)R + nZ^2: the form comes from c mod n
-    by one extended gcd on numbers below n, whatever the size of c.  Off the
-    quadratic rings c0 divides the numerator of c, so c mod n = 0, the form
-    is (c0, 0; 0, 1) and the quotient is Z/c0.
+    The lattice is kept in row Hermite form (h11, h12; 0, h22).  Its index
+    is n = euclidean_size(c).  Over Z[sqrt(d)] the lattice is spanned by c
+    and c*sqrt(d), and n = |N(c)|.  Off the quadratic rings d = 0 and n = c0,
+    the positive generator of cR intersected with Z: the numerator of c with
+    every prime of m stripped (none for Z).  Either way n lies in cR, so
+    cR = (c mod n)R + nZ^2: the form comes from c mod n by one extended gcd
+    on numbers below n, whatever the size of c.  Off the quadratic rings c0
+    divides the numerator of c, so c mod n = 0, the form is (c0, 0; 0, 1)
+    and the quotient is Z/c0.
 
     Residues are exposed both as canonical RingElements and as dense integer
     codes x1*h22 + x2 in range(index), with 0 <= x1 < h11 and 0 <= x2 < h22;
     the integer side exists so that group tables and breadth-first searches
-    stay cheap.  Zero is code 0 in every quotient.
+    stay cheap.  Zero is code 0 in every quotient.  c = 0 raises ZeroIdeal,
+    the one place that refuses a zero generator.
     """
 
-    def __init__(self, modulus: PrincipalIdeal):
-        self.ring = modulus.ring
-        self.modulus = modulus
-        c = modulus.generator
+    def __init__(self, c: RingElement):
+        if not c:
+            raise ZeroIdeal("principal ideals require a nonzero generator")
+        self.ring = c.ring
+        self.modulus = c
         self._d = d = self.ring.param if self.ring.kind == QUADRATIC else 0
-        self.index = n = quotient_index(modulus)
+        self.index = n = euclidean_size(c)
         # rows c mod n = (a, b) and c*sqrt(d) mod n = (d*b, a); h11 also divides n
         a, b = c.rat.numerator % n, c.irr % n
         g, s, t = _xgcd(a, d * b % n)
@@ -359,7 +343,7 @@ class QuotientRing:
         self._hnf = (h11, r * (s * b + t * a) % (n // h11), n // h11)
 
     def __repr__(self):
-        return f"{self.ring.name}/{self.modulus} of index {_int_text(self.index)}"
+        return f"{self.ring.name}/({self.modulus}) of index {_int_text(self.index)}"
 
     # encoded-residue arithmetic
 
@@ -397,18 +381,9 @@ class QuotientRing:
         return self.encode(self.ring.one())
 
 
-def quotient_index(modulus: PrincipalIdeal) -> int:
-    """|R/cR| without building the quotient: |N(c)| over Z[sqrt(d)], else c0."""
-    c = modulus.generator
-    if c.ring.kind == QUADRATIC:
-        return abs(int(c.field_norm()))
-    # Z has param 0: strip by m = 1, which leaves |c|
-    return _strip_primes(c.rat.numerator, c.ring.param or 1)
-
-
-def quotient(modulus: PrincipalIdeal) -> QuotientRing:
-    """Finite quotient R/cR; raises ZeroIdeal before this point if c = 0."""
-    return QuotientRing(modulus)
+def quotient(c: RingElement) -> QuotientRing:
+    """Finite quotient R/cR; ZeroIdeal for c = 0."""
+    return QuotientRing(c)
 
 
 def unit_order(x: RingElement, q: QuotientRing) -> int:
@@ -424,10 +399,10 @@ def unit_order(x: RingElement, q: QuotientRing) -> int:
             return k
         acc = q.mul_enc(acc, base)
     if q.index > ORDER_BOUND:
-        message = f"the order of {x} modulo {q.modulus} exceeds {ORDER_BOUND}, so its power"
+        message = f"the order of {x} modulo ({q.modulus}) exceeds {ORDER_BOUND}, so its power"
         raise DocumentTooLarge(f"{message} would have more than {DIGIT_BOUND} digits")
     # the order divides |(R/cR)*| <= index, so the loop never gets here
-    raise AssertionError(f"{x} has no order up to {_int_text(q.index)} modulo {q.modulus}")
+    raise AssertionError(f"{x} has no order up to {_int_text(q.index)} modulo ({q.modulus})")
 
 
 def pell_fundamental_unit(d: int) -> tuple[int, int]:

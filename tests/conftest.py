@@ -67,11 +67,11 @@ def random_nonzero_nonunit(ring, rng, *, size_cap=40, height_bound=8):
         return c
 
 
-def reduces_to_identity(matrix, ideal):
+def reduces_to_identity(matrix, c):
     """The oracle of acceptance criterion 1, a necessary condition for
-    membership in the relative elementary subgroup of the ideal: the image of
-    the matrix in SL2(R/cR) is the identity."""
-    q = quotient(ideal)
+    membership in the relative elementary subgroup of the ideal cR: the image
+    of the matrix in SL2(R/cR) is the identity."""
+    q = quotient(c)
     one = q.one_enc
     return reduce_mat(matrix, q) == (one, 0, 0, one)
 

@@ -23,7 +23,6 @@ from sl2units.norms import (
     lemma_bound_experiment,
 )
 from sl2units.rings import (
-    PrincipalIdeal,
     exact_quotient,
     in_ideal,
     infinite_order_unit,
@@ -75,14 +74,13 @@ def test_criterion_1_witness_suite(announce):
                 g = f.conjugator.evaluate()
                 product = product * g * (A.inverse() if f.core_inverted else A) * g.inverse()
             u4 = u**4
-            ideal = PrincipalIdeal(c)
             case_ok = (
                 product == elem12((u4 - u4.inverse()) * z)
                 and product == w.target
-                and in_ideal(w.t, ideal)
-                and in_ideal(w.q, ideal)
+                and in_ideal(w.t, c)
+                and in_ideal(w.q, c)
                 and all(
-                    reduces_to_identity(f.conjugator.evaluate(), ideal)
+                    reduces_to_identity(f.conjugator.evaluate(), c)
                     for f in w.factors
                 )
             )
@@ -217,7 +215,7 @@ def test_criterion_5_norm_axioms(announce):
     ok = True
     detail = ""
     for n in (2, 3, 5, 7):
-        table = FiniteGroupTable(PrincipalIdeal(Z.from_int(n)))
+        table = FiniteGroupTable(Z.from_int(n))
         if len(table) != n * (n * n - 1):  # the prime order formula
             ok, detail = False, f"order formula failed for N = {n}"
             break
@@ -256,7 +254,7 @@ def test_criterion_6_four_ball_bound(announce):
     detail = ""
 
     report11 = lemma_bound_experiment(
-        A, cert, PrincipalIdeal(Zh.from_int(11)), 50, rng=random.Random(606)
+        A, cert, Zh.from_int(11), 50, rng=random.Random(606)
     )
     if not (
         report11.nontrivial_count == 50
@@ -271,14 +269,14 @@ def test_criterion_6_four_ball_bound(announce):
             break
         try:
             lemma_bound_experiment(
-                A, cert, PrincipalIdeal(Zh.from_int(n)), 50, rng=random.Random(606)
+                A, cert, Zh.from_int(n), 50, rng=random.Random(606)
             )
             ok, detail = False, f"expected every image to be trivial mod {n}"
         except DegenerateQuotient:
             rep = lemma_bound_experiment(
                 A,
                 cert,
-                PrincipalIdeal(Zh.from_int(n)),
+                Zh.from_int(n),
                 50,
                 rng=random.Random(606),
                 require_nontrivial=False,

@@ -21,7 +21,6 @@ from sl2units.norms import (
 from sl2units.rings import (
     DENOMINATOR_BOUND,
     DIGIT_BOUND,
-    PrincipalIdeal,
     _int_text,
     integers,
     localized,
@@ -73,7 +72,7 @@ def _experiment_doc():
     A = elem21(Zh.from_int(3))
     cert = find_unit(Zh.from_int(3))
     report = lemma_bound_experiment(
-        A, cert, PrincipalIdeal(Zh.from_int(11)), 15, rng=random.Random(1)
+        A, cert, Zh.from_int(11), 15, rng=random.Random(1)
     )
     return certs.make_document(
         "norm-experiment", Zh, certs.experiment_payload(report, A, cert)
@@ -81,7 +80,7 @@ def _experiment_doc():
 
 
 def _axiom_doc():
-    table = FiniteGroupTable(PrincipalIdeal(Z.from_int(5)))
+    table = FiniteGroupTable(Z.from_int(5))
     seed = [table.from_matrix(elem12(Z.one()))]
     gens = conjugation_closure(table, seed)
     check_norm_axioms(NormTable(table, gens))
@@ -381,7 +380,7 @@ def _small_experiment_doc():
     A = elem21(Z3.from_int(2))
     cert = find_unit(Z3.from_int(2))
     report = lemma_bound_experiment(
-        A, cert, PrincipalIdeal(Z3.from_int(7)), 3, rng=random.Random(1)
+        A, cert, Z3.from_int(7), 3, rng=random.Random(1)
     )
     return certs.make_document(
         "norm-experiment", Z3, certs.experiment_payload(report, A, cert)

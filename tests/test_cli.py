@@ -353,6 +353,45 @@ def test_lemma_bound_zero_corner_with_u_exit_1(capsys):
     assert json.loads(out)["error"] == "ZeroIdeal"
 
 
+ZERO_IDEAL = {"error": "ZeroIdeal", "message": "principal ideals require a nonzero generator"}
+ZERO_MODULUS_COMMANDS = {
+    "bfs": ["norm", "bfs", "--gen", "[[1,1],[0,1]]", "--element", "[[1,0],[0,1]]"],
+    "axioms": ["norm", "axioms", "--gen", "[[1,1],[0,1]]"],
+    "lemma-bound": ["norm", "lemma-bound", "--A", "[[1,0],[3,1]]", "--samples", "2"],
+}
+
+
+@pytest.mark.parametrize("ring", ["Z", "Z[1/2]", "Z[sqrt2]"])
+@pytest.mark.parametrize("command", list(ZERO_MODULUS_COMMANDS))
+def test_zero_modulus_exit_1(capsys, command, ring):
+    argv = [*ZERO_MODULUS_COMMANDS[command], "--ring", ring, "--modulus", "0"]
+    code, err = invoke_json(capsys, *argv)
+    assert code == 1
+    if command == "lemma-bound" and ring == "Z":
+        # the unit for the corner is sought before the modulus is read, and Z has none
+        assert err == {"error": "NoInfiniteOrderUnit", "message": "Z has only the units 1 and -1"}
+    else:
+        assert err == ZERO_IDEAL
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["norm", "axioms", "--ring", "Z", "--modulus", "3", "--gen", "[[1,1],[0,1]]"],
+     ["norm", "lemma-bound", "--ring", "Z[1/2]", "--A", "[[1,0],[3,1]]", "--u", "64",
+      "--modulus", "11", "--samples", "3"]],
+    ids=["axiom-report", "norm-experiment"],
+)
+def test_verify_zero_modulus_exit_1(tmp_path, capsys, argv):
+    code, out = invoke(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    doc["payload"]["modulus"] = "0"
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    code, err = invoke_json(capsys, "verify", str(path))
+    assert code == 1 and err == ZERO_IDEAL
+
+
 def test_wrong_unit_order_exit_3(capsys, monkeypatch):
     import sl2units.lemma as lemma
 

@@ -17,14 +17,13 @@ from sl2units.lemma import (
     ManyUnitsCertificate,
     certify_unit,
     compute_Y,
-    epsilon_ideal,
+    epsilon_generator,
     find_unit,
     lemma2_witness,
     verify_certificate,
     verify_witness,
 )
 from sl2units.rings import (
-    PrincipalIdeal,
     exact_quotient,
     height,
     in_ideal,
@@ -65,13 +64,13 @@ def test_find_unit_anchor_3_over_half():
     assert (cert.v, cert.k, cert.u, cert.y) == (2, 6, 64, 7)
     assert cert.check_u8
     verify_certificate(cert)
-    assert epsilon_ideal(cert).generator == 3 * (64**8 - 1)
+    assert epsilon_generator(cert) == 3 * (64**8 - 1)
 
 
 def test_find_unit_anchor_unit_c():
     cert = find_unit(Zh.from_int(1))
     assert (cert.u, cert.k) == (2, 1)
-    assert epsilon_ideal(cert).generator == 255
+    assert epsilon_generator(cert) == 255
 
 
 def test_find_unit_quadratic_anchor():
@@ -184,7 +183,7 @@ def test_compute_Y_anchor():
     assert parts.Y == direct
     assert parts.Y.a == Zh.from_fraction(1, 64**4) and parts.Y.d == 64**4
     assert not parts.Y.c
-    assert in_ideal(parts.q, PrincipalIdeal(Zh.from_int(3)))
+    assert in_ideal(parts.q, Zh.from_int(3))
 
 
 def test_compute_Y_small_anchor():
@@ -197,10 +196,9 @@ def test_compute_Y_general_matrix(rng):
         A = random_witness_matrix(ring, rng)
         cert = find_unit(A.c)
         parts = compute_Y(A, cert.u)
-        ideal = PrincipalIdeal(A.c)
-        assert in_ideal(parts.x, ideal)
-        assert in_ideal(parts.t, ideal)
-        assert in_ideal(parts.q, ideal)
+        assert in_ideal(parts.x, A.c)
+        assert in_ideal(parts.t, A.c)
+        assert in_ideal(parts.q, A.c)
 
 
 def test_compute_Y_errors():
@@ -329,9 +327,8 @@ def test_verify_witness_non_unit_u_is_a_verdict():
 
 def test_witness_conjugators_vanish_mod_c():
     w = lemma2_witness(elem21(Zh.from_int(3)), Zh.from_int(64), Zh.from_int(6))
-    ideal = PrincipalIdeal(Zh.from_int(3))
     for f in w.factors:
-        assert reduces_to_identity(f.conjugator.evaluate(), ideal)
+        assert reduces_to_identity(f.conjugator.evaluate(), Zh.from_int(3))
 
 
 def test_diagonal_of_certified_unit_vanishes_mod_c(rng):
@@ -340,4 +337,4 @@ def test_diagonal_of_certified_unit_vanishes_mod_c(rng):
     for ring in WITNESS_RINGS:
         c = random_nonzero_nonunit(ring, rng, size_cap=25)
         cert = find_unit(c)
-        assert reduces_to_identity(diag(cert.u), PrincipalIdeal(c))
+        assert reduces_to_identity(diag(cert.u), c)

@@ -25,8 +25,6 @@ ALLOWED = {}
 SHARED_NAMES = {
     "name": "AlgebraError.name gives cli.run the error name it prints; RingDescriptor.name "
     "is the ring text of every certificate and message",
-    "ring": "Mat2.ring gives decompose and the witness code the ring of a matrix; "
-    "PrincipalIdeal.ring gives QuotientRing its ring",
     "inverse": "RingElement.inverse inverts a unit (u^-4 in compute_Y and the witness target); "
     "Mat2.inverse is the adjugate (A^-1 in the witness and the norm seeds)",
 }

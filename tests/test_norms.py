@@ -17,7 +17,7 @@ from sl2units.norms import (
     conjugation_closure,
     lemma_bound_experiment,
 )
-from sl2units.rings import PrincipalIdeal, integers, localized, parse_element, quadratic
+from sl2units.rings import integers, localized, parse_element, quadratic
 from sl2units.sl2 import elem12, elem21, parse_matrix
 from tests.conftest import random_sl2, verdicts_by_exhaustion
 
@@ -28,7 +28,7 @@ R3 = quadratic(3)
 
 
 def _table(ring, gen_text):
-    return FiniteGroupTable(PrincipalIdeal(parse_element(ring, gen_text)))
+    return FiniteGroupTable(parse_element(ring, gen_text))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +367,7 @@ def _experiment(modulus, samples=50, seed=7, **kw):
     A = elem21(Zh.from_int(3))
     cert = find_unit(Zh.from_int(3))
     return lemma_bound_experiment(
-        A, cert, PrincipalIdeal(Zh.from_int(modulus)), samples, rng=random.Random(seed), **kw
+        A, cert, Zh.from_int(modulus), samples, rng=random.Random(seed), **kw
     )
 
 
@@ -399,7 +399,7 @@ def test_experiment_unit_corner():
     A = elem21(Zh.from_int(1))
     cert = find_unit(Zh.from_int(1))
     report = lemma_bound_experiment(
-        A, cert, PrincipalIdeal(Zh.from_int(7)), 25, rng=random.Random(3)
+        A, cert, Zh.from_int(7), 25, rng=random.Random(3)
     )
     assert report.all_within_bound and report.nontrivial_count == 25
 
@@ -410,7 +410,7 @@ def test_experiment_rejects_mismatched_certificate():
     pairs the matrix with a certificate for another c."""
     A = elem21(Zh.from_int(1))
     cert = find_unit(Zh.from_int(3))
-    report = lemma_bound_experiment(A, cert, PrincipalIdeal(Zh.from_int(11)), 5, rng=random.Random(0))
+    report = lemma_bound_experiment(A, cert, Zh.from_int(11), 5, rng=random.Random(0))
     doc = certs.make_document("norm-experiment", Zh, certs.experiment_payload(report, A, cert))
     with pytest.raises(VerificationFailed, match="^unit certificate does not match the matrix corner$"):
         certs.verify_document(doc)

@@ -17,7 +17,6 @@ from sl2units.rings import (
     DENOMINATOR_BOUND,
     DIGIT_BOUND,
     QUADRATIC,
-    PrincipalIdeal,
     _int_text,
     _is_squarefree,
     _strip_primes,
@@ -316,15 +315,15 @@ def test_height_oracles():
 
 
 def test_principal_ideal_membership():
-    three = PrincipalIdeal(Z.from_int(3))
+    three = Z.from_int(3)
     assert in_ideal(Z.from_int(6), three)
     assert not in_ideal(Z.from_int(7), three)
-    assert in_ideal(Zh.from_fraction(3, 2), PrincipalIdeal(Zh.from_int(3)))
+    assert in_ideal(Zh.from_fraction(3, 2), Zh.from_int(3))
     r = R2.from_pair(0, 1)  # sqrt(2) divides 2
-    assert in_ideal(R2.from_int(2), PrincipalIdeal(r))
-    assert not in_ideal(R2.from_int(3), PrincipalIdeal(r))
-    with pytest.raises(ZeroIdeal):
-        PrincipalIdeal(Z.zero())
+    assert in_ideal(R2.from_int(2), r)
+    assert not in_ideal(R2.from_int(3), r)
+    with pytest.raises(ZeroIdeal, match="^principal ideals require a nonzero generator$"):
+        quotient(Z.zero())
 
 
 @pytest.mark.parametrize(
@@ -342,14 +341,47 @@ def test_principal_ideal_membership():
     ],
 )
 def test_quotient_index(ring, gen, index):
-    q = quotient(PrincipalIdeal(parse_element(ring, gen)))
+    q = quotient(parse_element(ring, gen))
     assert q.index == index
     assert len({q.decode(i) for i in range(q.index)}) == index
 
 
+_RESIDUE_COUNT_MODULI = {
+    "Z": ("1", "2", "-6", "7", "12"),
+    "Z[1/6]": ("1", "6", "5", "12", "35/6", "2/3"),
+    "Z[sqrt2]": ("1+sqrt(2)", "sqrt(2)", "3", "1+2*sqrt(2)", "2+sqrt(2)", "3+sqrt(2)", "4"),
+    "Z[sqrt3]": ("1+sqrt(3)", "2+sqrt(3)", "sqrt(3)", "3", "1+2*sqrt(3)", "5"),
+}
+
+
+@pytest.mark.parametrize(
+    "ring_name,gen", [(r, g) for r, gens in _RESIDUE_COUNT_MODULI.items() for g in gens]
+)
+def test_residue_count_is_the_euclidean_size(ring_name, gen):
+    """Count the classes of a box of lattice points mod cR by divisibility of
+    differences alone.  The box [0, M) is taken along each coordinate for an
+    integer M in cR (M = c * conjugate(c) over Z[sqrt(d)], the numerator of c
+    otherwise), so it meets every class: Z[sqrt(d)] is Z + Z*sqrt(d), and the
+    integers reach every class of Z[1/m]/cR, since the inverse of m in that
+    finite ring is a power of m."""
+    ring = parse_ring(ring_name)
+    c = parse_element(ring, gen)
+    if ring.kind == QUADRATIC:
+        m = abs(int((c * c.conjugate()).rat))
+        box = [ring.from_pair(a, b) for a in range(m) for b in range(m)]
+    else:
+        m = abs(c.rat.numerator)
+        box = [ring.from_int(a) for a in range(m)]
+    representatives = []
+    for x in box:
+        if not any(in_ideal(x - r, c) for r in representatives):
+            representatives.append(x)
+    assert len(representatives) == euclidean_size(c) == quotient(c).index
+
+
 def test_quotient_encode_homomorphism(rng):
     for ring, gen in [(Z, "6"), (Zh, "9"), (R2, "3"), (R3, "sqrt(3)")]:
-        q = quotient(PrincipalIdeal(parse_element(ring, gen)))
+        q = quotient(parse_element(ring, gen))
         for _ in range(40):
             x = random_element(ring, rng, 9)
             y = random_element(ring, rng, 9)
@@ -369,11 +401,11 @@ def test_quotient_unit_group_orders():
     def unit_count(q):
         return len(_unit_codes(q))
 
-    assert unit_count(quotient(PrincipalIdeal(Z.from_int(5)))) == 4
-    assert unit_count(quotient(PrincipalIdeal(Z.from_int(9)))) == 6
-    assert unit_count(quotient(PrincipalIdeal(Zh.from_int(2)))) == 1  # Z[1/2]/(2) = 0
+    assert unit_count(quotient(Z.from_int(5))) == 4
+    assert unit_count(quotient(Z.from_int(9))) == 6
+    assert unit_count(quotient(Zh.from_int(2))) == 1  # Z[1/2]/(2) = 0
     # R2/(3) is the field with 9 elements
-    assert unit_count(quotient(PrincipalIdeal(R2.from_int(3)))) == 8
+    assert unit_count(quotient(R2.from_int(3))) == 8
 
 
 def _lattice_index_is_one(rows):
@@ -415,7 +447,7 @@ def test_quotient_is_unit_matches_row_stacking(d):
         if c:
             moduli.append(c)
     for c in moduli:
-        q = quotient(PrincipalIdeal(c))
+        q = quotient(c)
         units = _unit_codes(q)
         for i in range(q.index):
             x = q.decode(i)
@@ -444,7 +476,7 @@ def test_hermite_form_from_c_mod_n_matches_the_full_form(d):
         if not c:
             continue
         for gen in (c, c * unit):
-            q = quotient(PrincipalIdeal(gen))
+            q = quotient(gen)
             assert q._hnf == _hnf_2x2([[int(gen.rat), gen.irr], [d * gen.irr, int(gen.rat)]])
             assert q._hnf[0] * q._hnf[2] == q.index
 
@@ -523,7 +555,7 @@ _LATTICE_MODULI = {
 def test_lattice_residues_match_the_split_oracle(ring_name):
     rng = random.Random(ring_name)
     for c in _LATTICE_MODULI[ring_name]:
-        q = quotient(PrincipalIdeal(c))
+        q = quotient(c)
         oracle = _SplitResidues(c)
         assert q.index == oracle.index
         n = q.index
@@ -539,8 +571,8 @@ def test_lattice_residues_match_the_split_oracle(ring_name):
 
 
 def test_unit_order_oracles():
-    assert unit_order(Zh.from_int(2), quotient(PrincipalIdeal(Zh.from_int(9)))) == 6
-    assert unit_order(Z.from_int(2), quotient(PrincipalIdeal(Z.from_int(7)))) == 3
+    assert unit_order(Zh.from_int(2), quotient(Zh.from_int(9))) == 6
+    assert unit_order(Z.from_int(2), quotient(Z.from_int(7))) == 3
 
 
 # ---------------------------------------------------------------------------
