@@ -72,4 +72,5 @@ class VerificationFailed(AlgebraError):
 
 
 class DocumentTooLarge(AlgebraError):
-    """A certificate holds an integer longer than the verifier reads."""
+    """An emitted certificate that `verify` could not read back, or a unit
+    whose power would have more digits than `verify` reads."""

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from sl2units import certs
+from sl2units.cli import run
 from sl2units.elemgen import decompose, h_decomposition
 from sl2units.errors import AlgebraError, DocumentTooLarge, ParseError, VerificationFailed
 from sl2units.lemma import find_unit, lemma2_witness
@@ -187,19 +188,62 @@ def _set_conjugator_argument(doc, text):
 
 
 @pytest.mark.parametrize(
-    "build,place,prefix,bound",
-    [(_many_units_doc, _set_u, "", DIGIT_BOUND),
-     (_witness_doc, _set_conjugator_argument, "-3/", DENOMINATOR_BOUND)],
+    "build,place,at_bound,past_bound,bound",
+    [(_many_units_doc, _set_u, "1" * DIGIT_BOUND, "1" * (DIGIT_BOUND + 1), DIGIT_BOUND),
+     # 2^14284 has 4,300 digits and 2^14285 has 4,301
+     (_witness_doc, _set_conjugator_argument, "-3/" + _int_text(2**14_284),
+      "-3/" + _int_text(2**14_285), DENOMINATOR_BOUND)],
     ids=["integer", "denominator"],
 )
-def test_make_document_refuses_what_verify_cannot_read(build, place, prefix, bound):
-    """An emitter may write an integer up to the bound verify reads, and no longer."""
+def test_make_document_refuses_what_verify_cannot_read(build, place, at_bound, past_bound, bound):
+    """An emitter may write an integer of the ring up to the bound verify
+    reads, and no longer."""
+    assert len(at_bound.split("/")[-1]) == bound and len(past_bound.split("/")[-1]) == bound + 1
     doc = build()
-    place(doc, prefix + "1" * bound)
+    place(doc, at_bound)
     assert certs.make_document(doc["kind"], Zh, doc["payload"])["payload"] is doc["payload"]
-    place(doc, prefix + "1" * (bound + 1))
+    place(doc, past_bound)
     with pytest.raises(DocumentTooLarge, match=f"{bound + 1} digits exceeds the bound of {bound}$"):
         certs.make_document(doc["kind"], Zh, doc["payload"])
+
+
+# kind -> (the test builder, the command line) of a document of that kind
+WRITERS = {
+    "many-units": (_many_units_doc, ["unit", "find", "--ring", "Z[1/2]", "--c", "3"]),
+    "lemma2-witness": (_witness_doc, ["lemma", "witness", "--ring", "Z[1/2]",
+                                      "--A", "[[1,0],[3,1]]", "--z", "3"]),
+    "decomposition": (_decomposition_doc, ["decompose", "--ring", "Z", "--A", "[[2,1],[3,2]]"]),
+    "h-decomposition": (_h_doc, ["h-decompose", "--ring", "Z[sqrt2]", "--u", "1+sqrt(2)"]),
+    "norm-experiment": (_experiment_doc, ["norm", "lemma-bound", "--ring", "Z[1/2]",
+                                          "--A", "[[1,0],[3,1]]", "--u", "64",
+                                          "--modulus", "11", "--samples", "3"]),
+    "axiom-report": (_axiom_doc, ["norm", "axioms", "--ring", "Z", "--modulus", "5",
+                                  "--gen", "[[1,1],[0,1]]"]),
+}
+
+
+def _differing_keys(schema, value, where="payload"):
+    """Each object of value whose keys are not those of its schema."""
+    if isinstance(schema, list):
+        return [d for i, v in enumerate(value) for d in _differing_keys(schema[0], v, f"{where}[{i}]")]
+    if not isinstance(schema, dict):
+        return []
+    if "*" in schema:
+        schema = dict.fromkeys(value, schema["*"])
+    differing = [] if set(value) == set(schema) else [f"{where}: {sorted(set(value) ^ set(schema))}"]
+    for key in schema.keys() & value.keys():
+        differing += _differing_keys(schema[key], value[key], f"{where}.{key}")
+    return differing
+
+
+@pytest.mark.parametrize("kind", sorted(certs.SCHEMAS))
+def test_schema_covers_every_writer(capsys, kind):
+    """Every field a writer writes is one that verify reads, and none is missing."""
+    build, argv = WRITERS[kind]
+    assert run(argv) == 0
+    for doc in (build(), json.loads(capsys.readouterr().out)):
+        assert doc["kind"] == kind
+        assert _differing_keys(certs.SCHEMAS[kind], doc["payload"]) == []
 
 
 def test_tampered_many_units():

@@ -522,6 +522,17 @@ def test_zero_denominator_argument_exit_1(capsys):
     assert err == {"error": "ParseError", "message": "'1/0' has a zero denominator"}
 
 
+def _lemma_bound_with_count(samples: int, count):
+    """The lemma-bound document of `samples` draws, all of norm 1, with the
+    count of its one histogram entry edited to count (equal to it as JSON)."""
+    def build(capsys):
+        code, doc = invoke_json(capsys, *LEMMA_BOUND, "--modulus", "11", "--samples", str(samples))
+        assert code == 0 and doc["payload"]["histogram"] == {"1": samples}
+        doc["payload"]["histogram"]["1"] = count
+        return doc
+    return build
+
+
 @pytest.mark.parametrize(
     "doc,message",
     [
@@ -535,10 +546,16 @@ def test_zero_denominator_argument_exit_1(capsys):
         ({"kind": "axiom-report", "ring": "Z", "verified": True,
           "payload": {"modulus": "5", "seed": [5]}},
          "axiom-report payload.seed[0]: a matrix must be given as text, not int"),
+        (_lemma_bound_with_count(3, 3.0),
+         "norm-experiment payload.histogram: field '1' must be int, not 3.0"),
+        (_lemma_bound_with_count(1, True),
+         "norm-experiment payload.histogram: field '1' must be int, not True"),
     ],
-    ids=["payload", "ring", "factor", "matrix"],
+    ids=["payload", "ring", "factor", "matrix", "count-float", "count-bool"],
 )
 def test_verify_field_of_the_wrong_json_type_exit_1(tmp_path, capsys, doc, message):
+    if callable(doc):
+        doc = doc(capsys)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     code, err = invoke_json(capsys, "verify", str(path))
