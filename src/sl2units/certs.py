@@ -198,16 +198,19 @@ def _read(where: str, ring: RingDescriptor, shape, value):
     """value read as shape: a dict of the read fields of an object, a list of
     read entries, a parsed element, matrix or word, or else value itself.
 
-    A missing key, a wrong JSON type (a bool is not an int, a norm is an int
-    or "inf"), a value the parsers reject, or text other than the canonical
-    text of what it parses to (no "+3", "6/4", "0/5" or spaces) raises a
-    ParseError that names the certificate kind and the key.  Every field is
-    read before any verifier runs.
+    A missing or unknown key, a wrong JSON type (a bool is not an int, a norm
+    is an int or "inf"), a value the parsers reject, or text other than the
+    canonical text of what it parses to (no "+3", "6/4", "0/5" or spaces)
+    raises a ParseError that names the certificate kind and the key.  Every
+    field is read before any verifier runs.
     """
     if isinstance(shape, dict):
         if not isinstance(value, dict):
             raise ParseError(f"{where} must be a JSON object")
         fields = dict.fromkeys(value, shape["*"]) if "*" in shape else shape
+        unknown = [key for key in value if key not in fields]
+        if unknown:
+            raise ParseError(f"{where}: unknown field {unknown[0]!r:.40}")
         return {key: _field(where, ring, key, field, value) for key, field in fields.items()}
     if isinstance(shape, list):
         return [_read(f"{where}[{i}]", ring, shape[0], v) for i, v in enumerate(value)]
@@ -304,7 +307,7 @@ def _verify_experiment(fields: dict) -> None:
         image = table.transvection("12", j)
         if image == table.identity:
             raise VerificationFailed(f"sampled {j} has trivial image, not a valid sample")
-        norm = norms.lengths[image]
+        norm = norms.norm(image)
         _expect(recorded, format_norm(norm), f"recorded norm {recorded} for {j}, recomputed {norm}")
         recomputed.append(norm)
     nontrivial, trivial = fields["nontrivial_count"], fields["trivial_count"]
@@ -351,6 +354,9 @@ def verify_document(doc) -> dict:
     """
     if not isinstance(doc, dict):
         raise ParseError("certificate must be a JSON object")
+    unknown = [k for k in doc if k not in ("kind", "ring", "payload", "verified", "tool_version")]
+    if unknown:
+        raise ParseError(f"certificate: unknown field {unknown[0]!r:.40}")
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _VERIFIERS:
         raise ParseError(f"unknown certificate kind {kind!r}")

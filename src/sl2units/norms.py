@@ -1,13 +1,13 @@
 """Word metrics on SL2 of finite quotients and the 4-ball experiment.
 
-A FiniteGroupTable enumerates SL2(R/cR) once and multiplies by reading
-addition and multiplication tables of the quotient's dense integer codes, so
-breadth-first searches over Cayley graphs stay cheap.  Norms here are word
-lengths over symmetric, conjugation-closed generating sets -- the concrete
-realization of a conjugation-invariant norm -- and check_norm_axioms
-certifies that a table of lengths is such a word length, which implies the
-four defining axioms, in |G| |S| steps instead of testing them over all
-|G|^2 pairs.  Both conjugate by
+A FiniteGroupTable counts SL2(R/cR) without listing it and multiplies by
+reading addition and multiplication tables of the quotient's dense integer
+codes, so breadth-first searches over Cayley graphs stay cheap.  Norms here
+are word lengths over symmetric, conjugation-closed generating sets -- the
+concrete realization of a conjugation-invariant norm -- and
+check_norm_axioms certifies that a table of lengths is such a word length,
+which implies the four defining axioms, in |reached| |S| steps instead of
+testing them over all |G|^2 pairs.  Both conjugate by
 the table's generators only: a finite ring is semilocal, so SL2(R/cR) is
 generated by the E12(x), E21(x) (Bass, Algebraic K-theory, 1968), hence by
 x = 1, and x = sqrt(d) too over Z[sqrt(d)], as E12(x + y) = E12(x) E12(y).
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -37,10 +37,10 @@ TABLE_CAP = 10**6
 
 
 class FiniteGroupTable:
-    """All of SL2(R/cR), enumerated; elements are 4-tuples of residue codes.
+    """SL2(R/cR), counted but not listed; elements are 4-tuples of residue codes.
 
     The quotient's addition and multiplication are built once as n x n
-    tables, and negation as a list of n, so enumeration, mul and inv read
+    tables, and negation as a list of n, so the count, mul and inv read
     entries instead of reducing through the Hermite form.  The cap
     n^3 <= TABLE_CAP keeps n <= 100, so each table holds at most 10^4 codes
     below 100.  generators are the elementary matrices that generate the
@@ -64,25 +64,15 @@ class FiniteGroupTable:
         self._neg = [q.neg_enc(i) for i in codes]
         one = q.one_enc
         self.identity = (one, 0, 0, one)
-        # group by pivot a: products[a] maps each value a*d to the list of d's
-        products: list[dict[int, list[int]]] = [{} for _ in codes]
-        for a in codes:
-            for d in codes:
-                products[a].setdefault(mul[a][d], []).append(d)
+        # ad - bc = 1 pairs each product v = bc with every product ad = v + 1
+        products = Counter(v for row in mul for v in row)
         plus_one = add[one]
-        elements = []
-        for a in codes:
-            sols = products[a]
-            for b in codes:
-                for c in codes:
-                    for d in sols.get(plus_one[mul[b][c]], ()):
-                        elements.append((a, b, c, d))
-        self.elements: tuple = tuple(elements)
+        self.order = sum(k * products[plus_one[v]] for v, k in products.items())
         spans = [q.ring.one()] + ([q.ring.from_pair(0, 1)] if q.ring.kind == QUADRATIC else [])
         self.generators = tuple(self.transvection(p, x) for x in spans for p in ("12", "21"))
 
     def __len__(self):
-        return len(self.elements)
+        return self.order
 
     def mul(self, g, h):
         add, mul = self._add, self._mul
@@ -143,14 +133,14 @@ def conjugation_closure(table: FiniteGroupTable, seed: Iterable) -> frozenset:
 
 
 class NormTable:
-    """Word lengths of every group element over a generating set taken as
-    given, by breadth-first search; math.inf where unreachable."""
+    """Word lengths by breadth-first search over a generating set taken as
+    given: lengths holds the elements reached, and norm reads inf off them."""
 
     def __init__(self, group: FiniteGroupTable, generating_set):
         gens = frozenset(generating_set)
         self.group = group
         self.generating_set = gens
-        dist = {group.identity: 0}
+        self.lengths = dist = {group.identity: 0}
         frontier = deque([group.identity])
         while frontier:
             g = frontier.popleft()
@@ -160,7 +150,9 @@ class NormTable:
                 if h not in dist:
                     dist[h] = d
                     frontier.append(h)
-        self.lengths: dict = {g: dist.get(g, math.inf) for g in group.elements}
+
+    def norm(self, g):
+        return self.lengths.get(g, math.inf)
 
 
 def closure_norm_table(table: FiniteGroupTable, seed: Iterable[Mat2]) -> NormTable:
@@ -174,29 +166,30 @@ def format_norm(v) -> Union[int, str]:
 
 
 def check_norm_axioms(norms: NormTable) -> None:
-    """Certify that norms.lengths is the word length over its generating set S.
+    """Certify that norms.lengths, read as inf where it stores no length, is
+    the word length over its generating set S.
 
     It checks that n(e) = 0, that S is symmetric and closed under conjugation
-    by the table's generators, that n(gs) <= n(g) + 1 for every g and s in S,
-    and that every g != e with n(g) < inf has an s with n(gs) = n(g) - 1.  The
-    third gives n <= word length; the fourth walks g down to e in n(g) steps,
-    so word length <= n and n(g) > 0 off e.  A word length over such an S is
-    a conjugation-invariant norm (module docstring), so the four axioms hold:
-    n(g) = 0 iff g = e; n(g) = n(g^-1); n(gh) <= n(g) + n(h); n(a g a^-1) = n(g).
-    It costs |G| |S| products; a failure is a closure or BFS bug, raised as
-    AssertionError.
+    by the table's generators, and at each stored g that n(gs) <= n(g) + 1 for
+    every s in S and, for g != e of finite length, n(gs) = n(g) - 1 for some s.
+    Both are vacuous at an unstored g, of length inf.  The first, an unstored
+    gs read as inf, forces every element reachable from e to be stored and
+    gives n <= word length; the second walks g down to e in n(g) steps, so
+    word length <= n and n(g) > 0 off e.  Such a word length is a conjugation-
+    invariant norm (module docstring), so n(g) = 0 iff g = e; n(g) = n(g^-1);
+    n(gh) <= n(g) + n(h); n(a g a^-1) = n(g).  It costs |reached| |S| products;
+    a failure is a closure or BFS bug, raised as AssertionError.
     """
     group, n, gens = norms.group, norms.lengths, norms.generating_set
-    ident = group.identity
+    ident, mul, get, inf = group.identity, group.mul, n.get, math.inf
     if n[ident] != 0:
         raise AssertionError(f"the identity has length {n[ident]}")
     for s in gens:
         if group.inv(s) not in gens or any(group.conj(h, s) not in gens for h in group.generators):
             raise AssertionError(f"the generating set is not closed at {group.format_element(s)}")
-    for g in group.elements:
-        ng = n[g]
-        steps = {n[group.mul(g, s)] for s in gens}
-        if any(m > ng + 1 for m in steps) or (g != ident and ng < math.inf and ng - 1 not in steps):
+    for g, ng in n.items():
+        steps = {get(mul(g, s), inf) for s in gens}
+        if any(m > ng + 1 for m in steps) or (g != ident and ng < inf and ng - 1 not in steps):
             raise AssertionError(f"{group.format_element(g)} has length {ng}, not its word length")
 
 
@@ -262,7 +255,7 @@ def lemma_bound_experiment(
         if image == table.identity:
             trivial += 1
             continue
-        samples.append((str(j), norms.lengths[image]))
+        samples.append((str(j), norms.norm(image)))
     if require_nontrivial and len(samples) < sample_size:
         raise DegenerateQuotient(
             f"only {len(samples)} nontrivial images of ({eps}) in {draws} draws; "

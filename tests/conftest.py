@@ -1,6 +1,7 @@
 """Shared fixtures and samplers for the test suite."""
 
 import functools
+import math
 import random
 from array import array
 
@@ -77,21 +78,44 @@ def reduces_to_identity(matrix, c):
 
 
 @functools.lru_cache(maxsize=2)
+def group_elements(table):
+    """The reference listing of a FiniteGroupTable's group, by brute force:
+    every (a, b, c, d) of residue codes with ad - bc = 1, in lexicographic
+    order, read from the quotient's own arithmetic in n^3 steps."""
+    q = table.quotient
+    codes = range(q.index)
+    by_product = [{} for _ in codes]  # by_product[a][v] lists the d with ad = v
+    for a in codes:
+        for d in codes:
+            by_product[a].setdefault(q.mul_enc(a, d), []).append(d)
+    plus_one = [[q.add_enc(q.one_enc, q.mul_enc(b, c)) for c in codes] for b in codes]
+    return tuple(
+        (a, b, c, d)
+        for a in codes
+        for b in codes
+        for c in codes
+        for d in by_product[a].get(plus_one[b][c], ())
+    )
+
+
+@functools.lru_cache(maxsize=2)
 def _cayley_table(table):
     """Every product of a FiniteGroupTable by element index: products[i][j]
     is the index of g_i g_j, and inverses[i] that of g_i^-1."""
-    index = {g: i for i, g in enumerate(table.elements)}
-    G = table.elements
+    G = group_elements(table)
+    index = {g: i for i, g in enumerate(G)}
     products = [array("I", [index[table.mul(g, h)] for h in G]) for g in G]
     return products, [index[table.inv(g)] for g in G]
 
 
 def verdicts_by_exhaustion(table, lengths):
     """The oracle for the four norm axioms: each one tested over every g, and
-    every h or conjugator a in the group (|G|^2 steps)."""
+    every h or conjugator a in the group (|G|^2 steps); an element absent
+    from lengths has length inf."""
     products, inverses = _cayley_table(table)
-    n = [lengths[g] for g in table.elements]
-    e = table.elements.index(table.identity)
+    G = group_elements(table)
+    n = [lengths.get(g, math.inf) for g in G]
+    e = G.index(table.identity)
     G = range(len(n))
     return {
         "separation": n[e] == 0 and all(n[g] != 0 for g in G if g != e),

@@ -438,6 +438,7 @@ MUTANTS = [
     "7" * 100_000, BIG, -BIG, "3/2^4", "1/" + "3" * 4300,
 ]
 DELETE = object()
+UNLISTED = "unlisted"
 
 
 def _key_paths(node, path=()):
@@ -486,23 +487,26 @@ def test_mutated_payload_is_verdict_or_domain_error(build):
     certs.verify_document(json.loads(_dumps(doc)))
     paths = list(_key_paths(doc["payload"]))
     assert len(paths) >= len(doc["payload"])
+    mutations = [(path, value) for path in paths for value in [DELETE] + MUTANTS]
+    # a key that no schema lists, added to each object the walk reaches
+    mutations += [(parent + (UNLISTED,), 0) for parent in dict.fromkeys(p[:-1] for p in paths)]
     escaped = []
-    for path in paths:
-        for value in [DELETE] + MUTANTS:
-            mutant = _mutated(doc, path, value)
-            start = time.perf_counter()
-            try:
-                certs.verify_document(mutant)
-            except AlgebraError:
-                pass
-            except Exception as exc:  # the defect this test exists to catch
-                escaped.append(f"{path} {_change(value)}: {type(exc).__name__}: {exc}")
-            else:
-                if value is DELETE:  # every field is read, so none may go missing
-                    escaped.append(f"{path} deleted: accepted")
-            elapsed = time.perf_counter() - start
-            if elapsed >= 1.0:
-                escaped.append(f"{path} {_change(value)}: took {elapsed:.2f} s")
+    for path, value in mutations:
+        mutant = _mutated(doc, path, value)
+        start = time.perf_counter()
+        try:
+            certs.verify_document(mutant)
+        except AlgebraError:
+            pass
+        except Exception as exc:  # the defect this test exists to catch
+            escaped.append(f"{path} {_change(value)}: {type(exc).__name__}: {exc}")
+        else:
+            # every field is read, so none may go missing, and none may be added
+            if value is DELETE or path[-1] == UNLISTED:
+                escaped.append(f"{path} {_change(value)}: accepted")
+        elapsed = time.perf_counter() - start
+        if elapsed >= 1.0:
+            escaped.append(f"{path} {_change(value)}: took {elapsed:.2f} s")
     assert not escaped, "\n".join(escaped)
 
 

@@ -229,6 +229,35 @@ def test_verify_tampered(tmp_path, capsys):
     assert code == 1 and err["error"] == "VerificationFailed"
 
 
+UNIT_FIND = ("unit", "find", "--ring", "Z[1/2]", "--c", "3")
+WITNESS = ("lemma", "witness", "--ring", "Z[1/2]", "--A", "[[1,0],[3,1]]", "--z", "3")
+
+
+@pytest.mark.parametrize(
+    "argv,added,message",
+    [
+        (UNIT_FIND, {("payload", "note"): "unchecked", ("extra",): 1},
+         "certificate: unknown field 'extra'"),
+        (UNIT_FIND, {("payload", "note"): "unchecked"}, "many-units payload: unknown field 'note'"),
+        (WITNESS, {("payload", "factors", 1, "note"): 0},
+         "lemma2-witness payload.factors[1]: unknown field 'note'"),
+    ],
+    ids=["envelope-and-payload", "payload", "witness-factor"],
+)
+def test_verify_key_that_no_schema_lists_exit_1(capsys, monkeypatch, argv, added, message):
+    code, doc = invoke_json(capsys, *argv)
+    assert code == 0
+    for path, value in added.items():
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, err = invoke_json(capsys, "verify", "-")
+    assert code == 1
+    assert err == {"error": "ParseError", "message": message}
+
+
 @pytest.mark.parametrize("shifts", [{"t": 3}, {"q": 3, "p": -3}], ids=["t+3", "q+3,p-3"])
 def test_verify_witness_with_a_wrong_q_or_t_exit_1(capsys, monkeypatch, shifts):
     """Only the q and t check reads the recorded t, and q once p = -q - z still

@@ -4,6 +4,7 @@ import copy
 import functools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from sl2units.norms import (
 )
 from sl2units.rings import integers, localized, parse_element, quadratic
 from sl2units.sl2 import elem12, elem21, parse_matrix
-from tests.conftest import random_sl2, verdicts_by_exhaustion
+from tests.conftest import group_elements, random_sl2, verdicts_by_exhaustion
 
 Z = integers()
 Zh = localized(2)
@@ -48,6 +49,38 @@ def test_group_order_composite_and_extensions():
     assert len(_table(R2, "sqrt(2)")) == 6  # residue field F2
 
 
+def _prime_factors(n):
+    return {p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))}
+
+
+def test_counted_order_matches_the_formula_over_Z():
+    # |SL2(Z/N)| = N^3 prod_{p | N} (1 - p^-2), for every modulus the cap admits
+    for n in range(1, 101):
+        expected = Fraction(n**3)
+        for p in _prime_factors(n):
+            expected *= 1 - Fraction(1, p * p)
+        assert len(_table(Z, str(n))) == expected, n
+
+
+def test_closure_at_the_largest_modulus_stays_small(capsys):
+    # the closure of -I is {-I}: a table of 97^2 products serves it, not |G| elements
+    import json
+    import tracemalloc
+
+    from sl2units.cli import run
+
+    tracemalloc.start()
+    try:
+        code = run(["norm", "bfs", "--ring", "Z", "--modulus", "97",
+                    "--gen", "[[-1,0],[0,-1]]", "--element", "[[-1,0],[0,-1]]"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["group_order"] == 912576 and out["norm"] == 1
+    assert peak < 16 * 2**20
+
+
 def test_table_cap():
     with pytest.raises(QuotientTooLarge):
         _table(Z, "101")  # 101^3 > 10^6
@@ -56,12 +89,12 @@ def test_table_cap():
 
 def test_table_group_laws(rng):
     table = _table(Z, "3")
-    elems = list(table.elements)
+    elems = group_elements(table)
     for _ in range(50):
         g = rng.choice(elems)
         h = rng.choice(elems)
         assert table.mul(g, table.inv(g)) == table.identity
-        assert table.mul(g, h) in table.elements
+        assert table.mul(g, h) in elems
         assert table.conj(g, h) == table.mul(table.mul(g, h), table.inv(g))
 
 
@@ -71,7 +104,7 @@ def test_table_group_laws(rng):
 def test_tabulated_products_match_the_quotient(ring, modulus, rng):
     table = _table(ring, modulus)
     q = table.quotient
-    elems = list(table.elements)
+    elems = group_elements(table)
     for _ in range(200):
         (a, b, c, d), (e, f, i, j) = rng.choice(elems), rng.choice(elems)
         assert table.mul((a, b, c, d), (e, f, i, j)) == (
@@ -116,7 +149,8 @@ def test_elementary_generators_reach_every_element(ring, modulus):
     table = _table(ring, modulus)
     assert len(table.generators) == (4 if ring.kind == "quadratic" else 2)
     lengths = NormTable(table, table.generators).lengths
-    assert math.inf not in lengths.values()
+    assert len(lengths) == len(table) == len(group_elements(table))
+    assert set(lengths) == set(group_elements(table))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +167,7 @@ def _closure_by_whole_group(table, seed):
             continue
         closed.add(s)
         pending.append(table.inv(s))
-        for g in table.elements:
+        for g in group_elements(table):
             t = table.conj(g, s)
             if t not in closed:
                 pending.append(t)
@@ -146,7 +180,7 @@ def _closure_by_whole_group(table, seed):
 def test_generator_closure_matches_whole_group_closure(ring, modulus):
     table = _table(ring, modulus)
     pick = random.Random(f"{ring}/{modulus}")
-    seed = pick.sample(table.elements, pick.randint(1, 2))
+    seed = pick.sample(group_elements(table), pick.randint(1, 2))
     assert conjugation_closure(table, seed) == _closure_by_whole_group(table, seed)
 
 
@@ -177,7 +211,7 @@ def test_closure_sizes():
 def test_closure_invariant_under_full_conjugation():
     table = _table(Z, "3")
     gens = conjugation_closure(table, [table.from_matrix(elem12(Z.one()))])
-    for g in table.elements:
+    for g in group_elements(table):
         for a in gens:
             assert table.conj(g, a) in gens
     assert all(table.inv(a) in gens for a in gens)
@@ -224,7 +258,7 @@ def test_bfs_norm_requires_closed_generators(capsys):
     e12 = elem12(Z.one())
     conjugates = {}
     frontier = [parse_matrix(Z, "[[1,0],[0,1]]")]
-    while len(conjugates) < len({t3.conj(g, t3.from_matrix(e12)) for g in t3.elements}):
+    while len(conjugates) < len({t3.conj(g, t3.from_matrix(e12)) for g in group_elements(t3)}):
         frontier = [w * s for w in frontier for s in (e12, elem21(Z.one()))]
         for w in frontier:
             lift = w * e12 * w.inverse()
@@ -254,8 +288,8 @@ def test_norm_table_unreachable_is_inf():
     table = _table(Z, "5")
     minus_i = table.from_matrix(parse_matrix(Z, "[[-1,0],[0,-1]]"))
     norms = NormTable(table, conjugation_closure(table, [minus_i]))
-    assert norms.lengths[minus_i] == 1
-    assert norms.lengths[table.from_matrix(elem12(Z.one()))] == math.inf
+    assert norms.norm(minus_i) == 1
+    assert norms.norm(table.from_matrix(elem12(Z.one()))) == math.inf
     # the axioms hold even with unreachable elements (inf arithmetic)
     check_norm_axioms(norms)
 
@@ -298,12 +332,12 @@ def test_certified_tables_pass_the_exhaustive_check(ring, modulus):
 
 def _zero_off_identity(norms, pick):
     ident = norms.group.identity
-    norms.lengths[pick.choice([g for g in norms.lengths if g != ident])] = 0
+    norms.lengths[pick.choice([g for g in group_elements(norms.group) if g != ident])] = 0
 
 
 def _raised_by_two(norms, pick):
     ident = norms.group.identity
-    finite = [g for g, n in norms.lengths.items() if g != ident and n < math.inf]
+    finite = sorted(g for g, n in norms.lengths.items() if g != ident and n < math.inf)
     norms.lengths[pick.choice(finite)] += 2
 
 
@@ -346,7 +380,7 @@ def test_certificate_needs_a_symmetric_set():
     table = _table(Z, "3")
     e12 = table.from_matrix(elem12(Z.one()))
     with pytest.raises(AssertionError, match="not closed"):
-        check_norm_axioms(NormTable(table, {table.conj(g, e12) for g in table.elements}))
+        check_norm_axioms(NormTable(table, {table.conj(g, e12) for g in group_elements(table)}))
 
 
 def test_scalar_norm_is_conjugation_invariant():
@@ -355,8 +389,8 @@ def test_scalar_norm_is_conjugation_invariant():
     gens = conjugation_closure(table, [e12, table.inv(e12)])
     norms = NormTable(table, gens)
     minus_i = table.from_matrix(parse_matrix(Z, "[[-1,0],[0,-1]]"))
-    n = norms.lengths[minus_i]
-    assert all(norms.lengths[table.conj(g, minus_i)] == n for g in table.elements)
+    n = norms.norm(minus_i)
+    assert all(norms.norm(table.conj(g, minus_i)) == n for g in group_elements(table))
 
 
 # ---------------------------------------------------------------------------
