@@ -11,7 +11,8 @@ produced the document.  SCHEMAS lists each kind's payload fields and their
 shapes, and one reader parses a payload against it.  verify_document, the
 single entry point the `verify` subcommand uses, reads every field that way,
 redoes the relevant exact computation, and raises VerificationFailed on the
-first mismatch.  make_document reads each payload it emits back through the
+first mismatch; the norm kinds' payloads it re-derives with the emitter's own
+code and compares field by field.  make_document reads each payload it emits back through the
 same reader, so the digit bounds of the ring parsers hold on both sides.
 """
 
@@ -33,8 +34,7 @@ from .norms import (
     LemmaBoundReport,
     check_norm_axioms,
     closure_norm_table,
-    format_norm,
-    summarize_norms,
+    lemma_bound_report,
 )
 from .rings import RingDescriptor, in_ideal, parse_element, parse_ring
 from .sl2 import Mat2, diag, parse_matrix, word_from_json, word_to_json
@@ -145,26 +145,22 @@ def experiment_payload(
         **vars(report),
         "matrix": matrix,
         "unit_certificate": many_units_payload(cert),
-        "quotient_index": report.index,
-        "histogram": {str(k): v for k, v in sorted(report.histogram.items(), key=str)},
         "samples": [{"j": j, "norm": n} for j, n in report.samples],
     }
     return _write(SCHEMAS["norm-experiment"], values)
 
 
-def axiom_report_payload(
-    modulus_text: str,
-    seed_texts: list[str],
-    group_order: int,
-    generator_count: int,
-) -> dict:
-    """The report of a NormTable that check_norm_axioms has certified: every
-    axiom passed, with no counterexample."""
+def axiom_report_payload(table: FiniteGroupTable, seed: list[Mat2]) -> dict:
+    """The report of the word length over the conjugation closure of seed's
+    images in table, once check_norm_axioms has certified it: every axiom
+    passed, with no counterexample."""
+    norms = closure_norm_table(table, seed)
+    check_norm_axioms(norms)
     return {
-        "modulus": modulus_text,
-        "seed": list(seed_texts),
-        "group_order": group_order,
-        "generator_count": generator_count,
+        "modulus": str(table.quotient.modulus),
+        "seed": [str(m) for m in seed],
+        "group_order": len(table),
+        "generator_count": len(norms.generating_set),
         "all_passed": True,
         "axioms": {name: {"passed": True, "counterexample": None} for name in _AXIOMS},
     }
@@ -245,6 +241,22 @@ def _expect(recorded, recomputed, message: str) -> None:
         raise VerificationFailed(message)
 
 
+def _compare(where: str, recorded, recomputed) -> None:
+    """Raise VerificationFailed at the first path where the recorded JSON
+    differs from the recomputed, comparing objects of the same keys and lists
+    of the same length entry by entry."""
+    if type(recorded) is type(recomputed) is dict and recorded.keys() == recomputed.keys():
+        for key, value in recomputed.items():
+            _compare(f"{where}.{key}", recorded[key], value)
+    elif type(recorded) is type(recomputed) is list and len(recorded) == len(recomputed):
+        for i, (old, new) in enumerate(zip(recorded, recomputed)):
+            _compare(f"{where}[{i}]", old, new)
+    elif recorded != recomputed:
+        raise VerificationFailed(
+            f"{where}: recorded {recorded!r:.40}, recomputed {recomputed!r:.40}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # verifiers, one per kind: each takes the fields _read has read, and recomputes
 
@@ -288,52 +300,38 @@ def _verify_h_decomposition(fields: dict) -> None:
     _expect(dec.length, 6, "the diagonal decomposition must have six factors")
 
 
-def _verify_experiment(fields: dict) -> None:
-    matrix, samples = fields["matrix"], fields["samples"]
+# the norm kinds: each makes the checks no derivation makes and returns the
+# payload the emitter's code derives, for verify_document to compare.  The
+# counted table's fields go first, as the closure takes seconds mod 97.
+
+
+def _verify_experiment(fields: dict) -> dict:
+    matrix = fields["matrix"]
     cert = _verify_many_units(fields["unit_certificate"])
     epsilon = fields["unit_certificate"]["epsilon_generator"]  # the nonzero (u^8 - 1) * c
     _expect(cert.c, matrix.c, "unit certificate does not match the matrix corner")
     table = FiniteGroupTable(fields["modulus"])
-    _expect(fields["quotient_index"], table.quotient.index, "recorded quotient index is wrong")
-    _expect(fields["group_order"], len(table), "recorded group order is wrong")
-    norms = closure_norm_table(table, [matrix, matrix.inverse()])
-    _expect(fields["generator_count"], len(norms.generating_set),
-            "recorded generating set size is wrong")
-    recomputed = []
-    for sample in samples:
-        j, recorded = sample["j"], sample["norm"]
+    where = "norm-experiment payload"
+    _compare(f"{where}.quotient_index", fields["quotient_index"], table.quotient.index)
+    _compare(f"{where}.group_order", fields["group_order"], len(table))
+    js = [sample["j"] for sample in fields["samples"]]
+    for j in js:
         if not in_ideal(j, epsilon):
             raise VerificationFailed(f"sampled {j} lies outside the epsilon ideal")
-        image = table.transvection("12", j)
-        if image == table.identity:
+        if table.transvection("12", j) == table.identity:
             raise VerificationFailed(f"sampled {j} has trivial image, not a valid sample")
-        norm = norms.norm(image)
-        _expect(recorded, format_norm(norm), f"recorded norm {recorded} for {j}, recomputed {norm}")
-        recomputed.append(norm)
-    nontrivial, trivial = fields["nontrivial_count"], fields["trivial_count"]
-    _expect(nontrivial, len(samples), "nontrivial_count does not match the sample list")
     # a strict run stops at `requested` nontrivial images, a degenerate one after as many draws
-    requested = fields["requested"]
-    if trivial < 0 or requested not in (nontrivial, nontrivial + trivial):
+    requested, trivial = fields["requested"], fields["trivial_count"]
+    if trivial < 0 or requested not in (len(js), len(js) + trivial):
         raise VerificationFailed(f"requested {requested} matches neither count of samples")
-    histogram, max_norm, within = summarize_norms(recomputed, fields["bound"])
-    _expect(fields["histogram"], {str(k): v for k, v in histogram.items()},
-            "histogram does not match the sample list")
-    _expect(fields["max_norm"], max_norm, "recorded max norm is wrong")
-    _expect(fields["all_within_bound"], within, "all_within_bound flag does not match the samples")
+    report = lemma_bound_report(table, matrix, js, requested, trivial)
+    return experiment_payload(report, matrix, cert)
 
 
-def _verify_axiom_report(fields: dict) -> None:
+def _verify_axiom_report(fields: dict) -> dict:
     table = FiniteGroupTable(fields["modulus"])
-    _expect(fields["group_order"], len(table), "recorded group order is wrong")
-    norms = closure_norm_table(table, fields["seed"])
-    _expect(fields["generator_count"], len(norms.generating_set),
-            "recorded generating set size is wrong")
-    check_norm_axioms(norms)
-    _expect(fields["all_passed"], True, "all_passed flag does not re-verify")
-    for name, entry in fields["axioms"].items():
-        _expect(entry["passed"], True, f"axiom {name} result does not re-verify")
-        _expect(entry["counterexample"], None, f"axiom {name} counterexample differs")
+    _compare("axiom-report payload.group_order", fields["group_order"], len(table))
+    return axiom_report_payload(table, fields["seed"])
 
 
 _VERIFIERS = {
@@ -341,6 +339,8 @@ _VERIFIERS = {
     "lemma2-witness": _verify_witness,
     "h-decomposition": _verify_h_decomposition,
     "decomposition": _verify_decomposition,
+}
+_DERIVERS = {
     "norm-experiment": _verify_experiment,
     "axiom-report": _verify_axiom_report,
 }
@@ -358,13 +358,21 @@ def verify_document(doc) -> dict:
     if unknown:
         raise ParseError(f"certificate: unknown field {unknown[0]!r:.40}")
     kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in _VERIFIERS:
+    if not isinstance(kind, str) or kind not in SCHEMAS:
         raise ParseError(f"unknown certificate kind {kind!r}")
     ring = parse_ring(doc.get("ring", ""))
     verified = doc.get("verified")
     if not isinstance(verified, bool):
         raise ParseError(f"field 'verified' must be bool, not {verified!r:.40}")
-    _VERIFIERS[kind](_read(f"{kind} payload", ring, SCHEMAS[kind], doc.get("payload")))
+    version = doc.get("tool_version", "")
+    if not isinstance(version, str):
+        raise ParseError(f"field 'tool_version' must be str, not {version!r:.40}")
+    where, payload = f"{kind} payload", doc.get("payload")
+    fields = _read(where, ring, SCHEMAS[kind], payload)
+    if kind in _DERIVERS:
+        _compare(where, payload, _DERIVERS[kind](fields))
+    else:
+        _VERIFIERS[kind](fields)
     if not verified:
         raise VerificationFailed("document is marked verified = false")
     return {"kind": kind, "ring": ring.name, "ok": True}

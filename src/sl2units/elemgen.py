@@ -137,10 +137,9 @@ def decompose(matrix: Mat2) -> Decomposition:
         inv_c = is_unit(m.c)
         if inv_c is not None:
             # unit corner: one row operation pins a = 1, a second clears c
-            if m.a != 1:
-                t = (one - m.a) * inv_c
-                m = elem12(t) * m
-                factors.append(ElemFactor("12", -t))
+            t = (one - m.a) * inv_c
+            m = elem12(t) * m
+            factors.append(ElemFactor("12", -t))
             factors.append(ElemFactor("21", m.c))
             m = elem21(-m.c) * m
             continue

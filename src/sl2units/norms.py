@@ -17,7 +17,8 @@ construction: the four-conjugate identity is a ring identity, so it survives
 reduction, and every transvection E12(j) with j in the ideal ((u^8-1)c) must
 land within word length 4 of the identity over the conjugates of the reduced
 matrix.  A failure would falsify the witness construction, not the
-experiment.
+experiment.  It draws the samples, and lemma_bound_report derives every
+recorded field from them, for verify as for the emitter.
 """
 
 from __future__ import annotations
@@ -193,32 +194,49 @@ def check_norm_axioms(norms: NormTable) -> None:
             raise AssertionError(f"{group.format_element(g)} has length {ng}, not its word length")
 
 
-def summarize_norms(sampled: list, bound: int) -> tuple[dict, Union[int, str], bool]:
-    """Histogram, maximum (0 for no samples) and within-bound flag of sampled
-    norms, with each norm written by format_norm."""
-    histogram: dict = {}
-    for v in sampled:
-        key = format_norm(v)
-        histogram[key] = histogram.get(key, 0) + 1
-    return histogram, format_norm(max(sampled, default=0)), all(v <= bound for v in sampled)
-
-
 @dataclass(frozen=True)
 class LemmaBoundReport:
     """Outcome of the 4-ball experiment in one finite quotient."""
 
     modulus: str
-    index: int
+    quotient_index: int
     group_order: int
     generator_count: int
     requested: int
     nontrivial_count: int
     trivial_count: int
-    histogram: dict
+    histogram: dict  # norm as text -> count
     max_norm: Union[int, str]
     bound: int
     all_within_bound: bool
     samples: tuple  # (ideal element as text, norm) per nontrivial image
+
+
+def lemma_bound_report(
+    table: FiniteGroupTable, A: Mat2, js: list, requested: int, trivial: int
+) -> LemmaBoundReport:
+    """The report of a 4-ball experiment asked for requested samples, whose
+    draws gave the js of nontrivial image E12(j) and trivial others: the word
+    length over the conjugation closure of A and A^-1, each sample's norm,
+    their histogram, their maximum (0 for no samples), the bound 4 and whether
+    every norm is within it.  The emitter and verify both derive a report here."""
+    norms = closure_norm_table(table, [A, A.inverse()])
+    sampled = [norms.norm(table.transvection("12", j)) for j in js]
+    bound = 4
+    return LemmaBoundReport(
+        modulus=str(table.quotient.modulus),
+        quotient_index=table.quotient.index,
+        group_order=len(table),
+        generator_count=len(norms.generating_set),
+        requested=requested,
+        nontrivial_count=len(js),
+        trivial_count=trivial,
+        histogram=dict(Counter(str(format_norm(v)) for v in sampled)),
+        max_norm=format_norm(max(sampled, default=0)),
+        bound=bound,
+        all_within_bound=all(v <= bound for v in sampled),
+        samples=tuple((str(j), format_norm(v)) for j, v in zip(js, sampled)),
+    )
 
 
 def lemma_bound_experiment(
@@ -241,39 +259,21 @@ def lemma_bound_experiment(
     is a count the caller has checked to be >= 0.
     """
     table = FiniteGroupTable(modulus)
-    norms = closure_norm_table(table, [A, A.inverse()])
     eps = epsilon_generator(cert)
-    bound = 4
     trivial = 0
-    samples: list = []
+    js: list = []
     draws = 0
     max_draws = 40 * sample_size + 200 if require_nontrivial else sample_size
-    while draws < max_draws and len(samples) < sample_size:
+    while draws < max_draws and len(js) < sample_size:
         draws += 1
         j = eps * random_element(A.ring, rng, 8)
-        image = table.transvection("12", j)
-        if image == table.identity:
+        if table.transvection("12", j) == table.identity:
             trivial += 1
-            continue
-        samples.append((str(j), norms.norm(image)))
-    if require_nontrivial and len(samples) < sample_size:
+        else:
+            js.append(j)
+    if require_nontrivial and len(js) < sample_size:
         raise DegenerateQuotient(
-            f"only {len(samples)} nontrivial images of ({eps}) in {draws} draws; "
+            f"only {len(js)} nontrivial images of ({eps}) in {draws} draws; "
             f"the ideal may reduce to zero modulo {modulus}"
         )
-    histogram, max_norm, within = summarize_norms([v for _, v in samples], bound)
-    return LemmaBoundReport(
-        modulus=str(modulus),
-        index=table.quotient.index,
-        group_order=len(table),
-        generator_count=len(norms.generating_set),
-        requested=sample_size,
-        nontrivial_count=len(samples),
-        trivial_count=trivial,
-        histogram=histogram,
-        max_norm=max_norm,
-        bound=bound,
-        all_within_bound=within,
-        samples=tuple((j, format_norm(v)) for j, v in samples),
-    )
-
+    return lemma_bound_report(table, A, js, sample_size, trivial)

@@ -398,11 +398,9 @@ def unit_order(x: RingElement, q: QuotientRing) -> int:
         if acc == one:
             return k
         acc = q.mul_enc(acc, base)
-    if q.index > ORDER_BOUND:
-        message = f"the order of {x} modulo ({q.modulus}) exceeds {ORDER_BOUND}, so its power"
-        raise DocumentTooLarge(f"{message} would have more than {DIGIT_BOUND} digits")
-    # the order divides |(R/cR)*| <= index, so the loop never gets here
-    raise AssertionError(f"{x} has no order up to {_int_text(q.index)} modulo ({q.modulus})")
+    # the order divides |(R/cR)*| < index, so only index > ORDER_BOUND gets here
+    message = f"the order of {x} modulo ({q.modulus}) exceeds {ORDER_BOUND}, so its power"
+    raise DocumentTooLarge(f"{message} would have more than {DIGIT_BOUND} digits")
 
 
 def pell_fundamental_unit(d: int) -> tuple[int, int]:

@@ -12,13 +12,7 @@ from sl2units.cli import run
 from sl2units.elemgen import decompose, h_decomposition
 from sl2units.errors import AlgebraError, DocumentTooLarge, ParseError, VerificationFailed
 from sl2units.lemma import find_unit, lemma2_witness
-from sl2units.norms import (
-    FiniteGroupTable,
-    NormTable,
-    check_norm_axioms,
-    conjugation_closure,
-    lemma_bound_experiment,
-)
+from sl2units.norms import FiniteGroupTable, lemma_bound_experiment
 from sl2units.rings import (
     DENOMINATOR_BOUND,
     DIGIT_BOUND,
@@ -81,16 +75,7 @@ def _experiment_doc():
 
 
 def _axiom_doc():
-    table = FiniteGroupTable(Z.from_int(5))
-    seed = [table.from_matrix(elem12(Z.one()))]
-    gens = conjugation_closure(table, seed)
-    check_norm_axioms(NormTable(table, gens))
-    payload = certs.axiom_report_payload(
-        modulus_text="5",
-        seed_texts=["[[1,1],[0,1]]"],
-        group_order=len(table),
-        generator_count=len(gens),
-    )
+    payload = certs.axiom_report_payload(FiniteGroupTable(Z.from_int(5)), [elem12(Z.one())])
     return certs.make_document("axiom-report", Z, payload)
 
 
@@ -318,6 +303,70 @@ def test_tampered_axiom_report():
     doc["payload"]["all_passed"] = False
     with pytest.raises(VerificationFailed):
         certs.verify_document(doc)
+
+
+# (builder, key path, tampered value): one per field of the norm kinds that
+# the emitter's own derivation yields, each value other than the derived one
+DERIVED_FIELD_CASES = [
+    (_experiment_doc, ("quotient_index",), 0),
+    (_experiment_doc, ("group_order",), 0),
+    (_experiment_doc, ("generator_count",), 0),
+    (_experiment_doc, ("nontrivial_count",), 0),
+    (_experiment_doc, ("histogram",), {}),
+    (_experiment_doc, ("max_norm",), 4),
+    (_experiment_doc, ("bound",), 0),
+    (_experiment_doc, ("bound",), 1_000_000),
+    (_experiment_doc, ("all_within_bound",), False),
+    (_experiment_doc, ("samples", 0, "norm"), "inf"),
+    (_axiom_doc, ("all_passed",), False),
+    (_axiom_doc, ("axioms", "symmetry", "passed"), False),
+    (_axiom_doc, ("axioms", "separation", "counterexample"), "[[1,0],[0,1]]"),
+]
+
+
+def _dotted(path):
+    return "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
+
+
+@pytest.mark.parametrize(
+    "build,path,value",
+    DERIVED_FIELD_CASES,
+    ids=[f"{b.__name__.strip('_')}{_dotted(path)}" for b, path, _ in DERIVED_FIELD_CASES],
+)
+def test_tampered_derived_field_exit_1(capsys, tmp_path, build, path, value):
+    """verify re-derives the payload with the emitter's code and names the
+    first field where the recorded one differs: a bound other than 4 too."""
+    doc = build()
+    file = tmp_path / "doc.json"
+    file.write_text(_dumps(_mutated(doc, path, value)))
+    assert run(["verify", str(file)]) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "VerificationFailed"
+    assert err["message"].startswith(f"{doc['kind']} payload{_dotted(path)}: recorded {value!r}, ")
+
+
+# the fields that make a document mod 97 of each norm kind, the experiment's
+# with no samples; 97 (97^2 - 1) + 1 is not the order of SL2(Z/97)
+MOD_97 = {
+    "axiom-report": (_axiom_doc, {}),
+    "norm-experiment": (_experiment_doc, {
+        "quotient_index": 97, "requested": 0, "nontrivial_count": 0, "trivial_count": 0,
+        "histogram": {}, "max_norm": 0, "all_within_bound": True, "samples": [],
+    }),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MOD_97))
+def test_wrong_group_order_refused_before_the_closure(kind):
+    """The group order is counted at once; the closure that the rest of the
+    payload needs would take seconds mod 97."""
+    build, fields = MOD_97[kind]
+    doc = build()
+    doc["payload"].update(modulus="97", group_order=97 * (97**2 - 1) + 1, **fields)
+    start = time.perf_counter()
+    with pytest.raises(VerificationFailed, match="group.order"):
+        certs.verify_document(doc)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,19 @@ def test_verify_key_that_no_schema_lists_exit_1(capsys, monkeypatch, argv, added
     assert err == {"error": "ParseError", "message": message}
 
 
+@pytest.mark.parametrize("version", [{"note": "unchecked"}, 1, None, ["0.1.0"]],
+                         ids=["object", "int", "null", "list"])
+def test_verify_tool_version_not_a_string_exit_1(capsys, monkeypatch, version):
+    code, doc = invoke_json(capsys, *UNIT_FIND)
+    assert code == 0
+    doc["tool_version"] = version
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, err = invoke_json(capsys, "verify", "-")
+    assert code == 1
+    assert err == {"error": "ParseError",
+                   "message": f"field 'tool_version' must be str, not {version!r:.40}"}
+
+
 @pytest.mark.parametrize("shifts", [{"t": 3}, {"q": 3, "p": -3}], ids=["t+3", "q+3,p-3"])
 def test_verify_witness_with_a_wrong_q_or_t_exit_1(capsys, monkeypatch, shifts):
     """Only the q and t check reads the recorded t, and q once p = -q - z still
