@@ -10,10 +10,14 @@ verifier never needs the random seed or intermediate state of the run that
 produced the document.  SCHEMAS lists each kind's payload fields and their
 shapes, and one reader parses a payload against it.  verify_document, the
 single entry point the `verify` subcommand uses, reads every field that way,
-redoes the relevant exact computation, and raises VerificationFailed on the
-first mismatch; the norm kinds' payloads it re-derives with the emitter's own
-code and compares field by field.  make_document reads each payload it emits back through the
-same reader, so the digit bounds of the ring parsers hold on both sides.
+makes the checks that no derivation makes (the unit certificate's
+invariants, the witness's recomputation and product, a decomposition word's
+product, the six factors of an h-decomposition, a norm experiment's corner
+and sample rules, and each norm kind's counted group order), then derives
+the payload again with the emitter's own writers and compares it field by
+field, raising VerificationFailed at the first difference.  make_document
+reads each payload it emits back through the same reader, so the digit
+bounds of the ring parsers hold on both sides.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ from .sl2 import Mat2, diag, parse_matrix, word_from_json, word_to_json
 
 # the four norm axioms an axiom report records, in the order verify checks them
 _AXIOMS = ("separation", "symmetry", "subadditivity", "conjugation_invariance")
-# how every witness relates p to q and z; verify insists on this exact text
-_SIGN_CONVENTION = "p = -q - z"
 
 _UNIT_CERTIFICATE = {
     "c": "element", "v": "element", "u": "element", "k": "int", "y": "element",
@@ -121,7 +123,8 @@ def _write(schema: dict, values: dict) -> dict:
 
 
 def many_units_payload(cert: ManyUnitsCertificate) -> dict:
-    return _write(_UNIT_CERTIFICATE, {**vars(cert), "epsilon_generator": epsilon_generator(cert)})
+    values = {**vars(cert), "check_u8": True, "epsilon_generator": epsilon_generator(cert)}
+    return _write(_UNIT_CERTIFICATE, values)
 
 
 def witness_payload(w: ConjugateWitness) -> dict:
@@ -129,7 +132,7 @@ def witness_payload(w: ConjugateWitness) -> dict:
         {"conjugator": word_to_json(f.conjugator), "core": "A^-1" if f.core_inverted else "A"}
         for f in w.factors
     ]
-    values = {**vars(w), "factors": factors, "sign_convention": _SIGN_CONVENTION}
+    values = {**vars(w), "factors": factors, "sign_convention": "p = -q - z"}
     return _write(SCHEMAS["lemma2-witness"], values)
 
 
@@ -236,11 +239,6 @@ def _field(where: str, ring: RingDescriptor, key: str, shape, data: dict):
     return _read(f"{where}.{key}", ring, shape, value)
 
 
-def _expect(recorded, recomputed, message: str) -> None:
-    if recorded != recomputed:
-        raise VerificationFailed(message)
-
-
 def _compare(where: str, recorded, recomputed) -> None:
     """Raise VerificationFailed at the first path where the recorded JSON
     differs from the recomputed, comparing objects of the same keys and lists
@@ -258,19 +256,22 @@ def _compare(where: str, recorded, recomputed) -> None:
 
 
 # ---------------------------------------------------------------------------
-# verifiers, one per kind: each takes the fields _read has read, and recomputes
+# verifiers, one per kind: each takes the fields _read has read, makes the
+# checks that no derivation makes, and returns the payload the emitter's own
+# writers build from the checked values, for verify_document to compare
 
 
-def _verify_many_units(fields: dict) -> ManyUnitsCertificate:
-    values = dict(fields)
-    epsilon = values.pop("epsilon_generator")
-    cert = ManyUnitsCertificate(**values)
+def _unit_certificate(fields: dict) -> ManyUnitsCertificate:
+    cert = ManyUnitsCertificate(*(fields[key] for key in ("c", "v", "u", "k", "y")))
     verify_certificate(cert)
-    _expect(epsilon, epsilon_generator(cert), "recorded epsilon generator is wrong")
     return cert
 
 
-def _verify_witness(fields: dict) -> None:
+def _verify_many_units(fields: dict) -> dict:
+    return many_units_payload(_unit_certificate(fields))
+
+
+def _verify_witness(fields: dict) -> dict:
     factors = []
     for i, entry in enumerate(fields.pop("factors")):
         if entry["core"] not in ("A", "A^-1"):
@@ -279,41 +280,44 @@ def _verify_witness(fields: dict) -> None:
                 f"factor core must be 'A' or 'A^-1', not {entry['core']!r}"
             )
         factors.append(ConjugateFactor(entry["conjugator"], entry["core"] == "A^-1"))
-    convention = fields.pop("sign_convention")
-    _expect(convention, _SIGN_CONVENTION, f"sign convention is not {_SIGN_CONVENTION!r}")
-    verify_witness(ConjugateWitness(factors=tuple(factors), **fields))
+    del fields["sign_convention"]
+    witness = ConjugateWitness(factors=tuple(factors), **fields)
+    verify_witness(witness)
+    return witness_payload(witness)
 
 
-def _verify_decomposition(fields: dict) -> Decomposition:
+def _decomposition(matrix: Mat2, word) -> Decomposition:
     try:
-        dec = Decomposition(fields["matrix"], fields["word"])
+        return Decomposition(matrix, word)
     except ValueError as exc:
         raise VerificationFailed(str(exc)) from None
-    length = fields["length"]
-    _expect(length, dec.length, f"recorded length {length}, actual {dec.length}")
-    return dec
 
 
-def _verify_h_decomposition(fields: dict) -> None:
-    dec = _verify_decomposition(fields)
-    _expect(dec.matrix, diag(fields["unit"]), "matrix is not diag(u, 1/u) for the recorded unit")
-    _expect(dec.length, 6, "the diagonal decomposition must have six factors")
+def _verify_decomposition(fields: dict) -> dict:
+    return decomposition_payload(_decomposition(fields["matrix"], fields["word"]))
 
 
-# the norm kinds: each makes the checks no derivation makes and returns the
-# payload the emitter's code derives, for verify_document to compare.  The
-# counted table's fields go first, as the closure takes seconds mod 97.
+def _verify_h_decomposition(fields: dict) -> dict:
+    dec = _decomposition(diag(fields["unit"]), fields["word"])
+    if dec.length != 6:
+        raise VerificationFailed("the diagonal decomposition must have six factors")
+    return decomposition_payload(dec, fields["unit"])
+
+
+# The counted table's fields of the norm kinds are compared first, as the
+# closure takes seconds mod 97.
 
 
 def _verify_experiment(fields: dict) -> dict:
     matrix = fields["matrix"]
-    cert = _verify_many_units(fields["unit_certificate"])
-    epsilon = fields["unit_certificate"]["epsilon_generator"]  # the nonzero (u^8 - 1) * c
-    _expect(cert.c, matrix.c, "unit certificate does not match the matrix corner")
+    cert = _unit_certificate(fields["unit_certificate"])
+    if cert.c != matrix.c:
+        raise VerificationFailed("unit certificate does not match the matrix corner")
     table = FiniteGroupTable(fields["modulus"])
     where = "norm-experiment payload"
     _compare(f"{where}.quotient_index", fields["quotient_index"], table.quotient.index)
     _compare(f"{where}.group_order", fields["group_order"], len(table))
+    epsilon = epsilon_generator(cert)  # the nonzero (u^8 - 1) * c
     js = [sample["j"] for sample in fields["samples"]]
     for j in js:
         if not in_ideal(j, epsilon):
@@ -339,8 +343,6 @@ _VERIFIERS = {
     "lemma2-witness": _verify_witness,
     "h-decomposition": _verify_h_decomposition,
     "decomposition": _verify_decomposition,
-}
-_DERIVERS = {
     "norm-experiment": _verify_experiment,
     "axiom-report": _verify_axiom_report,
 }
@@ -368,11 +370,7 @@ def verify_document(doc) -> dict:
     if not isinstance(version, str):
         raise ParseError(f"field 'tool_version' must be str, not {version!r:.40}")
     where, payload = f"{kind} payload", doc.get("payload")
-    fields = _read(where, ring, SCHEMAS[kind], payload)
-    if kind in _DERIVERS:
-        _compare(where, payload, _DERIVERS[kind](fields))
-    else:
-        _VERIFIERS[kind](fields)
+    _compare(where, payload, _VERIFIERS[kind](_read(where, ring, SCHEMAS[kind], payload)))
     if not verified:
         raise VerificationFailed("document is marked verified = false")
     return {"kind": kind, "ring": ring.name, "ok": True}

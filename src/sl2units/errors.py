@@ -64,7 +64,7 @@ class DegenerateQuotient(AlgebraError):
 
 
 class QuotientTooLarge(AlgebraError):
-    """Finite group table would exceed the configured size cap."""
+    """Finite group table past the fixed cap n^3 <= norms.TABLE_CAP, n the quotient's index."""
 
 
 class VerificationFailed(AlgebraError):

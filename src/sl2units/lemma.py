@@ -60,7 +60,6 @@ class ManyUnitsCertificate:
     u: RingElement
     k: int
     y: RingElement
-    check_u8: bool
 
 
 def verify_certificate(cert: ManyUnitsCertificate) -> None:
@@ -82,11 +81,8 @@ def verify_certificate(cert: ManyUnitsCertificate) -> None:
         raise VerificationFailed(f"u is not {cert.v}^{cert.k}")
     if cert.u - 1 != cert.c * cert.c * cert.y:
         raise VerificationFailed("u - 1 does not equal c^2 * y")
-    eighth = cert.u**8
-    if eighth == 1:
+    if cert.u**8 == 1:
         raise VerificationFailed("u^8 = 1, so u generates no usable ideal")
-    if not cert.check_u8:
-        raise VerificationFailed("check_u8 flag is unset")
 
 
 def certify_unit(c: RingElement, v: RingElement, k: int) -> ManyUnitsCertificate:
@@ -99,8 +95,7 @@ def certify_unit(c: RingElement, v: RingElement, k: int) -> ManyUnitsCertificate
     y = exact_quotient(u - 1, c * c)
     if y is None:
         raise UnitCongruenceViolated(f"u - 1 = {u - 1} is not divisible by c^2 = {c * c}")
-    # verify_certificate refuses u^8 = 1 before it reads the flag
-    cert = ManyUnitsCertificate(c=c, v=v, u=u, k=k, y=y, check_u8=True)
+    cert = ManyUnitsCertificate(c=c, v=v, u=u, k=k, y=y)
     verify_certificate(cert)
     return cert
 

@@ -264,6 +264,8 @@ def lemma_bound_experiment(
     js: list = []
     draws = 0
     max_draws = 40 * sample_size + 200 if require_nontrivial else sample_size
+    if sample_size and table.transvection("12", eps) == table.identity:
+        trivial = draws = max_draws  # eps lies in (modulus): every image eps * r is trivial
     while draws < max_draws and len(js) < sample_size:
         draws += 1
         j = eps * random_element(A.ring, rng, 8)

@@ -454,8 +454,9 @@ ORDER_BOUND = math.ceil(DIGIT_BOUND * math.log2(10)) + 2  # 2^(k-2) > 10^DIGIT_B
 # it is m-smooth by dividing out the gcd once per pass (_strip_primes), which
 # takes time quadratic in its length: about 0.07 s at this bound, 33 s at
 # DIGIT_BOUND.  The bound holds the longest denominator that perfbench's
-# witness corners write (3,929 digits); a longer one is written but not read
-# back until the strip takes O(log e) divisions (ROADMAP 3(a)).
+# witness corners write (3,929 digits).  make_document reads each payload back
+# through the parsers, so an emitter refuses a longer one with DocumentTooLarge
+# until the strip takes O(log e) divisions (ROADMAP 3(a)).
 DENOMINATOR_BOUND = 4_300
 _PLAIN_DIGITS = 600
 _PLAIN_BITS = int(_PLAIN_DIGITS * math.log2(10))  # so 2**_PLAIN_BITS <= 10**_PLAIN_DIGITS

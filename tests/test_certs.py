@@ -305,9 +305,14 @@ def test_tampered_axiom_report():
         certs.verify_document(doc)
 
 
-# (builder, key path, tampered value): one per field of the norm kinds that
-# the emitter's own derivation yields, each value other than the derived one
+# (builder, key path, tampered value): one per field that the emitter's own
+# writers derive or fix, each value other than the written one
 DERIVED_FIELD_CASES = [
+    (_many_units_doc, ("epsilon_generator",), "1"),
+    (_many_units_doc, ("check_u8",), False),
+    (_witness_doc, ("sign_convention",), "p = q + z"),
+    (_decomposition_doc, ("length",), 99),
+    (_h_doc, ("matrix",), "[[1,0],[0,1]]"),
     (_experiment_doc, ("quotient_index",), 0),
     (_experiment_doc, ("group_order",), 0),
     (_experiment_doc, ("generator_count",), 0),

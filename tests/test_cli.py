@@ -468,6 +468,28 @@ def test_allow_degenerate_exit_0(capsys):
 LEMMA_BOUND = ["norm", "lemma-bound", "--ring", "Z[1/2]", "--A", "[[1,0],[3,1]]", "--u", "64"]
 
 
+@pytest.mark.parametrize("allow", [False, True], ids=["strict", "allow_degenerate"])
+def test_degenerate_quotient_decided_without_drawing(capsys, allow):
+    """u = 64 = 4 (mod 5) has u^8 = 1 there, so (5) holds the epsilon ideal
+    (u^8 - 1) * 3 and every draw has a trivial image: the run is decided at
+    once, with the counts that drawing 40 n + 200 (or n) times would give."""
+    n = 100_000_000
+    start = time.perf_counter()
+    code, doc = invoke_json(capsys, *LEMMA_BOUND, "--modulus", "5", "--samples", str(n),
+                            *(["--allow-degenerate"] if allow else []))
+    assert time.perf_counter() - start < 2.0
+    if allow:
+        assert code == 0
+        assert doc["payload"]["trivial_count"] == n and doc["payload"]["samples"] == []
+    else:
+        assert code == 1
+        assert doc == {
+            "error": "DegenerateQuotient",
+            "message": f"only 0 nontrivial images of (844424930131965) in {40 * n + 200} "
+                       "draws; the ideal may reduce to zero modulo 5",
+        }
+
+
 def test_negative_samples_exit_2(capsys):
     code, out = invoke(capsys, *LEMMA_BOUND, "--modulus", "11", "--samples", "-3")
     assert code == 2 and out == ""

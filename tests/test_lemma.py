@@ -62,7 +62,6 @@ def _brute_force_order(cert):
 def test_find_unit_anchor_3_over_half():
     cert = find_unit(Zh.from_int(3))
     assert (cert.v, cert.k, cert.u, cert.y) == (2, 6, 64, 7)
-    assert cert.check_u8
     verify_certificate(cert)
     assert epsilon_generator(cert) == 3 * (64**8 - 1)
 
@@ -122,9 +121,6 @@ def test_verify_certificate_tampering():
     broken = dataclasses.replace(cert, k=cert.k + 1)
     with pytest.raises(VerificationFailed):
         verify_certificate(broken)
-    broken = dataclasses.replace(cert, check_u8=False)
-    with pytest.raises(VerificationFailed):
-        verify_certificate(broken)
 
 
 def test_verify_certificate_u8_trap():
@@ -135,7 +131,6 @@ def test_verify_certificate_u8_trap():
         u=Zh.from_int(-1),
         k=1,
         y=Zh.from_int(-2),
-        check_u8=True,
     )
     with pytest.raises(VerificationFailed):
         verify_certificate(fake)
