@@ -11,13 +11,15 @@ produced the document.  SCHEMAS lists each kind's payload fields and their
 shapes, and one reader parses a payload against it.  verify_document, the
 single entry point the `verify` subcommand uses, reads every field that way,
 makes the checks that no derivation makes (the unit certificate's
-invariants, the witness's recomputation and product, a decomposition word's
-product, the six factors of an h-decomposition, a norm experiment's corner
-and sample rules, and each norm kind's counted group order), then derives
-the payload again with the emitter's own writers and compares it field by
-field, raising VerificationFailed at the first difference.  make_document
-reads each payload it emits back through the same reader, so the digit
-bounds of the ring parsers hold on both sides.
+invariants; the witness's ideal memberships, four factors, conjugators
+congruent to I mod c and product; a decomposition word's product; the six
+factors of an h-decomposition; a norm experiment's corner, sample rules and
+draw budget; and each norm kind's counted group order), then derives the
+payload again with the emitter's own writers and compares it field by
+field, raising VerificationFailed at the first difference: a witness's Y,
+q, t, p and target are derived from its matrix, u, z and conjugators.
+make_document reads each payload it emits back through the same reader, so
+the digit bounds of the ring parsers hold on both sides.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .norms import (
     LemmaBoundReport,
     check_norm_axioms,
     closure_norm_table,
+    draw_budget,
     lemma_bound_report,
 )
 from .rings import RingDescriptor, in_ideal, parse_element, parse_ring
@@ -273,16 +276,14 @@ def _verify_many_units(fields: dict) -> dict:
 
 def _verify_witness(fields: dict) -> dict:
     factors = []
-    for i, entry in enumerate(fields.pop("factors")):
+    for i, entry in enumerate(fields["factors"]):
         if entry["core"] not in ("A", "A^-1"):
             raise ParseError(
                 f"lemma2-witness payload.factors[{i}]: "
                 f"factor core must be 'A' or 'A^-1', not {entry['core']!r}"
             )
         factors.append(ConjugateFactor(entry["conjugator"], entry["core"] == "A^-1"))
-    del fields["sign_convention"]
-    witness = ConjugateWitness(factors=tuple(factors), **fields)
-    verify_witness(witness)
+    witness = verify_witness(fields["matrix"], fields["u"], fields["z"], tuple(factors))
     return witness_payload(witness)
 
 
@@ -324,10 +325,15 @@ def _verify_experiment(fields: dict) -> dict:
             raise VerificationFailed(f"sampled {j} lies outside the epsilon ideal")
         if table.transvection("12", j) == table.identity:
             raise VerificationFailed(f"sampled {j} has trivial image, not a valid sample")
-    # a strict run stops at `requested` nontrivial images, a degenerate one after as many draws
+    # a strict run stops at `requested` nontrivial images within draw_budget(requested)
+    # draws, a degenerate one after `requested` draws; the draws are not recorded
     requested, trivial = fields["requested"], fields["trivial_count"]
     if trivial < 0 or requested not in (len(js), len(js) + trivial):
         raise VerificationFailed(f"requested {requested} matches neither count of samples")
+    budget = draw_budget(requested)
+    if requested == len(js) and trivial > budget - requested:
+        limit = f"a strict run of {requested} samples makes at most {budget} draws"
+        raise VerificationFailed(f"trivial_count {trivial} exceeds {budget - requested}: {limit}")
     report = lemma_bound_report(table, matrix, js, requested, trivial)
     return experiment_payload(report, matrix, cert)
 

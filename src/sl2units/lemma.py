@@ -10,8 +10,9 @@ recorded data alone.
 * A bounded-conjugate witness: for A with nonzero lower-left corner c and a
   certified unit u, the transvection E12((u^4 - u^-4)*z) -- for any z in cR
   -- is written as a product of exactly four conjugates of A and A^-1, with
-  every conjugator congruent to the identity modulo c.  The verifier
-  recomputes the whole construction and multiplies everything back out.
+  every conjugator congruent to the identity modulo c.  The verifier takes
+  only A, u, z and the four conjugator words: it derives Y, q, t, p and the
+  target with the builder's own code and multiplies everything back out.
 """
 
 from __future__ import annotations
@@ -191,35 +192,36 @@ class ConjugateWitness:
     target: Mat2
 
 
-def verify_witness(w: ConjugateWitness) -> None:
-    """Recheck every witness invariant from the recorded data; raises
-    VerificationFailed with the first failure."""
-    if not w.matrix.c:
+def verify_witness(
+    A: Mat2, u: RingElement, z: RingElement, factors: tuple[ConjugateFactor, ...]
+) -> ConjugateWitness:
+    """The witness for A, u and z that factors claim: every other field is
+    derived here as lemma2_witness derives it, for the caller to compare with
+    what it recorded.  Raises VerificationFailed with the first failure."""
+    if not A.c:
         raise VerificationFailed("witnessed matrix has zero lower-left corner")
     try:
-        parts = compute_Y(w.matrix, w.u)
+        parts = compute_Y(A, u)
     except AlgebraError as exc:
         raise VerificationFailed(f"recomputing Y failed: {exc}") from None
-    if parts.Y != w.Y:
-        raise VerificationFailed("recorded Y does not match the recomputation")
-    if parts.q != w.q or parts.t != w.t:
-        raise VerificationFailed("recorded q or t does not match the recomputation")
-    _check_witness(w)
+    return _checked_witness(A, u, z, parts, factors)
 
 
-def _check_witness(w: ConjugateWitness) -> None:
-    """The invariants that follow Y, q and t: ideal membership, the sign
-    convention, the target, and the product of the four conjugates."""
-    A = w.matrix
+def _checked_witness(
+    A: Mat2, u: RingElement, z: RingElement, parts: YParts, factors: tuple[ConjugateFactor, ...]
+) -> ConjugateWitness:
+    """The witness of compute_Y's parts, with p = -q - z and the target derived
+    here, once z, t, q and p lie in (c), there are four factors, every
+    conjugator is I mod (c) and the product of the conjugates meets the target."""
     c = A.c
+    u4 = u**4
+    w = ConjugateWitness(
+        matrix=A, u=u, z=z, t=parts.t, q=parts.q, p=-parts.q - z, Y=parts.Y,
+        factors=factors, target=elem12((u4 - u4.inverse()) * z),
+    )
     for name, value in (("z", w.z), ("t", w.t), ("q", w.q), ("p", w.p)):
         if not in_ideal(value, c):
             raise VerificationFailed(f"{name} = {value} is not in ({c})")
-    if w.p != -w.q - w.z:
-        raise VerificationFailed("p does not follow the p = -q - z convention")
-    u4 = w.u**4
-    if w.target != elem12((u4 - u4.inverse()) * w.z):
-        raise VerificationFailed("target is not E12((u^4 - u^-4)*z)")
     if len(w.factors) != 4:
         raise VerificationFailed(f"expected exactly 4 factors, found {len(w.factors)}")
     mod_c = quotient(c)
@@ -234,6 +236,7 @@ def _check_witness(w: ConjugateWitness) -> None:
         product = product * g * cores[factor.core_inverted] * g.inverse()
     if product != w.target:
         raise VerificationFailed("product of the four conjugate factors misses the target")
+    return w
 
 
 def lemma2_witness(
@@ -247,10 +250,10 @@ def lemma2_witness(
     elementary set, the words of diag(u^2) and M are built with every
     diagonal letter expanded into its six transvections.
 
-    The self-check is one pass: it reuses the compute_Y result the witness
-    was built from and runs the checks of verify_witness that follow it.  A
-    wrong q or t, or a wrong expansion, still fails there: the product
-    misses the target.
+    The self-check is one pass: the witness is the one _checked_witness
+    derives from the compute_Y result it was built from, after the checks
+    that verify_witness also ends with.  A wrong q or t, or a wrong
+    expansion, still fails there: the product misses the target.
     """
     parts = compute_Y(A, u)
     c = A.c
@@ -270,16 +273,4 @@ def lemma2_witness(
         ConjugateFactor(m_word * g2, core_inverted=True),
         ConjugateFactor(m_word * g1, core_inverted=False),
     )
-    witness = ConjugateWitness(
-        matrix=A,
-        u=u,
-        z=z,
-        t=parts.t,
-        q=parts.q,
-        p=p,
-        Y=parts.Y,
-        factors=factors,
-        target=elem12((u4 - u4.inverse()) * z),
-    )
-    _check_witness(witness)
-    return witness
+    return _checked_witness(A, u, z, parts, factors)

@@ -239,6 +239,11 @@ def lemma_bound_report(
     )
 
 
+def draw_budget(sample_size: int) -> int:
+    """Most draws a strict experiment makes to find sample_size nontrivial images."""
+    return 40 * sample_size + 200
+
+
 def lemma_bound_experiment(
     A: Mat2,
     cert: ManyUnitsCertificate,
@@ -263,7 +268,7 @@ def lemma_bound_experiment(
     trivial = 0
     js: list = []
     draws = 0
-    max_draws = 40 * sample_size + 200 if require_nontrivial else sample_size
+    max_draws = draw_budget(sample_size) if require_nontrivial else sample_size
     if sample_size and table.transvection("12", eps) == table.identity:
         trivial = draws = max_draws  # eps lies in (modulus): every image eps * r is trivial
     while draws < max_draws and len(js) < sample_size:

@@ -8,6 +8,12 @@ localization that inverts nothing: membership, units, exact division and
 Euclidean size all strip the primes of m from an integer, and with m = 1
 that leaves its absolute value.
 
+Sums and products absorb 0 and 1: x + 0, x*0 and x*1 return an operand,
+not a new element whose denominator is stripped again, so the zero entries
+and identity matrices of sl2 cost nothing.  An exact quotient is stripped
+once, by the element constructor; is_unit is the exact quotient 1/x of an
+x of Euclidean size 1, so a non-unit builds no refused element.
+
 Every ideal the package uses is principal, so an ideal cR is handled as its
 nonzero generator c: in_ideal tests exact divisibility by c, and quotient(c)
 builds the finite ring R/cR with canonical residue enumeration and
@@ -175,6 +181,10 @@ class RingElement:
 
     def __add__(self, other) -> "RingElement":
         o = self._coerce(other)
+        if not o:
+            return self
+        if not self:
+            return o
         return RingElement(self.ring, self.rat + o.rat, self.irr + o.irr)
 
     def __sub__(self, other) -> "RingElement":
@@ -186,6 +196,10 @@ class RingElement:
 
     def __mul__(self, other) -> "RingElement":
         o = self._coerce(other)
+        if not self or o == 1:
+            return self
+        if not o or self == 1:
+            return o
         if self.ring.kind == QUADRATIC:
             d = self.ring.param
             a, b = int(self.rat), self.irr
@@ -245,13 +259,7 @@ class RingElement:
 def is_unit(x: RingElement) -> Optional[RingElement]:
     """Return the inverse of x if x is invertible in its ring, else None; the
     units are the elements of Euclidean size 1."""
-    if euclidean_size(x) != 1:
-        return None
-    ring = x.ring
-    if ring.kind == QUADRATIC:  # x * conjugate(x) = N(x) = +-1
-        s = int(x.field_norm())
-        return RingElement(ring, x.rat * s, -x.irr * s)
-    return RingElement(ring, 1 / x.rat)
+    return exact_quotient(x.ring.one(), x) if euclidean_size(x) == 1 else None
 
 
 def exact_quotient(x: RingElement, y: RingElement) -> Optional[RingElement]:
@@ -265,10 +273,10 @@ def exact_quotient(x: RingElement, y: RingElement) -> Optional[RingElement]:
         if p % n or q % n:
             return None
         return RingElement(ring, Fraction(p // n), q // n)
-    f = x.rat / y.rat
-    if _strip_primes(f.denominator, ring.param or 1) == 1:
-        return RingElement(ring, f)
-    return None
+    try:  # the constructor refuses a denominator that is not m-smooth
+        return RingElement(ring, x.rat / y.rat)
+    except ValueError:
+        return None
 
 
 def euclidean_size(x: RingElement) -> int:

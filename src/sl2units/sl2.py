@@ -6,10 +6,6 @@ matrix text enters -- checks determinant one; products, inverses,
 transvections and unit diagonals lie in SL2 by closure and skip that check,
 which would cost a big-integer determinant per product.  Every command works
 in the one ring it parsed, so operands are never checked for a common ring.
-Products also leave out each term of w*x + y*z that has a zero factor:
-transvections, diagonals and triangular matrices have zero entries, and
-every skipped "+ 0" would be a new ring element whose denominator is
-stripped again.
 GroupWord is an unevaluated flat product of elementary transvections and
 diagonal unit matrices, which lets callers exhibit *how* a matrix was built
 (e.g. each conjugator of a witness as E12(t), diag(u^2), M diag(u^2) or
@@ -62,13 +58,12 @@ class Mat2:
         return self.a.ring
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        """Row-by-column product; a term with a zero factor is not formed,
-        since adding 0 would build and strip one more ring element."""
+        """Row-by-column product; a term with a factor 0 or 1 builds no ring element."""
         return Mat2._trusted(
-            _dot(self.a, other.a, self.b, other.c),
-            _dot(self.a, other.b, self.b, other.d),
-            _dot(self.c, other.a, self.d, other.c),
-            _dot(self.c, other.b, self.d, other.d),
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
         )
 
     def inverse(self) -> "Mat2":
@@ -80,15 +75,6 @@ class Mat2:
 
     def __repr__(self):
         return f"{self} over {self.ring.name}"
-
-
-def _dot(w: RingElement, x: RingElement, y: RingElement, z: RingElement) -> RingElement:
-    """w*x + y*z, leaving out a term with a zero factor."""
-    if not w or not x:
-        return y * z
-    if not y or not z:
-        return w * x
-    return w * x + y * z
 
 
 def identity(ring: RingDescriptor) -> Mat2:

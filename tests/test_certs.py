@@ -294,6 +294,20 @@ def test_tampered_experiment():
         certs.verify_document(doc)
 
 
+@pytest.mark.parametrize("trivial,accepted", [(785, True), (786, False)])
+def test_strict_trivial_count_bounded_by_the_draw_budget(trivial, accepted):
+    """The draws are not recorded, so a strict run's trivial_count is checked
+    only against the 800 draws that 15 samples allow, not recomputed."""
+    doc = _experiment_doc()
+    assert doc["payload"]["requested"] == doc["payload"]["nontrivial_count"] == 15
+    doc["payload"]["trivial_count"] = trivial
+    if accepted:
+        assert certs.verify_document(doc)["ok"] is True
+    else:
+        with pytest.raises(VerificationFailed, match="exceeds 785"):
+            certs.verify_document(doc)
+
+
 def test_tampered_axiom_report():
     doc = _axiom_doc()
     doc["payload"]["axioms"]["separation"]["passed"] = False
@@ -311,6 +325,11 @@ DERIVED_FIELD_CASES = [
     (_many_units_doc, ("epsilon_generator",), "1"),
     (_many_units_doc, ("check_u8",), False),
     (_witness_doc, ("sign_convention",), "p = q + z"),
+    (_witness_doc, ("t",), "3"),
+    (_witness_doc, ("q",), "3"),
+    (_witness_doc, ("p",), "3"),
+    (_witness_doc, ("Y",), "[[1,0],[0,1]]"),
+    (_witness_doc, ("target",), "[[1,0],[0,1]]"),
     (_decomposition_doc, ("length",), 99),
     (_h_doc, ("matrix",), "[[1,0],[0,1]]"),
     (_experiment_doc, ("quotient_index",), 0),
@@ -407,24 +426,20 @@ def _requested_matches_neither_count(payload):
     return "requested 999 matches neither count of samples"
 
 
+def _trivial_count_beyond_the_budget(payload):
+    """The experiment's 15 samples allow 40*15 + 200 = 800 draws, 785 of them trivial."""
+    payload["trivial_count"] = 1000000
+    return "trivial_count 1000000 exceeds 785: a strict run of 15 samples makes at most 800 draws"
+
+
 def _zero_corner(payload):
     payload["matrix"] = "[[1,0],[0,1]]"
     return "witnessed matrix has zero lower-left corner"
 
 
-def _other_Y(payload):
-    payload["Y"] = "[[1,0],[0,1]]"
-    return "recorded Y does not match the recomputation"
-
-
 def _z_outside_the_ideal(payload):
     payload["z"] = "1"
     return "z = 1 is not in (3)"
-
-
-def _other_target(payload):
-    payload["target"] = "[[1,0],[0,1]]"
-    return "target is not E12((u^4 - u^-4)*z)"
 
 
 def _two_more_factors(payload):
@@ -445,10 +460,9 @@ OWN_CHECK_CASES = [
     (_many_units_doc, _c_is_zero, VerificationFailed),
     (_experiment_doc, _sample_with_trivial_image, VerificationFailed),
     (_experiment_doc, _requested_matches_neither_count, VerificationFailed),
+    (_experiment_doc, _trivial_count_beyond_the_budget, VerificationFailed),
     (_witness_doc, _zero_corner, VerificationFailed),
-    (_witness_doc, _other_Y, VerificationFailed),
     (_witness_doc, _z_outside_the_ideal, VerificationFailed),
-    (_witness_doc, _other_target, VerificationFailed),
     (_witness_doc, _two_more_factors, VerificationFailed),
     (_witness_doc_of_a_matrix_not_I_mod_c, _conjugator_times_A, VerificationFailed),
 ]

@@ -273,21 +273,24 @@ def test_verify_tool_version_not_a_string_exit_1(capsys, monkeypatch, version):
 
 @pytest.mark.parametrize("shifts", [{"t": 3}, {"q": 3, "p": -3}], ids=["t+3", "q+3,p-3"])
 def test_verify_witness_with_a_wrong_q_or_t_exit_1(capsys, monkeypatch, shifts):
-    """Only the q and t check reads the recorded t, and q once p = -q - z still
-    holds: the conjugator words that carry them are recorded apart, and the
-    shifted values stay in (c) = (3)."""
+    """verify derives t, q and p from A, u and z and never reads the recorded
+    ones, which the conjugator words do not carry: the comparator refuses the
+    first shifted field, though p = -q - z still holds and all stay in (3)."""
     argv = ["lemma", "witness", "--ring", "Z[1/2]", "--A", "[[1,0],[3,1]]", "--z", "3"]
     code, out = invoke(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
+    recorded = dict(doc["payload"])
     for key, shift in shifts.items():
         doc["payload"][key] = str(parse_element(localized(2), doc["payload"][key]) + shift)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     code, err = invoke_json(capsys, "verify", "-")
     assert code == 1
+    key = next(iter(shifts))
+    new, old = doc["payload"][key], recorded[key]
     assert err == {
         "error": "VerificationFailed",
-        "message": "recorded q or t does not match the recomputation",
+        "message": f"lemma2-witness payload.{key}: recorded {new!r:.40}, recomputed {old!r:.40}",
     }
 
 
@@ -864,7 +867,7 @@ def test_elementary_witness_verifies(tmp_path, capsys):
 def test_elementary_witness_computes_Y_once(capsys, monkeypatch):
     import sl2units.lemma as lemma
 
-    calls = {"compute_Y": 0, "_check_witness": 0}
+    calls = {"compute_Y": 0, "_checked_witness": 0}
 
     def counted(name):
         real = getattr(lemma, name)
@@ -880,7 +883,7 @@ def test_elementary_witness_computes_Y_once(capsys, monkeypatch):
     code, _ = invoke(capsys, "lemma", "witness", "--ring", "Z[1/2]",
                      "--A", "[[1,0],[3,1]]", "--z", "3", "--elementary")
     assert code == 0
-    assert calls == {"compute_Y": 1, "_check_witness": 1}
+    assert calls == {"compute_Y": 1, "_checked_witness": 1}
 
 
 def test_elementary_witness_with_a_wrong_word_fails(capsys, monkeypatch):

@@ -215,7 +215,7 @@ def test_witness_anchor():
     assert len(w.factors) == 4
     assert w.target == parse_matrix(Zh, "[[1,844424930131965/16777216],[0,1]]")
     assert w.p == -w.q - w.z
-    verify_witness(w)
+    assert verify_witness(A, w.u, w.z, w.factors) == w
 
 
 def test_witness_product_matches_target():
@@ -251,23 +251,22 @@ def test_witness_randomized(rng):
 
             z = A.c * random_element(ring, rng, 5)
             w = lemma2_witness(A, cert.u, z)
-            verify_witness(w)
+            assert verify_witness(A, cert.u, z, w.factors) == w
 
 
 def test_witness_tampering_rejected():
+    """verify_witness reads only A, u, z and the factors; the other fields it
+    derives, for certs to compare with the recorded ones."""
     A = elem21(Zh.from_int(3))
-    w = lemma2_witness(A, Zh.from_int(64), Zh.from_int(3))
-    with pytest.raises(VerificationFailed):
-        verify_witness(dataclasses.replace(w, p=w.p + 3))
-    with pytest.raises(VerificationFailed):
-        verify_witness(dataclasses.replace(w, target=identity(Zh)))
-    with pytest.raises(VerificationFailed):
-        verify_witness(dataclasses.replace(w, factors=w.factors[:3]))
-    with pytest.raises(VerificationFailed):
-        verify_witness(dataclasses.replace(w, q=w.q + 3))
+    u, z = Zh.from_int(64), Zh.from_int(3)
+    w = lemma2_witness(A, u, z)
+    with pytest.raises(VerificationFailed, match="misses the target"):
+        verify_witness(A, u, z + 3, w.factors)  # the factors carry the p of z
+    with pytest.raises(VerificationFailed, match="expected exactly 4 factors, found 3"):
+        verify_witness(A, u, z, w.factors[:3])
     swapped = (w.factors[1], w.factors[0]) + w.factors[2:]
-    with pytest.raises(VerificationFailed):
-        verify_witness(dataclasses.replace(w, factors=swapped))
+    with pytest.raises(VerificationFailed, match="misses the target"):
+        verify_witness(A, u, z, swapped)
 
 
 def test_witness_self_check_is_one_pass(monkeypatch):
@@ -311,13 +310,13 @@ def test_verify_witness_lets_a_bug_in_compute_Y_through(monkeypatch):
 
     monkeypatch.setattr(lemma, "compute_Y", broken)
     with pytest.raises(TypeError, match="bug inside compute_Y"):
-        verify_witness(w)
+        verify_witness(w.matrix, w.u, w.z, w.factors)
 
 
 def test_verify_witness_non_unit_u_is_a_verdict():
     w = lemma2_witness(elem21(Zh.from_int(3)), Zh.from_int(64), Zh.from_int(3))
     with pytest.raises(VerificationFailed, match="recomputing Y failed"):
-        verify_witness(dataclasses.replace(w, u=Zh.from_int(3)))
+        verify_witness(w.matrix, Zh.from_int(3), w.z, w.factors)
 
 
 def test_witness_conjugators_vanish_mod_c():

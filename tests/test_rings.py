@@ -38,6 +38,7 @@ from sl2units.rings import (
     random_element,
     unit_order,
 )
+from tests.conftest import ALL_RINGS
 
 Z = integers()
 Zh = localized(2)
@@ -665,6 +666,33 @@ def _localized_elements(ring):
         st.integers(min_value=-200, max_value=200),
         st.integers(min_value=0, max_value=4),
     )
+
+
+def _elements_with_units(ring):
+    """Elements of ring, with +-v^k for an infinite-order unit v drawn too, so
+    that units other than +-1 turn up."""
+    if ring.kind == QUADRATIC:
+        return _quad_elements(ring) | _powers_of_a_unit(ring)
+    if ring.param:
+        return _localized_elements(ring) | _powers_of_a_unit(ring)
+    return st.builds(ring.from_int, st.integers(min_value=-200, max_value=200))
+
+
+def _powers_of_a_unit(ring):
+    v = infinite_order_unit(ring)
+    return st.builds(lambda k, sign: v**k * sign, st.integers(-6, 6), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_is_unit_exactly_on_size_one(data):
+    """x is a unit exactly when its Euclidean size is 1, and is_unit gives its inverse."""
+    ring = data.draw(st.sampled_from(ALL_RINGS))
+    x = data.draw(_elements_with_units(ring))
+    inverse = is_unit(x)
+    assert (inverse is not None) == (euclidean_size(x) == 1)
+    if inverse is not None:
+        assert x * inverse == 1
 
 
 @settings(max_examples=150)

@@ -147,21 +147,30 @@ def test_product_equals_schoolbook(ring, left, right):
 
 
 def test_product_adds_no_zero_terms(monkeypatch):
-    additions = [0]
-    real_add = RingElement.__add__
+    """x + 0, x * 0 and x * 1 return an operand, so a product builds one ring
+    element per product of two entries other than 0 and 1, and one per sum of
+    two nonzero terms: multiplying by the identity builds none."""
+    built = [0]
+    real_post_init = RingElement.__post_init__
 
-    def counted_add(self, other):
-        additions[0] += 1
-        return real_add(self, other)
+    def counted(self):
+        built[0] += 1
+        real_post_init(self)
 
     x, u = Zh.from_fraction(3, 8), Zh.from_int(4)
     full = parse_matrix(Zh, "[[3,1/2],[4,1]]")
-    monkeypatch.setattr(RingElement, "__add__", counted_add)
-    elem12(x) * diag(u)
-    diag(u) * elem21(x)
-    assert additions[0] == 0
-    full * full  # no zero entry: one addition per entry
-    assert additions[0] == 4
+    cases = [
+        (identity(Zh), full, 0),
+        (full, identity(Zh), 0),
+        (elem12(x), diag(u), 1),  # [[u, x/u], [0, 1/u]]: only x * (1/u) is new
+        (diag(u), elem21(x), 1),  # [[u, 0], [x/u, 1/u]]
+        (full, full, 9),  # five products of entries other than 0 and 1, four sums
+    ]
+    monkeypatch.setattr(RingElement, "__post_init__", counted)
+    for left, right, expected in cases:
+        built[0] = 0
+        left * right
+        assert built[0] == expected
 
 
 def test_mul_oracle():
