@@ -11,10 +11,10 @@ produced the document.  SCHEMAS lists each kind's payload fields and their
 shapes, and one reader parses a payload against it.  verify_document, the
 single entry point the `verify` subcommand uses, reads every field that way,
 makes the checks that no derivation makes (the unit certificate's
-invariants; the witness's ideal memberships, four factors, conjugators
-congruent to I mod c and product; a decomposition word's product; the six
-factors of an h-decomposition; a norm experiment's corner, sample rules and
-draw budget; and each norm kind's counted group order), then derives the
+invariants; the witness's z in cR, four factors, conjugators congruent to
+I mod c and product; a decomposition word's product; the six factors of an
+h-decomposition; a norm experiment's corner, sample rules and draw budget;
+and each norm kind's counted group order), then derives the
 payload again with the emitter's own writers and compares it field by
 field, raising VerificationFailed at the first difference: a witness's Y,
 q, t, p and target are derived from its matrix, u, z and conjugators.

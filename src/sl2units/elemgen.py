@@ -134,37 +134,35 @@ def decompose(matrix: Mat2) -> Decomposition:
             factors.append(ElemFactor("21", m.c))
             m = elem21(-m.c) * m
             continue
-        inv_c = is_unit(m.c)
-        if inv_c is not None:
-            # unit corner: one row operation pins a = 1, a second clears c
-            t = (one - m.a) * inv_c
+        size_a, size_c = euclidean_size(m.a), euclidean_size(m.c)  # once per step
+        if size_c == 1:
+            # unit corner (size 1): one row operation pins a = 1, a second clears c
+            t = (one - m.a) * exact_quotient(one, m.c)
             m = elem12(t) * m
             factors.append(ElemFactor("12", -t))
             factors.append(ElemFactor("21", m.c))
             m = elem21(-m.c) * m
             continue
         # a = 0 would force -bc = 1, a unit corner, so a is nonzero from here on
-        inv_a = is_unit(m.a)
-        if inv_a is not None:
+        if size_a == 1:
             # unit pivot: steer the corner to 1 and let the branch above finish
-            t = (one - m.c) * inv_a
+            t = (one - m.c) * exact_quotient(one, m.a)
             m = elem21(t) * m
             factors.append(ElemFactor("21", -t))
             continue
-        if euclidean_size(m.c) >= euclidean_size(m.a):
+        if size_c >= size_a:
             q = divide(m.c, m.a)
-            r = m.c - q * m.a
-            if euclidean_size(r) >= euclidean_size(m.c):
+            step = elem21(-q) * m
+            if euclidean_size(step.c) >= size_c:
                 raise AssertionError(f"division of {m.c} by {m.a} did not shrink")
-            m = elem21(-q) * m
             factors.append(ElemFactor("21", q))
         else:
             q = divide(m.a, m.c)
-            r = m.a - q * m.c
-            if euclidean_size(r) >= euclidean_size(m.a):
+            step = elem12(-q) * m
+            if euclidean_size(step.a) >= size_a:
                 raise AssertionError(f"division of {m.a} by {m.c} did not shrink")
-            m = elem12(-q) * m
             factors.append(ElemFactor("12", q))
+        m = step
     # m is now [[a, b], [0, 1/a]] = diag(a, 1/a) * E12(b/a) with a a unit
     if m.a == 1:
         if m.b:

@@ -139,8 +139,8 @@ def compute_Y(A: Mat2, u: RingElement) -> YParts:
 
     With c the lower-left corner of A and u = 1 + c^2*y, set x = (u^4 - 1)/c
     and t = a*x.  Then E12(t) A^-1 E12(-t) diag(u^2) A diag(u^-2) equals
-    [[u^-4, q], [0, u^4]] for some q in cR; x, t, q all lie in cR.  The form
-    checks raise AssertionError: firing would falsify the algebra.
+    [[u^-4, q], [0, u^4]] for some q in cR; x, t, q all lie in cR.  That is
+    algebra, so only the inputs are checked: a wrong Y misses the target.
     """
     c = A.c
     if not c:
@@ -155,12 +155,7 @@ def compute_Y(A: Mat2, u: RingElement) -> YParts:
     t = A.a * x
     u2 = u * u
     Y = elem12(t) * A.inverse() * elem12(-t) * diag(u2) * A * diag(u2.inverse())
-    if Y.c or Y.a != u**-4 or Y.d != u**4:
-        raise AssertionError("Y is not upper triangular with diagonal (u^-4, u^4)")
-    q = Y.b
-    if not in_ideal(q, c):
-        raise AssertionError("q is not in cR")
-    return YParts(Y=Y, q=q, t=t, x=x, y=y)
+    return YParts(Y=Y, q=Y.b, t=t, x=x, y=y)
 
 
 @dataclass(frozen=True)
@@ -211,17 +206,16 @@ def _checked_witness(
     A: Mat2, u: RingElement, z: RingElement, parts: YParts, factors: tuple[ConjugateFactor, ...]
 ) -> ConjugateWitness:
     """The witness of compute_Y's parts, with p = -q - z and the target derived
-    here, once z, t, q and p lie in (c), there are four factors, every
-    conjugator is I mod (c) and the product of the conjugates meets the target."""
+    here, once z lies in (c) (then so do t, q and p, by algebra), there are
+    four factors, every conjugator is I mod (c) and the product meets the target."""
     c = A.c
     u4 = u**4
     w = ConjugateWitness(
         matrix=A, u=u, z=z, t=parts.t, q=parts.q, p=-parts.q - z, Y=parts.Y,
         factors=factors, target=elem12((u4 - u4.inverse()) * z),
     )
-    for name, value in (("z", w.z), ("t", w.t), ("q", w.q), ("p", w.p)):
-        if not in_ideal(value, c):
-            raise VerificationFailed(f"{name} = {value} is not in ({c})")
+    if not in_ideal(z, c):
+        raise VerificationFailed(f"z = {z} is not in ({c})")
     if len(w.factors) != 4:
         raise VerificationFailed(f"expected exactly 4 factors, found {len(w.factors)}")
     mod_c = quotient(c)

@@ -35,7 +35,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DocumentTooLarge, NoInfiniteOrderUnit, NonUnit, ParseError, ZeroIdeal
 
@@ -154,9 +154,7 @@ class RingElement:
         # arithmetic), so den is 1 there; Z has param 0: strip by m = 1, which leaves |den|
         den = self.rat.denominator
         if den != 1 and _strip_primes(den, self.ring.param or 1) != 1:
-            if self.ring.kind == INTEGERS:
-                raise ValueError(f"{_fraction_text(self.rat)} is not an integer")
-            raise ValueError(f"{_fraction_text(self.rat)} does not lie in {self.ring.name}")
+            raise ValueError(_Refusal(self))
 
     # -- equality and hashing (canonical form makes this field comparison)
 
@@ -208,16 +206,14 @@ class RingElement:
         return RingElement(self.ring, self.rat * o.rat)
 
     def __pow__(self, n: int) -> "RingElement":
+        # square-and-multiply from the top bit: x^n builds no power above itself
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n <= 1:
+            return self if n else self.ring.one()
+        half = self ** (n >> 1)
+        square = half * half
+        return square * self if n & 1 else square
 
     def conjugate(self) -> "RingElement":
         """Galois conjugate a - b*sqrt(d); identity on the other rings."""
@@ -254,6 +250,17 @@ class RingElement:
 
     def __repr__(self):
         return f"{self} in {self.ring.name}"
+
+
+class _Refusal(NamedTuple):
+    """A refused element's ValueError message, formatted only when shown."""
+
+    x: RingElement
+
+    def __str__(self):
+        ring = self.x.ring
+        where = "is not an integer" if ring.kind == INTEGERS else f"does not lie in {ring.name}"
+        return f"{_fraction_text(self.x.rat)} {where}"
 
 
 def is_unit(x: RingElement) -> Optional[RingElement]:

@@ -68,6 +68,21 @@ def random_nonzero_nonunit(ring, rng, *, size_cap=40, height_bound=8):
         return c
 
 
+def count_calls(monkeypatch, name, *owners):
+    """Patch the function that each owner binds to name with one counting
+    wrapper; the returned list's one entry counts the calls."""
+    calls = [0]
+    original = getattr(owners[0], name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def reduces_to_identity(matrix, c):
     """The oracle of acceptance criterion 1, a necessary condition for
     membership in the relative elementary subgroup of the ideal cR: the image

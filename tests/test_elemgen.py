@@ -29,7 +29,7 @@ from sl2units.sl2 import (
     word_diag,
     word_elem,
 )
-from tests.conftest import ALL_RINGS, random_sl2, reduces_to_identity
+from tests.conftest import ALL_RINGS, count_calls, random_sl2, reduces_to_identity
 
 Z = integers()
 Zh = localized(2)
@@ -221,3 +221,13 @@ def test_reduces_to_identity():
     c = Zh.from_int(3)
     assert reduces_to_identity(diag(Zh.from_int(64)), c)
     assert not reduces_to_identity(diag(Zh.from_int(2)), c)
+
+
+def test_euclid_sizes_each_corner_once_per_step(monkeypatch):
+    import sl2units.elemgen as elemgen
+    import sl2units.rings as rings
+
+    calls = count_calls(monkeypatch, "euclidean_size", rings, elemgen)
+    m = parse_matrix(Z, "[[233,144],[377,233]]")  # six Euclid steps over Z
+    assert decompose(m).word.evaluate() == m
+    assert calls[0] <= 36

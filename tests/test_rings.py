@@ -38,7 +38,7 @@ from sl2units.rings import (
     random_element,
     unit_order,
 )
-from tests.conftest import ALL_RINGS
+from tests.conftest import ALL_RINGS, count_calls
 
 Z = integers()
 Zh = localized(2)
@@ -725,3 +725,28 @@ def test_norm_size_multiplicative(x, y):
 @given(x=_localized_elements(Zh), y=_localized_elements(Zh))
 def test_localized_size_multiplicative(x, y):
     assert euclidean_size(x * y) == euclidean_size(x) * euclidean_size(y)
+
+
+def test_power_builds_no_square_past_the_top_bit(monkeypatch):
+    from sl2units.rings import RingElement
+
+    x = localized(3).from_fraction(2, 3)
+    built = count_calls(monkeypatch, "__post_init__", RingElement)
+    for n, expected in ((1, 0), (4, 2), (8, 3)):
+        built[0] = 0
+        power = x**n
+        assert built[0] == expected, n
+        assert power.rat == Fraction(2**n, 3**n)
+
+
+def test_failing_membership_formats_no_text(monkeypatch):
+    import sl2units.rings as rings
+
+    big = Zh.from_int(10**60_205 + 1)  # 60,206 digits, 2 mod 3
+    formatted = count_calls(monkeypatch, "_int_text", rings)
+    assert not in_ideal(big, Zh.from_int(3))
+    assert exact_quotient(big, Zh.from_int(3)) is None
+    assert formatted[0] == 0
+    with pytest.raises(ParseError, match="^1/3 does not lie in Z\\[1/2\\]$"):
+        parse_element(Zh, "1/3")
+    assert formatted[0] > 0
