@@ -199,6 +199,8 @@ def verify_witness(
         parts = compute_Y(A, u)
     except AlgebraError as exc:
         raise VerificationFailed(f"recomputing Y failed: {exc}") from None
+    if not in_ideal(z, A.c):
+        raise VerificationFailed(f"z = {z} is not in ({A.c})")
     return _checked_witness(A, u, z, parts, factors)
 
 
@@ -206,16 +208,14 @@ def _checked_witness(
     A: Mat2, u: RingElement, z: RingElement, parts: YParts, factors: tuple[ConjugateFactor, ...]
 ) -> ConjugateWitness:
     """The witness of compute_Y's parts, with p = -q - z and the target derived
-    here, once z lies in (c) (then so do t, q and p, by algebra), there are
-    four factors, every conjugator is I mod (c) and the product meets the target."""
+    here, once there are four factors, every conjugator is I mod (c) and the product
+    meets the target; both callers test z in (c), and then t, q, p are in (c) by algebra."""
     c = A.c
     u4 = u**4
     w = ConjugateWitness(
         matrix=A, u=u, z=z, t=parts.t, q=parts.q, p=-parts.q - z, Y=parts.Y,
         factors=factors, target=elem12((u4 - u4.inverse()) * z),
     )
-    if not in_ideal(z, c):
-        raise VerificationFailed(f"z = {z} is not in ({c})")
     if len(w.factors) != 4:
         raise VerificationFailed(f"expected exactly 4 factors, found {len(w.factors)}")
     mod_c = quotient(c)

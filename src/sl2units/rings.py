@@ -35,7 +35,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import DocumentTooLarge, NoInfiniteOrderUnit, NonUnit, ParseError, ZeroIdeal
 
@@ -154,7 +154,7 @@ class RingElement:
         # arithmetic), so den is 1 there; Z has param 0: strip by m = 1, which leaves |den|
         den = self.rat.denominator
         if den != 1 and _strip_primes(den, self.ring.param or 1) != 1:
-            raise ValueError(_Refusal(self))
+            raise _Refusal(self)
 
     # -- equality and hashing (canonical form makes this field comparison)
 
@@ -209,11 +209,11 @@ class RingElement:
         # square-and-multiply from the top bit: x^n builds no power above itself
         if n < 0:
             return self.inverse() ** (-n)
-        if n <= 1:
-            return self if n else self.ring.one()
-        half = self ** (n >> 1)
-        square = half * half
-        return square * self if n & 1 else square
+        result = self if n else self.ring.one()
+        for bit in bin(n)[3:]:
+            square = result * result
+            result = square * self if bit == "1" else square
+        return result
 
     def conjugate(self) -> "RingElement":
         """Galois conjugate a - b*sqrt(d); identity on the other rings."""
@@ -252,15 +252,13 @@ class RingElement:
         return f"{self} in {self.ring.name}"
 
 
-class _Refusal(NamedTuple):
-    """A refused element's ValueError message, formatted only when shown."""
-
-    x: RingElement
+class _Refusal(ValueError):
+    """The refusal of the element args[0], its message formatted only when shown."""
 
     def __str__(self):
-        ring = self.x.ring
-        where = "is not an integer" if ring.kind == INTEGERS else f"does not lie in {ring.name}"
-        return f"{_fraction_text(self.x.rat)} {where}"
+        x = self.args[0]
+        where = "is not an integer" if x.ring.kind == INTEGERS else f"does not lie in {x.ring.name}"
+        return f"{_fraction_text(x.rat)} {where}"
 
 
 def is_unit(x: RingElement) -> Optional[RingElement]:

@@ -258,6 +258,19 @@ def test_verify_key_that_no_schema_lists_exit_1(capsys, monkeypatch, argv, added
     assert err == {"error": "ParseError", "message": message}
 
 
+def test_verify_unit_power_with_a_huge_exponent_exit_1(capsys, monkeypatch):
+    """v = 1 leaves k unbounded by the height checks, so 1^(2^2000) is taken:
+    the power walks the exponent's bits in a loop, not one call frame each."""
+    code, doc = invoke_json(capsys, *UNIT_FIND)
+    assert code == 0
+    doc["payload"].update(v="1", k=2**2000, u="1", y="0")
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, err = invoke_json(capsys, "verify", "-")
+    assert code == 1
+    assert err == {"error": "VerificationFailed",
+                   "message": "u^8 = 1, so u generates no usable ideal"}
+
+
 @pytest.mark.parametrize("version", [{"note": "unchecked"}, 1, None, ["0.1.0"]],
                          ids=["object", "int", "null", "list"])
 def test_verify_tool_version_not_a_string_exit_1(capsys, monkeypatch, version):
