@@ -3,12 +3,13 @@
 The driver runs Euclidean reduction on the first column: row operations
 shrink the lower-left entry against the upper-left one until the matrix is
 upper triangular, and the residual diagonal part diag(u, 1/u) is absorbed
-through a fixed six-transvection identity.  Division strategies are
-per-ring plug-ins (Euclid on the prime-to-m parts over Z[1/m] and over
-Z = Z[1/1], where it rounds x/y to nearest with ties to even; field-norm
-rounding over Z[sqrt(2)] and Z[sqrt(3)]), and each provably leaves a
-remainder of smaller Euclidean size, so the loop ends.  A
-step that fails to shrink is a bug and raises AssertionError.
+through a fixed six-transvection identity.  One division serves every
+supported ring: over Z and Z[1/m] it is Euclid on the prime-to-m parts,
+fed the sizes the driver already holds (over Z it rounds x/y to nearest
+with ties to even), and over Z[sqrt(2)] and Z[sqrt(3)] it rounds x/y
+componentwise.  Each provably leaves a remainder of smaller Euclidean size,
+so the loop ends.  A step that fails to shrink is a bug and raises
+AssertionError.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from fractions import Fraction
 from .errors import NonUnit, UnsupportedRing
 from .rings import (
     QUADRATIC,
-    RingDescriptor,
     RingElement,
     euclidean_size,
     exact_quotient,
@@ -79,38 +79,23 @@ def expand_diagonals(word: GroupWord) -> GroupWord:
 
 
 # ---------------------------------------------------------------------------
-# division strategies
+# the division step
 
 
-def _divide_localized(x: RingElement, y: RingElement) -> RingElement:
+def _divide(x: RingElement, y: RingElement, nx: int, ny: int) -> RingElement:
+    """A quotient q with euclidean_size(x - q*y) < ny, for nonzero x and y of
+    Euclidean sizes nx and ny."""
+    if x.ring.kind == QUADRATIC:
+        # rounding x/y componentwise keeps |N(remainder)| <= (d+1)/4 * |N(y)| < |N(y)|
+        # for d in {2, 3}
+        n = y.field_norm()
+        num = x * y.conjugate()
+        return x.ring.from_pair(round(num.rat / n), round(Fraction(num.irr) / n))
     # Euclid on the prime-to-m parts: x = ux*nx and y = uy*ny with ux, uy units,
-    # so x - (t*ux/uy)*y = ux*(nx - t*ny) and the remainder size is |nx - t*ny|.
-    # Over Z the units are signs, and since round() is symmetric about 0 the
-    # quotient sign(x)*sign(y)*round(|x|/|y|) equals round(x/y).
-    ring = x.ring
-    if not x:
-        return ring.zero()
-    nx, ny = euclidean_size(x), euclidean_size(y)
-    ux = exact_quotient(x, ring.from_int(nx))
-    uy = exact_quotient(y, ring.from_int(ny))
-    t = round(Fraction(nx, ny))
-    return ux * uy.inverse() * t
-
-
-def _divide_quadratic(x: RingElement, y: RingElement) -> RingElement:
-    # rounding x/y componentwise keeps |N(remainder)| <= (d+1)/4 * |N(y)| < |N(y)|
-    # for d in {2, 3}
-    n = y.field_norm()
-    num = x * y.conjugate()
-    return x.ring.from_pair(round(num.rat / n), round(Fraction(num.irr) / n))
-
-
-def _division_for(ring: RingDescriptor):
-    if ring.kind != QUADRATIC:
-        return _divide_localized
-    if ring.param in (2, 3):
-        return _divide_quadratic
-    raise UnsupportedRing(f"no elementary decomposition strategy for {ring.name}")
+    # so x - (t*ux/uy)*y = ux*(nx - t*ny) and the remainder size is |nx - t*ny|;
+    # ux/uy = x*ny / (y*nx).  Over Z the units are signs, and since round() is
+    # symmetric about 0 the quotient sign(x)*sign(y)*round(|x|/|y|) is round(x/y).
+    return exact_quotient(x * ny, y * nx) * round(Fraction(nx, ny))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +109,8 @@ def decompose(matrix: Mat2) -> Decomposition:
     UnsupportedRing.
     """
     ring = matrix.ring
-    divide = _division_for(ring)
+    if ring.kind == QUADRATIC and ring.param not in (2, 3):
+        raise UnsupportedRing(f"no elementary decomposition strategy for {ring.name}")
     one = ring.one()
     factors: list[ElemFactor] = []
     m = matrix
@@ -151,13 +137,13 @@ def decompose(matrix: Mat2) -> Decomposition:
             factors.append(ElemFactor("21", -t))
             continue
         if size_c >= size_a:
-            q = divide(m.c, m.a)
+            q = _divide(m.c, m.a, size_c, size_a)
             step = elem21(-q) * m
             if euclidean_size(step.c) >= size_c:
                 raise AssertionError(f"division of {m.c} by {m.a} did not shrink")
             factors.append(ElemFactor("21", q))
         else:
-            q = divide(m.a, m.c)
+            q = _divide(m.a, m.c, size_a, size_c)
             step = elem12(-q) * m
             if euclidean_size(step.a) >= size_a:
                 raise AssertionError(f"division of {m.a} by {m.c} did not shrink")

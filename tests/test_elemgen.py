@@ -11,14 +11,20 @@ from hypothesis import strategies as st
 from sl2units.cli import run
 from sl2units.elemgen import (
     Decomposition,
-    _divide_localized,
-    _division_for,
+    _divide,
     decompose,
     expand_diagonals,
     h_decomposition,
 )
 from sl2units.errors import NonUnit, UnsupportedRing
-from sl2units.rings import euclidean_size, integers, localized, quadratic
+from sl2units.rings import (
+    QUADRATIC,
+    euclidean_size,
+    exact_quotient,
+    integers,
+    localized,
+    quadratic,
+)
 from sl2units.sl2 import (
     ElemFactor,
     diag,
@@ -162,28 +168,63 @@ _ELEMENT_DATA = st.tuples(
 )
 
 
+# Reference divisions for _divide, one per kind of ring: each sizes its
+# operands itself, and the localized one finds ux/uy through exact_quotient
+# and inverse instead of from the sizes it is given.
+
+
+def _reference_divide_localized(x, y):
+    ring = x.ring
+    if not x:
+        return ring.zero()
+    nx, ny = euclidean_size(x), euclidean_size(y)
+    ux = exact_quotient(x, ring.from_int(nx))
+    uy = exact_quotient(y, ring.from_int(ny))
+    t = round(Fraction(nx, ny))
+    return ux * uy.inverse() * t
+
+
+def _reference_divide_quadratic(x, y):
+    n = y.field_norm()
+    num = x * y.conjugate()
+    return x.ring.from_pair(round(num.rat / n), round(Fraction(num.irr) / n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(DIVISION_RINGS), _ELEMENT_DATA, _ELEMENT_DATA)
+def test_divide_matches_the_per_ring_reference(ring, x_data, y_data):
+    x, y = _element(ring, x_data), _element(ring, y_data)
+    if not (x and y):
+        return
+    reference = (
+        _reference_divide_quadratic if ring.kind == QUADRATIC else _reference_divide_localized
+    )
+    q = _divide(x, y, euclidean_size(x), euclidean_size(y))
+    assert q == reference(x, y)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(DIVISION_RINGS), _ELEMENT_DATA, _ELEMENT_DATA)
 def test_division_remainder_shrinks(ring, x_data, y_data):
     x, y = _element(ring, x_data), _element(ring, y_data)
-    if not y:
+    if not (x and y):
         return
-    q = _division_for(ring)(x, y)
+    q = _divide(x, y, euclidean_size(x), euclidean_size(y))
     assert euclidean_size(x - q * y) < euclidean_size(y)
 
 
 def test_division_over_Z_rounds_half_to_even():
     for x in range(-50, 51):
         for y in range(-50, 51):
-            if y:
-                q = _divide_localized(Z.from_int(x), Z.from_int(y))
+            if x and y:
+                q = _divide(Z.from_int(x), Z.from_int(y), abs(x), abs(y))
                 assert q == round(Fraction(x, y)), (x, y)
 
 
 def test_division_that_does_not_shrink_is_internal_error(capsys, monkeypatch):
     import sl2units.elemgen as elemgen
 
-    monkeypatch.setattr(elemgen, "_divide_localized", lambda x, y: x.ring.zero())
+    monkeypatch.setattr(elemgen, "_divide", lambda x, y, nx, ny: x.ring.zero())
     assert run(["decompose", "--ring", "Z", "--A", "[[2,1],[3,2]]"]) == 3
     err = json.loads(capsys.readouterr().out)
     assert err["error"] == "InternalError"
@@ -230,4 +271,4 @@ def test_euclid_sizes_each_corner_once_per_step(monkeypatch):
     calls = count_calls(monkeypatch, "euclidean_size", rings, elemgen)
     m = parse_matrix(Z, "[[233,144],[377,233]]")  # six Euclid steps over Z
     assert decompose(m).word.evaluate() == m
-    assert calls[0] <= 36
+    assert calls[0] <= 18

@@ -13,10 +13,13 @@ fails these tests:
   criterion), and norm 2 otherwise;
 * the Galois conjugation a + b*sqrt(d) -> a - b*sqrt(d) is a ring
   automorphism, and the witness construction uses ring operations only, so
-  it commutes with the construction.
+  it commutes with the construction;
+* the conjugation closure of a seed is a union of conjugacy classes, so
+  conjugating the seed by any group element h leaves the closure unchanged.
 """
 
 import dataclasses
+import random
 from collections import Counter
 
 from hypothesis import assume, given, settings
@@ -47,6 +50,28 @@ def test_closure_of_a_transvection_is_its_class_and_maybe_its_inverse_class():
         closure = conjugation_closure(table, [table.transvection("21", Z.one())])
         expected = p * p - 1 if p % 4 == 3 else (p * p - 1) // 2
         assert len(closure) == expected, p
+
+
+def _random_group_element(table, rng, length=16):
+    g = table.identity
+    for _ in range(length):
+        x = rng.choice(table.generators)
+        g = table.mul(g, x if rng.random() < 0.5 else table.inv(x))
+    return g
+
+
+def test_closure_of_a_conjugated_seed_is_the_same_closure():
+    rng = random.Random(16)
+    moduli = [Z.from_int(n) for n in range(2, 14)] + [quadratic(2).from_int(3)]
+    for modulus in moduli:
+        table = FiniteGroupTable(modulus)
+        for _ in range(3):
+            seed = [_random_group_element(table, rng) for _ in range(2)]
+            h = _random_group_element(table, rng)
+            conjugated = [table.conj(h, s) for s in seed]
+            assert conjugation_closure(table, conjugated) == conjugation_closure(table, seed), (
+                modulus
+            )
 
 
 def _is_square_mod(x, p):
