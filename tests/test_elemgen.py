@@ -170,7 +170,7 @@ _ELEMENT_DATA = st.tuples(
 
 # Reference divisions for _divide, one per kind of ring: each sizes its
 # operands itself, and the localized one finds ux/uy through exact_quotient
-# and inverse instead of from the sizes it is given.
+# and inverse.
 
 
 def _reference_divide_localized(x, y):

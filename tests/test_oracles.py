@@ -52,9 +52,9 @@ def test_closure_of_a_transvection_is_its_class_and_maybe_its_inverse_class():
         assert len(closure) == expected, p
 
 
-def _random_group_element(table, rng, length=16):
+def _random_group_element(table, rng):
     g = table.identity
-    for _ in range(length):
+    for _ in range(16):
         x = rng.choice(table.generators)
         g = table.mul(g, x if rng.random() < 0.5 else table.inv(x))
     return g
