@@ -10,14 +10,16 @@ verifier never needs the random seed or intermediate state of the run that
 produced the document.  SCHEMAS lists each kind's payload fields and their
 shapes, and one reader parses a payload against it.  verify_document, the
 single entry point the `verify` subcommand uses, reads every field that way,
-makes the checks that no derivation makes (the unit certificate's
-invariants; the witness's z in cR, four factors, conjugators congruent to
-I mod c and product; a decomposition word's product; the six factors of an
-h-decomposition; a norm experiment's corner, sample rules and draw budget;
-and each norm kind's counted group order), then derives the
-payload again with the emitter's own writers and compares it field by
-field, raising VerificationFailed at the first difference: a witness's Y,
-q, t, p and target are derived from its matrix, u, z and conjugators.
+makes the checks that no derivation makes (a unit certificate's c != 0,
+k >= 1 and height bounds on k; the witness's z in cR, four factors,
+conjugators congruent to I mod c and product; a decomposition word's
+product; a norm experiment's sample rules and draw budget; and each norm
+kind's counted group order), then derives the payload again with the
+emitter's own code and writers and compares it field by field, raising
+VerificationFailed at the first difference: a unit certificate's u and y
+are derived from c, v and k, a norm experiment's certificate from the
+matrix corner, an h-decomposition from its unit, and a witness's Y, q, t,
+p and target from its matrix, u, z and conjugators.
 make_document reads each payload it emits back through the same reader, so
 the digit bounds of the ring parsers hold on both sides.
 """
@@ -25,7 +27,7 @@ the digit bounds of the ring parsers hold on both sides.
 from __future__ import annotations
 
 from . import __version__
-from .elemgen import Decomposition
+from .elemgen import Decomposition, h_decomposition
 from .errors import DocumentTooLarge, ParseError, VerificationFailed
 from .lemma import (
     ConjugateFactor,
@@ -44,7 +46,7 @@ from .norms import (
     lemma_bound_report,
 )
 from .rings import RingDescriptor, in_ideal, parse_element, parse_ring
-from .sl2 import Mat2, diag, parse_matrix, word_from_json, word_to_json
+from .sl2 import Mat2, parse_matrix, word_from_json, word_to_json
 
 # the four norm axioms an axiom report records, in the order verify checks them
 _AXIOMS = ("separation", "symmetry", "subadditivity", "conjugation_invariance")
@@ -264,14 +266,8 @@ def _compare(where: str, recorded, recomputed) -> None:
 # writers build from the checked values, for verify_document to compare
 
 
-def _unit_certificate(fields: dict) -> ManyUnitsCertificate:
-    cert = ManyUnitsCertificate(*(fields[key] for key in ("c", "v", "u", "k", "y")))
-    verify_certificate(cert)
-    return cert
-
-
 def _verify_many_units(fields: dict) -> dict:
-    return many_units_payload(_unit_certificate(fields))
+    return many_units_payload(verify_certificate(*(fields[key] for key in "cvuk")))
 
 
 def _verify_witness(fields: dict) -> dict:
@@ -287,22 +283,16 @@ def _verify_witness(fields: dict) -> dict:
     return witness_payload(witness)
 
 
-def _decomposition(matrix: Mat2, word) -> Decomposition:
+def _verify_decomposition(fields: dict) -> dict:
     try:
-        return Decomposition(matrix, word)
+        dec = Decomposition(fields["matrix"], fields["word"])
     except ValueError as exc:
         raise VerificationFailed(str(exc)) from None
-
-
-def _verify_decomposition(fields: dict) -> dict:
-    return decomposition_payload(_decomposition(fields["matrix"], fields["word"]))
+    return decomposition_payload(dec)
 
 
 def _verify_h_decomposition(fields: dict) -> dict:
-    dec = _decomposition(diag(fields["unit"]), fields["word"])
-    if dec.length != 6:
-        raise VerificationFailed("the diagonal decomposition must have six factors")
-    return decomposition_payload(dec, fields["unit"])
+    return decomposition_payload(h_decomposition(fields["unit"]), fields["unit"])
 
 
 # The counted table's fields of the norm kinds are compared first, as the
@@ -310,10 +300,8 @@ def _verify_h_decomposition(fields: dict) -> dict:
 
 
 def _verify_experiment(fields: dict) -> dict:
-    matrix = fields["matrix"]
-    cert = _unit_certificate(fields["unit_certificate"])
-    if cert.c != matrix.c:
-        raise VerificationFailed("unit certificate does not match the matrix corner")
+    matrix, unit = fields["matrix"], fields["unit_certificate"]
+    cert = verify_certificate(matrix.c, unit["v"], unit["u"], unit["k"])
     table = FiniteGroupTable(fields["modulus"])
     where = "norm-experiment payload"
     _compare(f"{where}.quotient_index", fields["quotient_index"], table.quotient.index)

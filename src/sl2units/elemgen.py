@@ -17,14 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonUnit, UnsupportedRing
-from .rings import (
-    QUADRATIC,
-    RingElement,
-    euclidean_size,
-    exact_quotient,
-    is_unit,
-)
+from .errors import UnsupportedRing
+from .rings import QUADRATIC, RingElement, euclidean_size, exact_quotient
 from .sl2 import ElemFactor, GroupWord, Mat2, diag, elem12, elem21, word_elem
 
 
@@ -52,9 +46,7 @@ class Decomposition:
 
 def h_decomposition(u: RingElement) -> Decomposition:
     """diag(u, 1/u) as the six transvections E12(u) E21(-1/u) E12(u) E12(-1) E21(1) E12(-1)."""
-    inv = is_unit(u)
-    if inv is None:
-        raise NonUnit(f"{u} is not a unit of {u.ring.name}")
+    inv = u.inverse()
     one = u.ring.one()
     word = (
         word_elem("12", u)

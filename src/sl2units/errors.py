@@ -72,5 +72,5 @@ class VerificationFailed(AlgebraError):
 
 
 class DocumentTooLarge(AlgebraError):
-    """An emitted certificate that `verify` could not read back, or a unit
-    whose power would have more digits than `verify` reads."""
+    """An emitted certificate that `verify` could not read back, or a unit,
+    or a power of one, that would have more digits than `verify` reads."""

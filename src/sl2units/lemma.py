@@ -5,7 +5,9 @@ recorded data alone.
 
 * A unit certificate for a nonzero c: starting from a unit v of infinite
   order, the power u = v^k (k the multiplicative order of v modulo c^2)
-  satisfies u - 1 = c^2*y and u^8 != 1.
+  satisfies u - 1 = c^2*y and u^8 != 1.  The verifier bounds k by the
+  recorded u before any power is taken, then derives u and y from c, v and
+  k with certify_unit, the builder's own code, for the caller to compare.
 
 * A bounded-conjugate witness: for A with nonzero lower-left corner c and a
   certified unit u, the transvection E12((u^4 - u^-4)*z) -- for any z in cR
@@ -23,7 +25,6 @@ from typing import NamedTuple
 from .elemgen import expand_diagonals
 from .errors import (
     AlgebraError,
-    NonUnit,
     UnitCongruenceViolated,
     VerificationFailed,
     ZeroCorner,
@@ -63,42 +64,45 @@ class ManyUnitsCertificate:
     y: RingElement
 
 
-def verify_certificate(cert: ManyUnitsCertificate) -> None:
-    """Recheck every certificate invariant; raises VerificationFailed."""
-    if not cert.c:
+def verify_certificate(
+    c: RingElement, v: RingElement, u: RingElement, k: int
+) -> ManyUnitsCertificate:
+    """The certificate that certify_unit derives from c, v and k, once k fits the
+    recorded u, for the caller to compare with what it recorded.  Raises
+    VerificationFailed with the first failure."""
+    if not c:
         raise VerificationFailed("certificate has c = 0")
-    if cert.k < 1:
-        raise VerificationFailed(f"exponent k = {cert.k} is not positive")
-    if is_unit(cert.v) is None:
-        raise VerificationFailed(f"base {cert.v} is not a unit")
+    if k < 1:
+        raise VerificationFailed(f"exponent k = {k} is not positive")
     # height(v^k) >= 2^(k-2) for a unit v != +-1; also height(v^k) = height(v)^k over
     # Z[1/m], and height(v^k) >= height(v)^k / (1 + sqrt(d)) > height(v)^k / 2^bits(d)
     # over Z[sqrt(d)]: a k that u is too small for is refused before v**k is taken
-    hu = height(cert.u).bit_length()
-    d = cert.v.ring.param if cert.v.irr else 0  # a unit v != +-1 of Z[sqrt(d)] has irr != 0
-    too_small = cert.v not in (1, -1) and cert.k > hu + 1
-    too_high = cert.k * (height(cert.v).bit_length() - 1) >= hu + d.bit_length()
-    if too_small or too_high or cert.u != cert.v**cert.k:
-        raise VerificationFailed(f"u is not {cert.v}^{cert.k}")
-    if cert.u - 1 != cert.c * cert.c * cert.y:
-        raise VerificationFailed("u - 1 does not equal c^2 * y")
-    if cert.u**8 == 1:
-        raise VerificationFailed("u^8 = 1, so u generates no usable ideal")
+    hu = height(u).bit_length()
+    d = v.ring.param if v.irr else 0  # a unit v != +-1 of Z[sqrt(d)] has irr != 0
+    too_small = v not in (1, -1) and k > hu + 1
+    if too_small or k * (height(v).bit_length() - 1) >= hu + d.bit_length():
+        raise VerificationFailed(f"u is not {v}^{k}")
+    try:
+        return certify_unit(c, v, k)
+    except UnitCongruenceViolated as exc:
+        raise VerificationFailed(str(exc)) from None
 
 
 def certify_unit(c: RingElement, v: RingElement, k: int) -> ManyUnitsCertificate:
     """Certify u = v^k with u - 1 divisible by c^2 and u^8 != 1: ZeroIdeal for
-    c = 0, UnitCongruenceViolated if c^2 does not divide u - 1, and
-    VerificationFailed from verify_certificate otherwise."""
+    c = 0, VerificationFailed for a non-unit v or u^8 = 1, and
+    UnitCongruenceViolated if c^2 does not divide u - 1."""
     if not c:
         raise ZeroIdeal("cannot certify a unit for c = 0")
+    if is_unit(v) is None:
+        raise VerificationFailed(f"base {v} is not a unit")
     u = v**k
     y = exact_quotient(u - 1, c * c)
     if y is None:
         raise UnitCongruenceViolated(f"u - 1 = {u - 1} is not divisible by c^2 = {c * c}")
-    cert = ManyUnitsCertificate(c=c, v=v, u=u, k=k, y=y)
-    verify_certificate(cert)
-    return cert
+    if u**8 == 1:
+        raise VerificationFailed("u^8 = 1, so u generates no usable ideal")
+    return ManyUnitsCertificate(c=c, v=v, u=u, k=k, y=y)
 
 
 def find_unit(c: RingElement) -> ManyUnitsCertificate:
@@ -145,16 +149,14 @@ def compute_Y(A: Mat2, u: RingElement) -> YParts:
     c = A.c
     if not c:
         raise ZeroCorner("lower-left corner is zero")
-    if is_unit(u) is None:
-        raise NonUnit(f"{u} is not a unit of {u.ring.name}")
+    u_inv = u.inverse()
     y = exact_quotient(u - 1, c * c)
     if y is None:
         raise UnitCongruenceViolated(f"{u} - 1 is not divisible by ({c})^2")
     # u^4 - 1 = (u - 1)(u^3 + u^2 + u + 1) = c^2*y*(...), so x = c*y*(...) in cR
     x = c * y * (u**3 + u**2 + u + 1)
     t = A.a * x
-    u2 = u * u
-    Y = elem12(t) * A.inverse() * elem12(-t) * diag(u2) * A * diag(u2.inverse())
+    Y = elem12(t) * A.inverse() * elem12(-t) * diag(u * u) * A * diag(u_inv * u_inv)
     return YParts(Y=Y, q=Y.b, t=t, x=x, y=y)
 
 

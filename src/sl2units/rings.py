@@ -422,16 +422,22 @@ def pell_fundamental_unit(d: int) -> tuple[int, int]:
     It is the convergent a/b that closes the first period of the continued
     fraction of sqrt(d) (Lenstra, "Solving the Pell equation", 2002); the
     partial quotients come from the exact recurrence on (m + sqrt(d)) / q.
+    The k-th convergent has a^2 - d*b^2 = (-1)^(k+1) times the next q, so the
+    search ends when q returns to 1.  An a of more than DIGIT_BOUND digits
+    raises DocumentTooLarge instead.
     """
     root = math.isqrt(d)
-    m, q, digit = 0, 1, root
+    m, q = root, d - root * root
     a_prev, a, b_prev, b = 1, root, 0, 1
-    while a * a - d * b * b not in (1, -1):
-        m = digit * q - m
-        q = (d - m * m) // q
+    while q != 1:
         digit = (root + m) // q
         a_prev, a = a, digit * a + a_prev
         b_prev, b = b, digit * b + b_prev
+        m = digit * q - m
+        q = (d - m * m) // q
+        if a.bit_length() > DIGIT_BOUND * math.log2(10) + 1:  # then a > 10^DIGIT_BOUND
+            message = f"the fundamental unit of Z[sqrt{d}] has more than {DIGIT_BOUND} digits"
+            raise DocumentTooLarge(message)
     return a, b
 
 

@@ -112,10 +112,10 @@ def test_criterion_2_find_unit_suite(announce):
         for _ in range(50):
             c = random_nonzero_nonunit(ring, rng, size_cap=30)
             cert = find_unit(c)
-            verify_certificate(cert)
             c2 = c * c
             case_ok = (
-                exact_quotient(cert.u - 1, c2) == cert.y and cert.u**8 != 1
+                verify_certificate(c, cert.v, cert.u, cert.k) == cert
+                and exact_quotient(cert.u - 1, c2) == cert.y and cert.u**8 != 1
             )
             # independent brute force: k is the least exponent that works
             w = ring.one()

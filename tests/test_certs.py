@@ -279,6 +279,17 @@ def test_tampered_h_decomposition():
         certs.verify_document(doc)
 
 
+def test_h_decomposition_of_another_word_refused():
+    """E12(1) E12(-1) appended leaves the product diag(u): verify accepts only
+    the word that h-decompose writes."""
+    doc = _h_doc()
+    doc["payload"]["word"]["factors"] += [
+        {"kind": "elem", "position": "12", "argument": text} for text in ("1", "-1")
+    ]
+    with pytest.raises(VerificationFailed, match=r"^h-decomposition payload\.word\.factors: "):
+        certs.verify_document(doc)
+
+
 def test_tampered_experiment():
     doc = _experiment_doc()
     doc["payload"]["samples"][0]["norm"] = 4
@@ -322,6 +333,8 @@ def test_tampered_axiom_report():
 # (builder, key path, tampered value): one per field that the emitter's own
 # writers derive or fix, each value other than the written one
 DERIVED_FIELD_CASES = [
+    (_many_units_doc, ("u",), "65"),  # 2^6 = 64, and 65 passes both height bounds of k = 6
+    (_many_units_doc, ("y",), "8"),
     (_many_units_doc, ("epsilon_generator",), "1"),
     (_many_units_doc, ("check_u8",), False),
     (_witness_doc, ("sign_convention",), "p = q + z"),
@@ -332,6 +345,8 @@ DERIVED_FIELD_CASES = [
     (_witness_doc, ("target",), "[[1,0],[0,1]]"),
     (_decomposition_doc, ("length",), 99),
     (_h_doc, ("matrix",), "[[1,0],[0,1]]"),
+    (_h_doc, ("word", "factors", 0, "argument"), "5"),
+    (_experiment_doc, ("unit_certificate", "c"), "1"),  # the matrix corner is 3
     (_experiment_doc, ("quotient_index",), 0),
     (_experiment_doc, ("group_order",), 0),
     (_experiment_doc, ("generator_count",), 0),
@@ -414,6 +429,12 @@ def _c_is_zero(payload):
     return "certificate has c = 0"
 
 
+def _c_breaks_the_congruence(payload):
+    """c = 5 passes every bound of k, and certify_unit finds 25 does not divide 2^6 - 1."""
+    payload["c"] = "5"
+    return "u - 1 = 63 is not divisible by c^2 = 25"
+
+
 def _sample_with_trivial_image(payload):
     """A multiple of the epsilon generator by the modulus 11: E12(j) reduces to I."""
     j = parse_element(Zh, payload["unit_certificate"]["epsilon_generator"]) * 11
@@ -458,6 +479,7 @@ def _conjugator_times_A(payload):
 OWN_CHECK_CASES = [
     (_many_units_doc, _k_is_true, ParseError),
     (_many_units_doc, _c_is_zero, VerificationFailed),
+    (_many_units_doc, _c_breaks_the_congruence, VerificationFailed),
     (_experiment_doc, _sample_with_trivial_image, VerificationFailed),
     (_experiment_doc, _requested_matches_neither_count, VerificationFailed),
     (_experiment_doc, _trivial_count_beyond_the_budget, VerificationFailed),

@@ -59,6 +59,30 @@ def test_ring_info_large_pell_unit(capsys):
     assert doc["infinite_order_unit"] == "1728148040+140634693*sqrt(151)"
 
 
+def test_ring_info_pell_unit_of_36719_digits_at_once(capsys):
+    """The search stops when the recurrence's q returns to 1, without squaring
+    the convergent's a and b at every step."""
+    start = time.perf_counter()
+    code, doc = invoke_json(capsys, "ring", "info", "--ring", "Z[sqrt100000000003]")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    unit = parse_element(quadratic(10**11 + 3), doc["infinite_order_unit"])
+    assert unit.field_norm() in (1, -1) and len(_int_text(int(unit.rat))) == 36719
+
+
+def test_ring_info_pell_unit_at_the_digit_bound(capsys, monkeypatch):
+    """The unit of Z[sqrt151] is 1728148040+140634693*sqrt(151), of ten digits:
+    printed under a bound of 10 digits and refused under 9."""
+    monkeypatch.setattr("sl2units.rings.DIGIT_BOUND", 10)
+    code, doc = invoke_json(capsys, "ring", "info", "--ring", "Z[sqrt151]")
+    assert code == 0 and doc["infinite_order_unit"] == "1728148040+140634693*sqrt(151)"
+    monkeypatch.setattr("sl2units.rings.DIGIT_BOUND", 9)
+    assert invoke_json(capsys, "ring", "info", "--ring", "Z[sqrt151]") == (1, {
+        "error": "DocumentTooLarge",
+        "message": "the fundamental unit of Z[sqrt151] has more than 9 digits",
+    })
+
+
 def test_unit_find_anchor(capsys):
     code, doc = invoke_json(capsys, "unit", "find", "--ring", "Z[1/2]", "--c", "3")
     assert code == 0

@@ -1,7 +1,5 @@
 """Unit certificates, the triangular conjugate Y, and the four-factor witness."""
 
-import dataclasses
-
 import pytest
 
 from sl2units import lemma
@@ -14,7 +12,6 @@ from sl2units.errors import (
     ZNotInIdeal,
 )
 from sl2units.lemma import (
-    ManyUnitsCertificate,
     certify_unit,
     compute_Y,
     epsilon_generator,
@@ -62,7 +59,7 @@ def _brute_force_order(cert):
 def test_find_unit_anchor_3_over_half():
     cert = find_unit(Zh.from_int(3))
     assert (cert.v, cert.k, cert.u, cert.y) == (2, 6, 64, 7)
-    verify_certificate(cert)
+    assert verify_certificate(cert.c, cert.v, cert.u, cert.k) == cert
     assert epsilon_generator(cert) == 3 * (64**8 - 1)
 
 
@@ -76,7 +73,7 @@ def test_find_unit_quadratic_anchor():
     cert = find_unit(R2.from_int(3))
     assert cert.v == R2.from_pair(1, 1)
     assert cert.k == 24
-    verify_certificate(cert)
+    assert verify_certificate(cert.c, cert.v, cert.u, cert.k) == cert
     _brute_force_order(cert)
 
 
@@ -107,33 +104,29 @@ def test_find_unit_randomized(rng):
         for _ in range(8):
             c = random_nonzero_nonunit(ring, rng, size_cap=25)
             cert = find_unit(c)
-            verify_certificate(cert)
+            assert verify_certificate(c, cert.v, cert.u, cert.k) == cert
             assert exact_quotient(cert.u - 1, c * c) == cert.y
             assert cert.u**8 != 1
             _brute_force_order(cert)
 
 
 def test_verify_certificate_tampering():
+    """A recorded u or y is not checked here but derived, for the caller to
+    compare; a k that the recorded u is too small for is refused."""
     cert = find_unit(Zh.from_int(3))
-    broken = dataclasses.replace(cert, y=cert.y + 1)
-    with pytest.raises(VerificationFailed):
-        verify_certificate(broken)
-    broken = dataclasses.replace(cert, k=cert.k + 1)
-    with pytest.raises(VerificationFailed):
-        verify_certificate(broken)
+    assert verify_certificate(cert.c, cert.v, cert.u, cert.k) == cert
+    assert verify_certificate(cert.c, cert.v, cert.u + 1, cert.k) == cert
+    with pytest.raises(VerificationFailed, match=r"^u is not 2\^7$"):
+        verify_certificate(cert.c, cert.v, cert.u, cert.k + 1)
+    with pytest.raises(VerificationFailed, match=r"^u - 1 = 63 is not divisible by c\^2 = 25$"):
+        verify_certificate(Zh.from_int(5), cert.v, cert.u, cert.k)
 
 
 def test_verify_certificate_u8_trap():
     # a hand-built "certificate" whose unit has finite order must be rejected
-    fake = ManyUnitsCertificate(
-        c=Zh.from_int(1),
-        v=Zh.from_int(-1),
-        u=Zh.from_int(-1),
-        k=1,
-        y=Zh.from_int(-2),
-    )
-    with pytest.raises(VerificationFailed):
-        verify_certificate(fake)
+    one, minus_one = Zh.from_int(1), Zh.from_int(-1)
+    with pytest.raises(VerificationFailed, match="u generates no usable ideal"):
+        verify_certificate(one, minus_one, minus_one, 1)
 
 
 def test_exponent_cap_admits_every_true_power():

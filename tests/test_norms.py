@@ -440,13 +440,14 @@ def test_experiment_unit_corner():
 
 def test_experiment_rejects_mismatched_certificate():
     """The experiment takes a certificate for the matrix corner on trust, as
-    every command builds it from that corner; verify refuses a document that
-    pairs the matrix with a certificate for another c."""
+    every command builds it from that corner; verify derives the certificate
+    for the corner and refuses a document that records one for another c."""
     A = elem21(Zh.from_int(1))
     cert = find_unit(Zh.from_int(3))
     report = lemma_bound_experiment(A, cert, Zh.from_int(11), 5, rng=random.Random(0))
     doc = certs.make_document("norm-experiment", Zh, certs.experiment_payload(report, A, cert))
-    with pytest.raises(VerificationFailed, match="^unit certificate does not match the matrix corner$"):
+    message = r"^norm-experiment payload\.unit_certificate\.c: recorded '3', recomputed '1'$"
+    with pytest.raises(VerificationFailed, match=message):
         certs.verify_document(doc)
 
 

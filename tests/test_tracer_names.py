@@ -1,14 +1,18 @@
 """Every name the benchmark tracer patches or reads exists in the package.
 
-perfbench/spans.py wraps functions and methods by name and reads fields off
-the results of wrapped calls.  A deleted patched name breaks a traced run,
-and a deleted field that an observer reads zeroes its metric silently, so
-both are checked here, without running the tracer.
+perfbench/spans.py wraps functions and methods by name, reads fields off
+the results of wrapped calls and sums the self times and calls of spans by
+name.  A deleted patched name breaks a traced run, and a deleted field that
+an observer reads, or a deleted span name that a metric sums, zeroes its
+metric silently, so all three are checked here, without running the tracer.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -25,8 +29,24 @@ def _load_spans():
 spans = _load_spans()
 LAYERS = {name: importlib.import_module(f"sl2units.{name}") for name in spans.LAYERS}
 
-# names spans.BUILD and spans.VERIFY still list that certs no longer defines
-STALE = ("dumps", "parse_many_units", "parse_witness")
+# names spans.BUILD and spans.VERIFY still list that certs no longer defines,
+# and names that spans.Tracer.metrics sums that the package no longer defines
+STALE = ("dumps", "parse_many_units", "parse_witness", "norms.bfs_norm")
+
+
+def _summed_names() -> set:
+    """The span names spans.Tracer.metrics passes to total(...) or calls[...]."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(spans.Tracer.metrics)))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "total":
+            names.update(arg.value for arg in node.args if isinstance(arg, ast.Constant))
+        elif isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "calls":
+            names.add(node.slice.value)
+    return names
+
+
+SUMMED = _summed_names()
 
 # (module, class) -> the fields of its instances that an observer reads
 OBSERVED_FIELDS = {
@@ -62,11 +82,17 @@ def test_certs_span_name_exists(name):
     assert _exists(f"certs.{name}")
 
 
+@pytest.mark.parametrize("name", sorted(SUMMED - set(STALE)))
+def test_summed_span_name_exists(name):
+    assert _exists(name)
+
+
 @pytest.mark.parametrize("name", STALE)
 def test_stale_name_is_still_absent(name):
     """When one of these is defined again, or dropped from spans.py, update STALE."""
-    assert name in spans.BUILD + spans.VERIFY
-    assert not _exists(f"certs.{name}")
+    dotted = name if "." in name else f"certs.{name}"
+    assert name in spans.BUILD + spans.VERIFY or name in SUMMED
+    assert not _exists(dotted)
 
 
 @pytest.mark.parametrize(
