@@ -10,16 +10,18 @@ verifier never needs the random seed or intermediate state of the run that
 produced the document.  SCHEMAS lists each kind's payload fields and their
 shapes, and one reader parses a payload against it.  verify_document, the
 single entry point the `verify` subcommand uses, reads every field that way,
-makes the checks that no derivation makes (a unit certificate's c != 0,
-k >= 1 and height bounds on k; the witness's z in cR, four factors,
-conjugators congruent to I mod c and product; a decomposition word's
-product; a norm experiment's sample rules and draw budget; and each norm
-kind's counted group order), then derives the payload again with the
-emitter's own code and writers and compares it field by field, raising
-VerificationFailed at the first difference: a unit certificate's u and y
-are derived from c, v and k, a norm experiment's certificate from the
-matrix corner, an h-decomposition from its unit, and a witness's Y, q, t,
-p and target from its matrix, u, z and conjugators.
+makes the checks that no derivation makes (a unit certificate's k >= 1
+and height bounds on k; the witness's four factors, conjugators congruent
+to I mod c and product; a decomposition word's product; a norm
+experiment's sample rules and draw budget; and each norm kind's counted
+group order), then derives the payload again with the emitter's own code
+and writers and compares it field by field, raising VerificationFailed at
+the first difference: a unit certificate's u and y are derived from c, v
+and k, a norm experiment's certificate from the matrix corner, an
+h-decomposition from its unit, and a witness's Y, q, t, p and target from
+its matrix, u, z and conjugators.  An input that the derivation itself
+refuses (c = 0, a non-unit, c^2 not dividing u - 1, a zero corner, z
+outside cR) raises the derivation's own error, as the emitter does.
 make_document reads each payload it emits back through the same reader, so
 the digit bounds of the ring parsers hold on both sides.
 """
@@ -345,8 +347,10 @@ _VERIFIERS = {
 def verify_document(doc) -> dict:
     """Recheck a certificate document from its payload alone.
 
-    Returns a small summary dict on success; raises ParseError for malformed
-    documents and VerificationFailed when any recorded claim fails to recheck.
+    Returns a small summary dict on success.  Raises ParseError for a
+    malformed document; VerificationFailed for a recorded field that differs
+    from its derivation or fails a check that only verify makes; or else the
+    derivation's own domain error, the one the emitter raises for that input.
     """
     if not isinstance(doc, dict):
         raise ParseError("certificate must be a JSON object")

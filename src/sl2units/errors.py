@@ -31,10 +31,6 @@ class NoInfiniteOrderUnit(AlgebraError):
     """The ring has no unit of infinite order (plain integers)."""
 
 
-class NonUnitDiagonal(AlgebraError):
-    """A diagonal word factor was built from a non-unit."""
-
-
 class DeterminantNotOne(AlgebraError):
     """Matrix constructor received entries with determinant != 1."""
 

@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 from .elemgen import expand_diagonals
 from .errors import (
-    AlgebraError,
     UnitCongruenceViolated,
     VerificationFailed,
     ZeroCorner,
@@ -37,7 +36,6 @@ from .rings import (
     height,
     in_ideal,
     infinite_order_unit,
-    is_unit,
     quotient,
     unit_order,
 )
@@ -69,9 +67,8 @@ def verify_certificate(
 ) -> ManyUnitsCertificate:
     """The certificate that certify_unit derives from c, v and k, once k fits the
     recorded u, for the caller to compare with what it recorded.  Raises
-    VerificationFailed with the first failure."""
-    if not c:
-        raise VerificationFailed("certificate has c = 0")
+    VerificationFailed for a k that is not positive or that u is too small
+    for, and otherwise certify_unit's own error."""
     if k < 1:
         raise VerificationFailed(f"exponent k = {k} is not positive")
     # height(v^k) >= 2^(k-2) for a unit v != +-1; also height(v^k) = height(v)^k over
@@ -82,20 +79,16 @@ def verify_certificate(
     too_small = v not in (1, -1) and k > hu + 1
     if too_small or k * (height(v).bit_length() - 1) >= hu + d.bit_length():
         raise VerificationFailed(f"u is not {v}^{k}")
-    try:
-        return certify_unit(c, v, k)
-    except UnitCongruenceViolated as exc:
-        raise VerificationFailed(str(exc)) from None
+    return certify_unit(c, v, k)
 
 
 def certify_unit(c: RingElement, v: RingElement, k: int) -> ManyUnitsCertificate:
     """Certify u = v^k with u - 1 divisible by c^2 and u^8 != 1: ZeroIdeal for
-    c = 0, VerificationFailed for a non-unit v or u^8 = 1, and
-    UnitCongruenceViolated if c^2 does not divide u - 1."""
+    c = 0, NonUnit for a non-unit v, UnitCongruenceViolated if c^2 does not
+    divide u - 1, and VerificationFailed for u^8 = 1."""
     if not c:
         raise ZeroIdeal("cannot certify a unit for c = 0")
-    if is_unit(v) is None:
-        raise VerificationFailed(f"base {v} is not a unit")
+    v.inverse()  # raises NonUnit
     u = v**k
     y = exact_quotient(u - 1, c * c)
     if y is None:
@@ -144,7 +137,8 @@ def compute_Y(A: Mat2, u: RingElement) -> YParts:
     With c the lower-left corner of A and u = 1 + c^2*y, set x = (u^4 - 1)/c
     and t = a*x.  Then E12(t) A^-1 E12(-t) diag(u^2) A diag(u^-2) equals
     [[u^-4, q], [0, u^4]] for some q in cR; x, t, q all lie in cR.  That is
-    algebra, so only the inputs are checked: a wrong Y misses the target.
+    algebra, so only the inputs are checked (ZeroCorner, NonUnit, and
+    UnitCongruenceViolated in certify_unit's words): a wrong Y misses the target.
     """
     c = A.c
     if not c:
@@ -152,7 +146,7 @@ def compute_Y(A: Mat2, u: RingElement) -> YParts:
     u_inv = u.inverse()
     y = exact_quotient(u - 1, c * c)
     if y is None:
-        raise UnitCongruenceViolated(f"{u} - 1 is not divisible by ({c})^2")
+        raise UnitCongruenceViolated(f"u - 1 = {u - 1} is not divisible by c^2 = {c * c}")
     # u^4 - 1 = (u - 1)(u^3 + u^2 + u + 1) = c^2*y*(...), so x = c*y*(...) in cR
     x = c * y * (u**3 + u**2 + u + 1)
     t = A.a * x
@@ -194,16 +188,17 @@ def verify_witness(
 ) -> ConjugateWitness:
     """The witness for A, u and z that factors claim: every other field is
     derived here as lemma2_witness derives it, for the caller to compare with
-    what it recorded.  Raises VerificationFailed with the first failure."""
-    if not A.c:
-        raise VerificationFailed("witnessed matrix has zero lower-left corner")
-    try:
-        parts = compute_Y(A, u)
-    except AlgebraError as exc:
-        raise VerificationFailed(f"recomputing Y failed: {exc}") from None
+    what it recorded.  Raises lemma2_witness's own error for A, u and z, and
+    VerificationFailed for factors that fail the checks of _checked_witness."""
+    return _checked_witness(A, u, z, _y_parts(A, u, z), factors)
+
+
+def _y_parts(A: Mat2, u: RingElement, z: RingElement) -> YParts:
+    """compute_Y's parts for A and u, once z lies in (c): ZNotInIdeal if not."""
+    parts = compute_Y(A, u)
     if not in_ideal(z, A.c):
-        raise VerificationFailed(f"z = {z} is not in ({A.c})")
-    return _checked_witness(A, u, z, parts, factors)
+        raise ZNotInIdeal(f"{z} is not in ({A.c})")
+    return parts
 
 
 def _checked_witness(
@@ -211,7 +206,7 @@ def _checked_witness(
 ) -> ConjugateWitness:
     """The witness of compute_Y's parts, with p = -q - z and the target derived
     here, once there are four factors, every conjugator is I mod (c) and the product
-    meets the target; both callers test z in (c), and then t, q, p are in (c) by algebra."""
+    meets the target; _y_parts put z in (c), and then t, q, p are in (c) by algebra."""
     c = A.c
     u4 = u**4
     w = ConjugateWitness(
@@ -251,10 +246,7 @@ def lemma2_witness(
     that verify_witness also ends with.  A wrong q or t, or a wrong
     expansion, still fails there: the product misses the target.
     """
-    parts = compute_Y(A, u)
-    c = A.c
-    if not in_ideal(z, c):
-        raise ZNotInIdeal(f"{z} is not in ({c})")
+    parts = _y_parts(A, u, z)
     p = -parts.q - z
     u2 = u * u
     u4 = u2 * u2

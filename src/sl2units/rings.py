@@ -37,14 +37,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DocumentTooLarge, NoInfiniteOrderUnit, NonUnit, ParseError, ZeroIdeal
+from .errors import (
+    DocumentTooLarge, NoInfiniteOrderUnit, NonUnit, ParseError, UnsupportedRing, ZeroIdeal
+)
 
 INTEGERS = "integers"
 LOCALIZED = "localized"
 QUADRATIC = "quadratic"
 
 
-QUADRATIC_PARAM_BOUND = 10**18  # so _is_squarefree tries p < 10^6 only
+TRIAL_DIVISION_BOUND = 10**6  # the largest prime any trial division here tries
+QUADRATIC_PARAM_BOUND = TRIAL_DIVISION_BOUND**3  # so _is_squarefree tries p < 10^6 only
 
 
 def _is_squarefree(n: int) -> bool:
@@ -443,12 +446,18 @@ def pell_fundamental_unit(d: int) -> tuple[int, int]:
 
 def infinite_order_unit(ring: RingDescriptor) -> RingElement:
     """A unit whose powers never repeat: the smallest inverted prime for Z[1/m],
-    the fundamental Pell unit for Z[sqrt(d)]."""
+    the fundamental Pell unit for Z[sqrt(d)].  Trial division to 10^6 decides
+    m <= 10^12; a larger m with no prime factor that small raises UnsupportedRing."""
     if ring.kind == INTEGERS:
         raise NoInfiniteOrderUnit("Z has only the units 1 and -1")
     if ring.kind == LOCALIZED:
         m = ring.param
-        return ring.from_int(next((p for p in range(2, math.isqrt(m) + 1) if m % p == 0), m))
+        reach = min(math.isqrt(m), TRIAL_DIVISION_BOUND)
+        p = next((p for p in range(2, reach + 1) if m % p == 0), m)
+        if p == m > TRIAL_DIVISION_BOUND**2:
+            bound = f"the trial division bound {TRIAL_DIVISION_BOUND}"
+            raise UnsupportedRing(f"m = {m} has no prime factor up to {bound}")
+        return ring.from_int(p)
     a, b = pell_fundamental_unit(ring.param)
     return ring.from_pair(a, b)
 

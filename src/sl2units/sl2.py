@@ -21,12 +21,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import DeterminantNotOne, NonUnitDiagonal, ParseError
+from .errors import DeterminantNotOne, ParseError
 from .rings import (
     QuotientRing,
     RingDescriptor,
     RingElement,
-    is_unit,
     parse_element,
 )
 
@@ -95,12 +94,9 @@ def elem21(x: RingElement) -> Mat2:
 
 
 def diag(u: RingElement) -> Mat2:
-    """Diagonal matrix [[u, 0], [0, 1/u]]; u must be a unit."""
-    inv = is_unit(u)
-    if inv is None:
-        raise NonUnitDiagonal(f"{u} is not a unit of {u.ring.name}")
+    """Diagonal matrix [[u, 0], [0, 1/u]]; NonUnit for a non-unit u."""
     zero = u.ring.zero()
-    return Mat2._trusted(u, zero, zero, inv)
+    return Mat2._trusted(u, zero, zero, u.inverse())
 
 
 # ---------------------------------------------------------------------------

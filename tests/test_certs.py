@@ -10,7 +10,17 @@ import pytest
 from sl2units import certs
 from sl2units.cli import run
 from sl2units.elemgen import decompose, h_decomposition
-from sl2units.errors import AlgebraError, DocumentTooLarge, ParseError, VerificationFailed
+from sl2units.errors import (
+    AlgebraError,
+    DocumentTooLarge,
+    NonUnit,
+    ParseError,
+    UnitCongruenceViolated,
+    VerificationFailed,
+    ZeroCorner,
+    ZeroIdeal,
+    ZNotInIdeal,
+)
 from sl2units.lemma import find_unit, lemma2_witness
 from sl2units.norms import FiniteGroupTable, lemma_bound_experiment
 from sl2units.rings import (
@@ -257,7 +267,7 @@ def test_tampered_witness():
         certs.verify_document(doc)
     doc = _witness_doc()
     doc["payload"]["u"] = "3"  # not a unit of Z[1/2]
-    with pytest.raises(VerificationFailed, match="recomputing Y failed"):
+    with pytest.raises(NonUnit, match=r"^3 is not a unit of Z\[1/2\]$"):
         certs.verify_document(doc)
 
 
@@ -409,8 +419,9 @@ def test_wrong_group_order_refused_before_the_closure(kind):
 
 
 # ---------------------------------------------------------------------------
-# one tampered field per check, refused with that check's own message: where a
-# later check would refuse the document too, it would say something else
+# one tampered field per check, refused with that check's own class and message,
+# the derivation's own where the derivation makes the check: where a later check
+# would refuse the document too, it would say something else
 
 
 def _witness_doc_of_a_matrix_not_I_mod_c():
@@ -426,7 +437,7 @@ def _k_is_true(payload):
 
 def _c_is_zero(payload):
     payload["c"] = "0"
-    return "certificate has c = 0"
+    return "cannot certify a unit for c = 0"
 
 
 def _c_breaks_the_congruence(payload):
@@ -455,12 +466,12 @@ def _trivial_count_beyond_the_budget(payload):
 
 def _zero_corner(payload):
     payload["matrix"] = "[[1,0],[0,1]]"
-    return "witnessed matrix has zero lower-left corner"
+    return "lower-left corner is zero"
 
 
 def _z_outside_the_ideal(payload):
     payload["z"] = "1"
-    return "z = 1 is not in (3)"
+    return "1 is not in (3)"
 
 
 def _two_more_factors(payload):
@@ -478,13 +489,13 @@ def _conjugator_times_A(payload):
 
 OWN_CHECK_CASES = [
     (_many_units_doc, _k_is_true, ParseError),
-    (_many_units_doc, _c_is_zero, VerificationFailed),
-    (_many_units_doc, _c_breaks_the_congruence, VerificationFailed),
+    (_many_units_doc, _c_is_zero, ZeroIdeal),
+    (_many_units_doc, _c_breaks_the_congruence, UnitCongruenceViolated),
     (_experiment_doc, _sample_with_trivial_image, VerificationFailed),
     (_experiment_doc, _requested_matches_neither_count, VerificationFailed),
     (_experiment_doc, _trivial_count_beyond_the_budget, VerificationFailed),
-    (_witness_doc, _zero_corner, VerificationFailed),
-    (_witness_doc, _z_outside_the_ideal, VerificationFailed),
+    (_witness_doc, _zero_corner, ZeroCorner),
+    (_witness_doc, _z_outside_the_ideal, ZNotInIdeal),
     (_witness_doc, _two_more_factors, VerificationFailed),
     (_witness_doc_of_a_matrix_not_I_mod_c, _conjugator_times_A, VerificationFailed),
 ]
@@ -648,6 +659,6 @@ def test_localization_by_a_large_parameter_answered_at_once():
     doc = _many_units_doc()
     doc["ring"] = "Z[1/100000000000000003]"
     start = time.perf_counter()
-    with pytest.raises(VerificationFailed, match="base 2 is not a unit"):
+    with pytest.raises(NonUnit, match=r"^2 is not a unit of Z\[1/100000000000000003\]$"):
         certs.verify_document(doc)
     assert time.perf_counter() - start < 1.0

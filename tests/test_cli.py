@@ -352,7 +352,7 @@ def test_verify_word_letter_at_an_unknown_position_exit_1(capsys, monkeypatch):
        "message": "decomposition words admit only transvection factors"}),
      (["lemma", "witness", "--ring", "Z[1/2]", "--A", "[[1,0],[3,1]]", "--u", "64", "--z", "3"],
       ("factors", 1, "conjugator", "factors", 0),
-      {"error": "NonUnitDiagonal", "message": "3 is not a unit of Z[1/2]"})],
+      {"error": "NonUnit", "message": "3 is not a unit of Z[1/2]"})],
     ids=["decomposition", "witness"],
 )
 def test_verify_diagonal_letter_of_a_non_unit_exit_1(capsys, monkeypatch, argv, letter, expected):
@@ -368,6 +368,61 @@ def test_verify_diagonal_letter_of_a_non_unit_exit_1(capsys, monkeypatch, argv, 
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     code, err = invoke_json(capsys, "verify", "-")
     assert code == 1 and err == expected
+
+
+def _witness_argv(A, z, *more):
+    return ["lemma", "witness", "--ring", "Z[1/2]", "--A", A, "--z", z, *more]
+
+
+# id -> (the error, an emitter refusing its input, the document and payload
+# edits that give verify the same input)
+PARITY_CASES = {
+    "non-unit-u": ("NonUnit", _witness_argv("[[1,0],[3,1]]", "3", "--u", "3"),
+                   WITNESS, {"u": "3"}),
+    "u-1-not-in-c2": ("UnitCongruenceViolated", _witness_argv("[[1,0],[3,1]]", "3", "--u", "2"),
+                      WITNESS, {"u": "2"}),
+    "zero-corner": ("ZeroCorner", _witness_argv("[[1,0],[0,1]]", "3", "--u", "64"),
+                    WITNESS, {"matrix": "[[1,0],[0,1]]"}),
+    "z-outside-c": ("ZNotInIdeal", _witness_argv("[[1,0],[3,1]]", "1"), WITNESS, {"z": "1"}),
+    "c-is-zero": ("ZeroIdeal", ["unit", "find", "--ring", "Z[1/2]", "--c", "0"],
+                  UNIT_FIND, {"c": "0"}),
+    "non-unit-v": ("NonUnit", ["norm", "lemma-bound", "--ring", "Z[1/2]", "--A", "[[1,0],[3,1]]",
+                               "--u", "10", "--modulus", "11"],
+                   UNIT_FIND, {"v": "10", "k": 1}),
+    "unit-u-1-not-in-c2": ("UnitCongruenceViolated",
+                           ["norm", "lemma-bound", "--ring", "Z[1/2]", "--A", "[[1,0],[3,1]]",
+                            "--u", "2", "--modulus", "11"],
+                           UNIT_FIND, {"v": "2", "u": "2", "k": 1}),
+}
+
+
+@pytest.mark.parametrize("error,emitter,source,edits", PARITY_CASES.values(), ids=PARITY_CASES)
+def test_verify_refuses_an_input_as_its_emitter_does(capsys, monkeypatch, error, emitter, source,
+                                                     edits):
+    """verify derives a document with the emitter's own code and passes its
+    error through: one class and one message, whichever path refuses."""
+    code, refusal = invoke_json(capsys, *emitter)
+    assert code == 1 and refusal["error"] == error
+    code, doc = invoke_json(capsys, *source)
+    assert code == 0
+    doc["payload"].update(edits)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert invoke_json(capsys, "verify", "-") == (1, refusal)
+
+
+@pytest.mark.parametrize("argv", [["ring", "info"], ["unit", "find", "--c", "3"]],
+                         ids=["ring-info", "unit-find"])
+def test_localization_by_a_prime_past_the_trial_division_bound_exit_1(capsys, argv):
+    """No prime up to 10^6 divides m = 10^17 + 3, and trial division to sqrt(m)
+    would run for minutes: the ring is refused, not searched."""
+    start = time.perf_counter()
+    code, err = invoke_json(capsys, *argv, "--ring", "Z[1/100000000000000003]")
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (1, {
+        "error": "UnsupportedRing",
+        "message": "m = 100000000000000003 has no prime factor up to "
+        "the trial division bound 1000000",
+    })
 
 
 def test_verify_unreadable_and_invalid(tmp_path, capsys):

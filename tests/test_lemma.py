@@ -95,7 +95,7 @@ def test_certify_unit():
         certify_unit(Zh.zero(), Zh.from_int(64), 1)
     with pytest.raises(UnitCongruenceViolated, match=r"u - 1 = 1 is not divisible by c\^2 = 9"):
         certify_unit(c, Zh.from_int(2), 1)
-    with pytest.raises(VerificationFailed, match="not a unit"):
+    with pytest.raises(NonUnit, match=r"^10 is not a unit of Z\[1/2\]$"):
         certify_unit(c, Zh.from_int(10), 1)  # 10 = 1 + 9, but 5 is not invertible
 
 
@@ -112,14 +112,17 @@ def test_find_unit_randomized(rng):
 
 def test_verify_certificate_tampering():
     """A recorded u or y is not checked here but derived, for the caller to
-    compare; a k that the recorded u is too small for is refused."""
+    compare; a k that the recorded u is too small for is refused, and a c
+    that certify_unit refuses gets certify_unit's own error."""
     cert = find_unit(Zh.from_int(3))
     assert verify_certificate(cert.c, cert.v, cert.u, cert.k) == cert
     assert verify_certificate(cert.c, cert.v, cert.u + 1, cert.k) == cert
     with pytest.raises(VerificationFailed, match=r"^u is not 2\^7$"):
         verify_certificate(cert.c, cert.v, cert.u, cert.k + 1)
-    with pytest.raises(VerificationFailed, match=r"^u - 1 = 63 is not divisible by c\^2 = 25$"):
+    with pytest.raises(UnitCongruenceViolated, match=r"^u - 1 = 63 is not divisible by c\^2 = 25$"):
         verify_certificate(Zh.from_int(5), cert.v, cert.u, cert.k)
+    with pytest.raises(ZeroIdeal, match=r"^cannot certify a unit for c = 0$"):
+        verify_certificate(Zh.zero(), cert.v, cert.u, cert.k)
 
 
 def test_verify_certificate_u8_trap():
@@ -194,8 +197,9 @@ def test_compute_Y_errors():
         compute_Y(diag(Zh.from_int(2)), Zh.from_int(2))
     with pytest.raises(NonUnit):
         compute_Y(elem21(Zh.from_int(3)), Zh.from_int(3))
-    with pytest.raises(UnitCongruenceViolated):
-        compute_Y(elem21(Zh.from_int(3)), Zh.from_int(2))  # 2 - 1 not in (9)
+    # certify_unit's text for the same c and u, which test_certify_unit pins
+    with pytest.raises(UnitCongruenceViolated, match=r"^u - 1 = 1 is not divisible by c\^2 = 9$"):
+        compute_Y(elem21(Zh.from_int(3)), Zh.from_int(2))
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +310,11 @@ def test_verify_witness_lets_a_bug_in_compute_Y_through(monkeypatch):
         verify_witness(w.matrix, w.u, w.z, w.factors)
 
 
-def test_verify_witness_non_unit_u_is_a_verdict():
+def test_verify_witness_refuses_a_non_unit_u_as_lemma2_witness_does():
     w = lemma2_witness(elem21(Zh.from_int(3)), Zh.from_int(64), Zh.from_int(3))
-    with pytest.raises(VerificationFailed, match="recomputing Y failed"):
+    with pytest.raises(NonUnit, match=r"^3 is not a unit of Z\[1/2\]$"):
+        lemma2_witness(w.matrix, Zh.from_int(3), w.z)
+    with pytest.raises(NonUnit, match=r"^3 is not a unit of Z\[1/2\]$"):
         verify_witness(w.matrix, Zh.from_int(3), w.z, w.factors)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from sl2units import certs
 from sl2units.errors import DegenerateQuotient, QuotientTooLarge, VerificationFailed
-from sl2units.lemma import find_unit
+from sl2units.lemma import certify_unit, find_unit, lemma2_witness
 from sl2units.norms import (
     FiniteGroupTable,
     NormTable,
@@ -18,7 +18,7 @@ from sl2units.norms import (
     conjugation_closure,
     lemma_bound_experiment,
 )
-from sl2units.rings import integers, localized, parse_element, quadratic
+from sl2units.rings import exact_quotient, integers, localized, parse_element, quadratic
 from sl2units.sl2 import elem12, elem21, parse_matrix
 from tests.conftest import group_elements, random_sl2, verdicts_by_exhaustion
 
@@ -449,6 +449,37 @@ def test_experiment_rejects_mismatched_certificate():
     message = r"^norm-experiment payload\.unit_certificate\.c: recorded '3', recomputed '1'$"
     with pytest.raises(VerificationFailed, match=message):
         certs.verify_document(doc)
+
+
+@pytest.mark.parametrize(
+    "ring,corner,u,modulus",
+    [(Zh, 3, Zh.from_int(64), 11), (Zh, 3, Zh.from_int(64), 19), (Zh, 3, Zh.from_int(64), 23),
+     (R2, 2, R2.from_pair(17, 12), 5)],
+    ids=["Z[1/2]-11", "Z[1/2]-19", "Z[1/2]-23", "Z[sqrt2]-5"],
+)
+def test_every_sample_is_a_product_of_four_conjugates_mod_n(ring, corner, u, modulus):
+    """The paper's reason for the bound 4, per sample: j = (u^8 - 1)*c*r gives
+    z = u^4*j/(u^8 - 1) in (c) with (u^4 - u^-4)*z = j, so the witness of
+    E12(j), reduced mod N, is four elements of the closure S of A and A^-1."""
+    A = elem21(ring.from_int(corner))
+    table = FiniteGroupTable(ring.from_int(modulus))
+    closure = conjugation_closure(table, [table.from_matrix(A), table.from_matrix(A.inverse())])
+    report = lemma_bound_experiment(
+        A, certify_unit(A.c, u, 1), ring.from_int(modulus), 10, rng=random.Random(1)
+    )
+    assert report.nontrivial_count == 10
+    u4 = u**4
+    for j_text, norm in report.samples:
+        j = parse_element(ring, j_text)
+        w = lemma2_witness(A, u, u4 * exact_quotient(j, u4 * u4 - 1))
+        images = []
+        for f in w.factors:
+            g = f.conjugator.evaluate()
+            core = A.inverse() if f.core_inverted else A
+            images.append(table.from_matrix(g * core * g.inverse()))
+        assert all(image in closure for image in images)
+        assert functools.reduce(table.mul, images) == table.transvection("12", j)
+        assert norm <= 4
 
 
 def test_experiment_respects_table_cap():

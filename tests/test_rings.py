@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2units.errors import NoInfiniteOrderUnit, NonUnit, ParseError, ZeroIdeal
+from sl2units.errors import NoInfiniteOrderUnit, NonUnit, ParseError, UnsupportedRing, ZeroIdeal
 from sl2units.rings import (
     _PLAIN_DIGITS,
     DENOMINATOR_BOUND,
@@ -615,6 +615,21 @@ def test_infinite_order_unit():
     assert infinite_order_unit(R3) == R3.from_pair(2, 1)
     with pytest.raises(NoInfiniteOrderUnit):
         infinite_order_unit(Z)
+
+
+def test_infinite_order_unit_within_the_trial_division_bound():
+    """Trial division tries p <= 10^6, which decides every m <= 10^12: the
+    square of the largest prime below 10^6 gives that prime, the largest prime
+    below 10^12 gives itself, and a larger m with no prime factor up to 10^6
+    (a product of two primes above it, or a prime) is refused at once."""
+    assert infinite_order_unit(localized(999983**2)) == 999983
+    assert infinite_order_unit(localized(999999999989)) == 999999999989
+    assert infinite_order_unit(localized(2 * (10**17 + 3))) == 2
+    for m in (1000003 * 1000033, 10**17 + 3):
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedRing, match=f"^m = {m} has no prime factor up to "):
+            infinite_order_unit(localized(m))
+        assert time.perf_counter() - start < 1.0
 
 
 def _strip_by_trial_division(n: int, m: int) -> int:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import sl2units
 
-from sl2units.errors import DeterminantNotOne, NonUnitDiagonal, ParseError
+from sl2units.errors import DeterminantNotOne, NonUnit, ParseError
 from sl2units.rings import (
     RingElement,
     infinite_order_unit,
@@ -61,7 +61,7 @@ def test_constructors():
     assert elem12(x) == _m(Z, "[[1,4],[0,1]]")
     assert elem21(x) == _m(Z, "[[1,0],[4,1]]")
     assert diag(Zh.from_int(2)) == _m(Zh, "[[2,0],[0,1/2]]")
-    with pytest.raises(NonUnitDiagonal):
+    with pytest.raises(NonUnit, match=r"^2 is not a unit of Z$"):
         diag(Z.from_int(2))
     assert identity(Z) == _m(Z, "[[1,0],[0,1]]")
 
