@@ -19,9 +19,11 @@ and writers and compares it field by field, raising VerificationFailed at
 the first difference: a unit certificate's u and y are derived from c, v
 and k, a norm experiment's certificate from the matrix corner, an
 h-decomposition from its unit, and a witness's Y, q, t, p and target from
-its matrix, u, z and conjugators.  An input that the derivation itself
-refuses (c = 0, a non-unit, c^2 not dividing u - 1, a zero corner, z
-outside cR) raises the derivation's own error, as the emitter does.
+its matrix, z, conjugators and the certificate that certify_unit derives
+for its u and the matrix corner, as `lemma witness --u` does.  An input
+that the derivation itself refuses (c = 0 or a zero corner, a non-unit,
+c^2 not dividing u - 1, u^8 = 1, z outside cR) raises the derivation's own
+error, as the emitter does.
 make_document reads each payload it emits back through the same reader, so
 the digit bounds of the ring parsers hold on both sides.
 """
@@ -35,7 +37,7 @@ from .lemma import (
     ConjugateFactor,
     ConjugateWitness,
     ManyUnitsCertificate,
-    epsilon_generator,
+    certify_unit,
     verify_certificate,
     verify_witness,
 )
@@ -130,8 +132,7 @@ def _write(schema: dict, values: dict) -> dict:
 
 
 def many_units_payload(cert: ManyUnitsCertificate) -> dict:
-    values = {**vars(cert), "check_u8": True, "epsilon_generator": epsilon_generator(cert)}
-    return _write(_UNIT_CERTIFICATE, values)
+    return _write(_UNIT_CERTIFICATE, {**vars(cert), "check_u8": True})
 
 
 def witness_payload(w: ConjugateWitness) -> dict:
@@ -281,8 +282,9 @@ def _verify_witness(fields: dict) -> dict:
                 f"factor core must be 'A' or 'A^-1', not {entry['core']!r}"
             )
         factors.append(ConjugateFactor(entry["conjugator"], entry["core"] == "A^-1"))
-    witness = verify_witness(fields["matrix"], fields["u"], fields["z"], tuple(factors))
-    return witness_payload(witness)
+    matrix = fields["matrix"]
+    cert = certify_unit(matrix.c, fields["u"], 1)
+    return witness_payload(verify_witness(matrix, cert, fields["z"], tuple(factors)))
 
 
 def _verify_decomposition(fields: dict) -> dict:
@@ -308,10 +310,9 @@ def _verify_experiment(fields: dict) -> dict:
     where = "norm-experiment payload"
     _compare(f"{where}.quotient_index", fields["quotient_index"], table.quotient.index)
     _compare(f"{where}.group_order", fields["group_order"], len(table))
-    epsilon = epsilon_generator(cert)  # the nonzero (u^8 - 1) * c
     js = [sample["j"] for sample in fields["samples"]]
     for j in js:
-        if not in_ideal(j, epsilon):
+        if not in_ideal(j, cert.epsilon_generator):
             raise VerificationFailed(f"sampled {j} lies outside the epsilon ideal")
         if table.transvection("12", j) == table.identity:
             raise VerificationFailed(f"sampled {j} has trivial image, not a valid sample")

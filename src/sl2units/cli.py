@@ -51,18 +51,22 @@ def _cmd_unit_find(ring, args) -> dict:
     return certs.make_document("many-units", ring, certs.many_units_payload(cert))
 
 
+def _unit_certificate(ring, args, matrix):
+    """The certificate for matrix's corner: of --u when given, else find_unit's."""
+    if args.u is None:
+        return find_unit(matrix.c)
+    return certify_unit(matrix.c, parse_element(ring, args.u), 1)
+
+
 def _cmd_lemma_witness(ring, args) -> dict:
-    matrix = parse_matrix(ring, args.A)
-    if args.u is not None:
-        u = parse_element(ring, args.u)
-    else:
-        u = find_unit(matrix.c).u
-    witness = lemma2_witness(matrix, u, parse_element(ring, args.z), args.elementary)
+    matrix, z = parse_matrix(ring, args.A), parse_element(ring, args.z)
+    witness = lemma2_witness(matrix, _unit_certificate(ring, args, matrix), z, args.elementary)
     return certs.make_document("lemma2-witness", ring, certs.witness_payload(witness))
 
 
 def _cmd_lemma_y(ring, args) -> dict:
-    parts = compute_Y(parse_matrix(ring, args.A), parse_element(ring, args.u))
+    matrix = parse_matrix(ring, args.A)
+    parts = compute_Y(matrix, _unit_certificate(ring, args, matrix))
     return {
         "ring": ring.name,
         "Y": str(parts.Y),
@@ -107,15 +111,12 @@ def _cmd_norm_bfs(ring, args) -> dict:
 
 
 def _cmd_norm_lemma_bound(ring, args) -> dict:
-    matrix = parse_matrix(ring, args.A)
-    if args.u is not None:
-        cert = certify_unit(matrix.c, parse_element(ring, args.u), 1)
-    else:
-        cert = find_unit(matrix.c)
+    matrix, modulus = parse_matrix(ring, args.A), parse_element(ring, args.modulus)
+    cert = _unit_certificate(ring, args, matrix)
     report = lemma_bound_experiment(
         matrix,
         cert,
-        parse_element(ring, args.modulus),
+        modulus,
         args.samples,
         rng=random.Random(args.seed),
         require_nontrivial=not args.allow_degenerate,
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = lemma.add_parser("y", help="the upper-triangular conjugate product and its scalars")
     _add_ring_flag(p)
     p.add_argument("--A", required=True, help="matrix [[a,b],[c,d]] with nonzero corner c")
-    p.add_argument("--u", required=True, help="unit with u - 1 in (c^2)")
+    p.add_argument("--u", required=True, help="unit with u - 1 in (c^2) and u^8 != 1")
     p.set_defaults(handler=_cmd_lemma_y)
 
     p = sub.add_parser("decompose", help="write a matrix as elementary transvections")

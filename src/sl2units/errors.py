@@ -28,7 +28,7 @@ class ZeroIdeal(AlgebraError):
 
 
 class NoInfiniteOrderUnit(AlgebraError):
-    """The ring has no unit of infinite order (plain integers)."""
+    """No unit of infinite order: the ring has none, or the given unit has u^8 = 1."""
 
 
 class DeterminantNotOne(AlgebraError):
@@ -37,10 +37,6 @@ class DeterminantNotOne(AlgebraError):
 
 class UnsupportedRing(AlgebraError):
     """The requested operation is not available over this ring."""
-
-
-class ZeroCorner(AlgebraError):
-    """The (2,1) entry is zero where a nonzero corner is required."""
 
 
 class UnitCongruenceViolated(AlgebraError):

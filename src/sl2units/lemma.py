@@ -5,16 +5,18 @@ recorded data alone.
 
 * A unit certificate for a nonzero c: starting from a unit v of infinite
   order, the power u = v^k (k the multiplicative order of v modulo c^2)
-  satisfies u - 1 = c^2*y and u^8 != 1.  The verifier bounds k by the
-  recorded u before any power is taken, then derives u and y from c, v and
-  k with certify_unit, the builder's own code, for the caller to compare.
+  satisfies u - 1 = c^2*y and u^8 != 1.  certify_unit is the one function
+  that decides these conditions and the only one that builds a certificate,
+  for an emitter and for the verifier alike; the verifier bounds k by the
+  recorded u before any power is taken.
 
-* A bounded-conjugate witness: for A with nonzero lower-left corner c and a
-  certified unit u, the transvection E12((u^4 - u^-4)*z) -- for any z in cR
-  -- is written as a product of exactly four conjugates of A and A^-1, with
-  every conjugator congruent to the identity modulo c.  The verifier takes
-  only A, u, z and the four conjugator words: it derives Y, q, t, p and the
-  target with the builder's own code and multiplies everything back out.
+* A bounded-conjugate witness: for A and a certificate for its lower-left
+  corner c, the transvection E12((u^4 - u^-4)*z) -- for any z in cR -- is
+  written as a product of exactly four conjugates of A and A^-1, with every
+  conjugator congruent to the identity modulo c.  The verifier takes only A,
+  the certificate, z and the four conjugator words: it derives Y, q, t, p
+  and the target with the builder's own code and multiplies everything back
+  out.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import NamedTuple
 
 from .elemgen import expand_diagonals
 from .errors import (
+    NoInfiniteOrderUnit,
     UnitCongruenceViolated,
     VerificationFailed,
-    ZeroCorner,
     ZeroIdeal,
     ZNotInIdeal,
 )
@@ -53,13 +55,15 @@ from .sl2 import (
 
 @dataclass(frozen=True)
 class ManyUnitsCertificate:
-    """Certified data (c, v, u = v^k, y) with u - 1 = c^2*y and u^8 != 1."""
+    """Certified data (c, v, u = v^k, y) with u - 1 = c^2*y, and the nonzero
+    epsilon_generator = (u^8 - 1)*c; only certify_unit builds one."""
 
     c: RingElement
     v: RingElement
     u: RingElement
     k: int
     y: RingElement
+    epsilon_generator: RingElement
 
 
 def verify_certificate(
@@ -85,7 +89,7 @@ def verify_certificate(
 def certify_unit(c: RingElement, v: RingElement, k: int) -> ManyUnitsCertificate:
     """Certify u = v^k with u - 1 divisible by c^2 and u^8 != 1: ZeroIdeal for
     c = 0, NonUnit for a non-unit v, UnitCongruenceViolated if c^2 does not
-    divide u - 1, and VerificationFailed for u^8 = 1."""
+    divide u - 1, and NoInfiniteOrderUnit for u^8 = 1."""
     if not c:
         raise ZeroIdeal("cannot certify a unit for c = 0")
     v.inverse()  # raises NonUnit
@@ -93,9 +97,10 @@ def certify_unit(c: RingElement, v: RingElement, k: int) -> ManyUnitsCertificate
     y = exact_quotient(u - 1, c * c)
     if y is None:
         raise UnitCongruenceViolated(f"u - 1 = {u - 1} is not divisible by c^2 = {c * c}")
-    if u**8 == 1:
-        raise VerificationFailed("u^8 = 1, so u generates no usable ideal")
-    return ManyUnitsCertificate(c=c, v=v, u=u, k=k, y=y)
+    epsilon = (u**8 - 1) * c  # zero exactly when u^8 = 1, as c != 0
+    if not epsilon:
+        raise NoInfiniteOrderUnit("u^8 = 1, so u generates no usable ideal")
+    return ManyUnitsCertificate(c=c, v=v, u=u, k=k, y=y, epsilon_generator=epsilon)
 
 
 def find_unit(c: RingElement) -> ManyUnitsCertificate:
@@ -115,12 +120,6 @@ def find_unit(c: RingElement) -> ManyUnitsCertificate:
         raise AssertionError(message) from None
 
 
-def epsilon_generator(cert: ManyUnitsCertificate) -> RingElement:
-    """(u^8 - 1) * c, the generator of the epsilon ideal; nonzero in these
-    integral domains since u^8 != 1 and c != 0."""
-    return (cert.u**8 - 1) * cert.c
-
-
 class YParts(NamedTuple):
     """Output of compute_Y: the upper-triangular Y plus the scalars it certifies."""
 
@@ -131,26 +130,21 @@ class YParts(NamedTuple):
     y: RingElement
 
 
-def compute_Y(A: Mat2, u: RingElement) -> YParts:
+def compute_Y(A: Mat2, cert: ManyUnitsCertificate) -> YParts:
     """Conjugate A^-1 and A into an upper-triangular product.
 
-    With c the lower-left corner of A and u = 1 + c^2*y, set x = (u^4 - 1)/c
-    and t = a*x.  Then E12(t) A^-1 E12(-t) diag(u^2) A diag(u^-2) equals
-    [[u^-4, q], [0, u^4]] for some q in cR; x, t, q all lie in cR.  That is
-    algebra, so only the inputs are checked (ZeroCorner, NonUnit, and
-    UnitCongruenceViolated in certify_unit's words): a wrong Y misses the target.
+    With c the lower-left corner of A and cert's u = 1 + c^2*y, set
+    x = (u^4 - 1)/c and t = a*x.  Then E12(t) A^-1 E12(-t) diag(u^2) A diag(u^-2)
+    equals [[u^-4, q], [0, u^4]] for some q in cR; x, t, q all lie in cR.
+    That is algebra, and certify_unit has checked u and y for c: a wrong Y
+    misses the target.
     """
-    c = A.c
-    if not c:
-        raise ZeroCorner("lower-left corner is zero")
-    u_inv = u.inverse()
-    y = exact_quotient(u - 1, c * c)
-    if y is None:
-        raise UnitCongruenceViolated(f"u - 1 = {u - 1} is not divisible by c^2 = {c * c}")
+    u, y = cert.u, cert.y
     # u^4 - 1 = (u - 1)(u^3 + u^2 + u + 1) = c^2*y*(...), so x = c*y*(...) in cR
-    x = c * y * (u**3 + u**2 + u + 1)
+    x = A.c * y * (u**3 + u**2 + u + 1)
     t = A.a * x
-    Y = elem12(t) * A.inverse() * elem12(-t) * diag(u * u) * A * diag(u_inv * u_inv)
+    h = diag(u * u)
+    Y = elem12(t) * A.inverse() * elem12(-t) * h * A * h.inverse()
     return YParts(Y=Y, q=Y.b, t=t, x=x, y=y)
 
 
@@ -184,18 +178,18 @@ class ConjugateWitness:
 
 
 def verify_witness(
-    A: Mat2, u: RingElement, z: RingElement, factors: tuple[ConjugateFactor, ...]
+    A: Mat2, cert: ManyUnitsCertificate, z: RingElement, factors: tuple[ConjugateFactor, ...]
 ) -> ConjugateWitness:
-    """The witness for A, u and z that factors claim: every other field is
-    derived here as lemma2_witness derives it, for the caller to compare with
-    what it recorded.  Raises lemma2_witness's own error for A, u and z, and
+    """The witness for A, cert's u and z that factors claim: every other field
+    is derived here as lemma2_witness derives it, for the caller to compare
+    with what it recorded.  Raises lemma2_witness's own error for z, and
     VerificationFailed for factors that fail the checks of _checked_witness."""
-    return _checked_witness(A, u, z, _y_parts(A, u, z), factors)
+    return _checked_witness(A, cert.u, z, _y_parts(A, cert, z), factors)
 
 
-def _y_parts(A: Mat2, u: RingElement, z: RingElement) -> YParts:
-    """compute_Y's parts for A and u, once z lies in (c): ZNotInIdeal if not."""
-    parts = compute_Y(A, u)
+def _y_parts(A: Mat2, cert: ManyUnitsCertificate, z: RingElement) -> YParts:
+    """compute_Y's parts for A and cert, once z lies in (c): ZNotInIdeal if not."""
+    parts = compute_Y(A, cert)
     if not in_ideal(z, A.c):
         raise ZNotInIdeal(f"{z} is not in ({A.c})")
     return parts
@@ -231,9 +225,10 @@ def _checked_witness(
 
 
 def lemma2_witness(
-    A: Mat2, u: RingElement, z: RingElement, elementary: bool = False
+    A: Mat2, cert: ManyUnitsCertificate, z: RingElement, elementary: bool = False
 ) -> ConjugateWitness:
-    """Build and self-check the four-conjugate witness for E12((u^4 - u^-4)*z).
+    """Build and self-check the four-conjugate witness for E12((u^4 - u^-4)*z),
+    u the unit of cert, a certificate for A's corner.
 
     The four conjugators are E12(t), diag(u^2), M*diag(u^2), and M*E12(t),
     where M = [[u^4, p], [0, u^-4]] = diag(u^4)*E12(p*u^-4) is recorded in
@@ -246,8 +241,8 @@ def lemma2_witness(
     that verify_witness also ends with.  A wrong q or t, or a wrong
     expansion, still fails there: the product misses the target.
     """
-    parts = _y_parts(A, u, z)
-    p = -parts.q - z
+    parts = _y_parts(A, cert, z)
+    u, p = cert.u, -parts.q - z
     u2 = u * u
     u4 = u2 * u2
     g1 = word_elem("12", parts.t)

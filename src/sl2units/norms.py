@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import DegenerateQuotient, QuotientTooLarge
-from .lemma import ManyUnitsCertificate, epsilon_generator
+from .lemma import ManyUnitsCertificate
 from .rings import QUADRATIC, RingElement, _int_text, euclidean_size, quotient, random_element
 from .sl2 import Mat2, reduce_mat
 
@@ -264,7 +264,7 @@ def lemma_bound_experiment(
     is a count the caller has checked to be >= 0.
     """
     table = FiniteGroupTable(modulus)
-    eps = epsilon_generator(cert)
+    eps = cert.epsilon_generator
     trivial = 0
     js: list = []
     draws = 0

@@ -65,9 +65,10 @@ def test_criterion_1_witness_suite(announce):
         for _ in range(100):
             A = random_witness_matrix(ring, rng)
             c = A.c
-            u = find_unit(c).u
+            cert = find_unit(c)
+            u = cert.u
             z = c * random_element(ring, rng, 100)  # multiplier height <= 10^2
-            w = lemma2_witness(A, u, z)
+            w = lemma2_witness(A, cert, z)
             # recompute the product of the four conjugate factors from scratch
             product = identity(ring)
             for f in w.factors:

@@ -17,11 +17,10 @@ from sl2units.errors import (
     ParseError,
     UnitCongruenceViolated,
     VerificationFailed,
-    ZeroCorner,
     ZeroIdeal,
     ZNotInIdeal,
 )
-from sl2units.lemma import find_unit, lemma2_witness
+from sl2units.lemma import certify_unit, find_unit, lemma2_witness
 from sl2units.norms import FiniteGroupTable, lemma_bound_experiment
 from sl2units.rings import (
     DENOMINATOR_BOUND,
@@ -57,7 +56,8 @@ def _many_units_doc():
 
 
 def _witness_doc():
-    w = lemma2_witness(elem21(Zh.from_int(3)), Zh.from_int(64), Zh.from_int(3))
+    c = Zh.from_int(3)
+    w = lemma2_witness(elem21(c), certify_unit(c, Zh.from_int(64), 1), c)
     return certs.make_document("lemma2-witness", Zh, certs.witness_payload(w))
 
 
@@ -426,7 +426,8 @@ def test_wrong_group_order_refused_before_the_closure(kind):
 
 def _witness_doc_of_a_matrix_not_I_mod_c():
     """A witness for A = [[2,1],[3,2]], which is not congruent to I mod c = 3."""
-    w = lemma2_witness(parse_matrix(Zh, "[[2,1],[3,2]]"), Zh.from_int(64), Zh.from_int(3))
+    c = Zh.from_int(3)
+    w = lemma2_witness(parse_matrix(Zh, "[[2,1],[3,2]]"), certify_unit(c, Zh.from_int(64), 1), c)
     return certs.make_document("lemma2-witness", Zh, certs.witness_payload(w))
 
 
@@ -466,7 +467,7 @@ def _trivial_count_beyond_the_budget(payload):
 
 def _zero_corner(payload):
     payload["matrix"] = "[[1,0],[0,1]]"
-    return "lower-left corner is zero"
+    return "cannot certify a unit for c = 0"
 
 
 def _z_outside_the_ideal(payload):
@@ -494,7 +495,7 @@ OWN_CHECK_CASES = [
     (_experiment_doc, _sample_with_trivial_image, VerificationFailed),
     (_experiment_doc, _requested_matches_neither_count, VerificationFailed),
     (_experiment_doc, _trivial_count_beyond_the_budget, VerificationFailed),
-    (_witness_doc, _zero_corner, ZeroCorner),
+    (_witness_doc, _zero_corner, ZeroIdeal),
     (_witness_doc, _z_outside_the_ideal, ZNotInIdeal),
     (_witness_doc, _two_more_factors, VerificationFailed),
     (_witness_doc_of_a_matrix_not_I_mod_c, _conjugator_times_A, VerificationFailed),

@@ -17,6 +17,7 @@ from sl2units.rings import (
     DENOMINATOR_BOUND,
     DIGIT_BOUND,
     ORDER_BOUND,
+    RingElement,
     _int_text,
     localized,
     parse_element,
@@ -291,7 +292,7 @@ def test_verify_unit_power_with_a_huge_exponent_exit_1(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     code, err = invoke_json(capsys, "verify", "-")
     assert code == 1
-    assert err == {"error": "VerificationFailed",
+    assert err == {"error": "NoInfiniteOrderUnit",
                    "message": "u^8 = 1, so u generates no usable ideal"}
 
 
@@ -374,40 +375,82 @@ def _witness_argv(A, z, *more):
     return ["lemma", "witness", "--ring", "Z[1/2]", "--A", A, "--z", z, *more]
 
 
-# id -> (the error, an emitter refusing its input, the document and payload
-# edits that give verify the same input)
+def _lemma_bound_argv(A, *more):
+    return ["norm", "lemma-bound", "--ring", "Z[1/2]", "--A", A, "--modulus", "11", *more]
+
+
+I2 = "[[1,0],[0,1]]"  # its corner is zero
+E21_1 = "[[1,0],[1,1]]"  # its corner is 1, so c^2 divides u - 1 for every unit u
+EXPERIMENT = _lemma_bound_argv("[[1,0],[3,1]]", "--samples", "3")
+
+# id -> (the error, the emitters refusing an input, and the documents with the
+# payload edits that give verify the same input)
 PARITY_CASES = {
-    "non-unit-u": ("NonUnit", _witness_argv("[[1,0],[3,1]]", "3", "--u", "3"),
-                   WITNESS, {"u": "3"}),
-    "u-1-not-in-c2": ("UnitCongruenceViolated", _witness_argv("[[1,0],[3,1]]", "3", "--u", "2"),
-                      WITNESS, {"u": "2"}),
-    "zero-corner": ("ZeroCorner", _witness_argv("[[1,0],[0,1]]", "3", "--u", "64"),
-                    WITNESS, {"matrix": "[[1,0],[0,1]]"}),
-    "z-outside-c": ("ZNotInIdeal", _witness_argv("[[1,0],[3,1]]", "1"), WITNESS, {"z": "1"}),
-    "c-is-zero": ("ZeroIdeal", ["unit", "find", "--ring", "Z[1/2]", "--c", "0"],
-                  UNIT_FIND, {"c": "0"}),
-    "non-unit-v": ("NonUnit", ["norm", "lemma-bound", "--ring", "Z[1/2]", "--A", "[[1,0],[3,1]]",
-                               "--u", "10", "--modulus", "11"],
-                   UNIT_FIND, {"v": "10", "k": 1}),
+    "non-unit-u": ("NonUnit", [_witness_argv("[[1,0],[3,1]]", "3", "--u", "3")],
+                   [(WITNESS, {"u": "3"})]),
+    "u-1-not-in-c2": ("UnitCongruenceViolated",
+                      [_witness_argv("[[1,0],[3,1]]", "3", "--u", "2")],
+                      [(WITNESS, {"u": "2"})]),
+    "zero-corner": ("ZeroIdeal",
+                    [_witness_argv(I2, "3", "--u", "64"), _witness_argv(I2, "3"),
+                     ["lemma", "y", "--ring", "Z[1/2]", "--A", I2, "--u", "64"],
+                     _lemma_bound_argv(I2, "--u", "64"), _lemma_bound_argv(I2)],
+                    [(WITNESS, {"matrix": I2}), (EXPERIMENT, {"matrix": I2})]),
+    "u8-is-1": ("NoInfiniteOrderUnit",
+                [_witness_argv(E21_1, "1", "--u", "-1"),
+                 ["lemma", "y", "--ring", "Z[1/2]", "--A", E21_1, "--u", "-1"],
+                 _lemma_bound_argv(E21_1, "--u", "-1")],
+                [(_witness_argv(E21_1, "1"), {"u": "-1"}),
+                 (UNIT_FIND, {"c": "1", "v": "-1", "u": "-1", "k": 1}),
+                 (_lemma_bound_argv(E21_1, "--samples", "3"),
+                  {"unit_certificate": {"c": "1", "v": "-1", "u": "-1", "k": 1, "y": "-2",
+                                        "check_u8": True, "epsilon_generator": "0"}})]),
+    "z-outside-c": ("ZNotInIdeal", [_witness_argv("[[1,0],[3,1]]", "1")],
+                    [(WITNESS, {"z": "1"})]),
+    "c-is-zero": ("ZeroIdeal", [["unit", "find", "--ring", "Z[1/2]", "--c", "0"]],
+                  [(UNIT_FIND, {"c": "0"})]),
+    "non-unit-v": ("NonUnit", [_lemma_bound_argv("[[1,0],[3,1]]", "--u", "10")],
+                   [(UNIT_FIND, {"v": "10", "k": 1})]),
     "unit-u-1-not-in-c2": ("UnitCongruenceViolated",
-                           ["norm", "lemma-bound", "--ring", "Z[1/2]", "--A", "[[1,0],[3,1]]",
-                            "--u", "2", "--modulus", "11"],
-                           UNIT_FIND, {"v": "2", "u": "2", "k": 1}),
+                           [_lemma_bound_argv("[[1,0],[3,1]]", "--u", "2")],
+                           [(UNIT_FIND, {"v": "2", "u": "2", "k": 1})]),
 }
 
 
-@pytest.mark.parametrize("error,emitter,source,edits", PARITY_CASES.values(), ids=PARITY_CASES)
-def test_verify_refuses_an_input_as_its_emitter_does(capsys, monkeypatch, error, emitter, source,
-                                                     edits):
+@pytest.mark.parametrize("error,emitters,sources", PARITY_CASES.values(), ids=PARITY_CASES)
+def test_verify_refuses_an_input_as_its_emitter_does(capsys, monkeypatch, error, emitters,
+                                                     sources):
     """verify derives a document with the emitter's own code and passes its
     error through: one class and one message, whichever path refuses."""
-    code, refusal = invoke_json(capsys, *emitter)
+    refusals = [invoke_json(capsys, *argv) for argv in emitters]
+    for source, edits in sources:
+        code, doc = invoke_json(capsys, *source)
+        assert code == 0
+        doc["payload"].update(edits)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        refusals.append(invoke_json(capsys, "verify", "-"))
+    code, refusal = refusals[0]
     assert code == 1 and refusal["error"] == error
-    code, doc = invoke_json(capsys, *source)
-    assert code == 0
-    doc["payload"].update(edits)
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
-    assert invoke_json(capsys, "verify", "-") == (1, refusal)
+    assert refusals == [(1, refusal)] * len(refusals)
+
+
+@pytest.mark.parametrize("emitter", [UNIT_FIND, EXPERIMENT], ids=["unit-find", "lemma-bound"])
+def test_u8_is_taken_once_per_certificate(capsys, monkeypatch, emitter):
+    """certify_unit takes (u^8 - 1)*c once and the certificate carries it: the
+    writers and the experiment read the field, on either side of verify."""
+    real_pow, eighth_powers = RingElement.__pow__, []
+
+    def counted(x, n):
+        if n == 8:
+            eighth_powers.append(x)
+        return real_pow(x, n)
+
+    monkeypatch.setattr(RingElement, "__pow__", counted)
+    code, out = invoke(capsys, *emitter)
+    assert code == 0 and len(eighth_powers) == 1
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    assert invoke_json(capsys, "verify", "-")[0] == 0
+    assert len(eighth_powers) == 2
 
 
 @pytest.mark.parametrize("argv", [["ring", "info"], ["unit", "find", "--c", "3"]],

@@ -4,17 +4,16 @@ import pytest
 
 from sl2units import lemma
 from sl2units.errors import (
+    NoInfiniteOrderUnit,
     NonUnit,
     UnitCongruenceViolated,
     VerificationFailed,
-    ZeroCorner,
     ZeroIdeal,
     ZNotInIdeal,
 )
 from sl2units.lemma import (
     certify_unit,
     compute_Y,
-    epsilon_generator,
     find_unit,
     lemma2_witness,
     verify_certificate,
@@ -40,6 +39,8 @@ from tests.conftest import (
 Z = integers()
 Zh = localized(2)
 R2 = quadratic(2)
+A3 = elem21(Zh.from_int(3))
+CERT_64 = certify_unit(Zh.from_int(3), Zh.from_int(64), 1)  # for A3's corner
 
 
 def _brute_force_order(cert):
@@ -60,13 +61,13 @@ def test_find_unit_anchor_3_over_half():
     cert = find_unit(Zh.from_int(3))
     assert (cert.v, cert.k, cert.u, cert.y) == (2, 6, 64, 7)
     assert verify_certificate(cert.c, cert.v, cert.u, cert.k) == cert
-    assert epsilon_generator(cert) == 3 * (64**8 - 1)
+    assert cert.epsilon_generator == 3 * (64**8 - 1)
 
 
 def test_find_unit_anchor_unit_c():
     cert = find_unit(Zh.from_int(1))
     assert (cert.u, cert.k) == (2, 1)
-    assert epsilon_generator(cert) == 255
+    assert cert.epsilon_generator == 255
 
 
 def test_find_unit_quadratic_anchor():
@@ -97,6 +98,19 @@ def test_certify_unit():
         certify_unit(c, Zh.from_int(2), 1)
     with pytest.raises(NonUnit, match=r"^10 is not a unit of Z\[1/2\]$"):
         certify_unit(c, Zh.from_int(10), 1)  # 10 = 1 + 9, but 5 is not invertible
+    with pytest.raises(NoInfiniteOrderUnit, match=r"^u\^8 = 1, so u generates no usable ideal$"):
+        certify_unit(Zh.one(), Zh.from_int(-1), 1)
+
+
+def test_certify_unit_refuses_each_input_compute_Y_relies_on():
+    """compute_Y takes a certificate, so the refusals of its inputs are
+    certify_unit's: a zero corner, a non-unit u and c^2 not dividing u - 1."""
+    with pytest.raises(ZeroIdeal, match=r"^cannot certify a unit for c = 0$"):
+        certify_unit(diag(Zh.from_int(2)).c, Zh.from_int(2), 1)
+    with pytest.raises(NonUnit, match=r"^3 is not a unit of Z\[1/2\]$"):
+        certify_unit(A3.c, Zh.from_int(3), 1)
+    with pytest.raises(UnitCongruenceViolated, match=r"^u - 1 = 1 is not divisible by c\^2 = 9$"):
+        certify_unit(A3.c, Zh.from_int(2), 1)
 
 
 def test_find_unit_randomized(rng):
@@ -128,7 +142,7 @@ def test_verify_certificate_tampering():
 def test_verify_certificate_u8_trap():
     # a hand-built "certificate" whose unit has finite order must be rejected
     one, minus_one = Zh.from_int(1), Zh.from_int(-1)
-    with pytest.raises(VerificationFailed, match="u generates no usable ideal"):
+    with pytest.raises(NoInfiniteOrderUnit, match="u generates no usable ideal"):
         verify_certificate(one, minus_one, minus_one, 1)
 
 
@@ -156,8 +170,8 @@ def test_exponent_cap_admits_every_true_power():
 
 
 def test_compute_Y_anchor():
-    A = elem21(Zh.from_int(3))
-    parts = compute_Y(A, Zh.from_int(64))
+    A = A3
+    parts = compute_Y(A, CERT_64)
     assert parts.x == 5592405
     assert parts.t == 5592405
     assert parts.y == 7
@@ -178,28 +192,17 @@ def test_compute_Y_anchor():
 
 
 def test_compute_Y_small_anchor():
-    parts = compute_Y(elem21(Zh.from_int(1)), Zh.from_int(2))
+    parts = compute_Y(elem21(Zh.from_int(1)), certify_unit(Zh.one(), Zh.from_int(2), 1))
     assert parts.x == 15 and parts.t == 15
 
 
 def test_compute_Y_general_matrix(rng):
     for ring in WITNESS_RINGS:
         A = random_witness_matrix(ring, rng)
-        cert = find_unit(A.c)
-        parts = compute_Y(A, cert.u)
+        parts = compute_Y(A, find_unit(A.c))
         assert in_ideal(parts.x, A.c)
         assert in_ideal(parts.t, A.c)
         assert in_ideal(parts.q, A.c)
-
-
-def test_compute_Y_errors():
-    with pytest.raises(ZeroCorner):
-        compute_Y(diag(Zh.from_int(2)), Zh.from_int(2))
-    with pytest.raises(NonUnit):
-        compute_Y(elem21(Zh.from_int(3)), Zh.from_int(3))
-    # certify_unit's text for the same c and u, which test_certify_unit pins
-    with pytest.raises(UnitCongruenceViolated, match=r"^u - 1 = 1 is not divisible by c\^2 = 9$"):
-        compute_Y(elem21(Zh.from_int(3)), Zh.from_int(2))
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +210,18 @@ def test_compute_Y_errors():
 
 
 def test_witness_anchor():
-    A = elem21(Zh.from_int(3))
-    w = lemma2_witness(A, Zh.from_int(64), Zh.from_int(3))
-    assert len(w.factors) == 4
+    w = lemma2_witness(A3, CERT_64, Zh.from_int(3))
+    assert len(w.factors) == 4 and w.u == 64
     assert w.target == parse_matrix(Zh, "[[1,844424930131965/16777216],[0,1]]")
     assert w.p == -w.q - w.z
-    assert verify_witness(A, w.u, w.z, w.factors) == w
+    assert verify_witness(A3, CERT_64, w.z, w.factors) == w
 
 
 def test_witness_product_matches_target():
     A = parse_matrix(Zh, "[[5,2],[12,5]]")
     cert = find_unit(A.c)
     z = A.c * Zh.from_int(-7)
-    w = lemma2_witness(A, cert.u, z)
+    w = lemma2_witness(A, cert, z)
     product = identity(Zh)
     for f in w.factors:
         g = f.conjugator.evaluate()
@@ -229,14 +231,13 @@ def test_witness_product_matches_target():
 
 
 def test_witness_inverted_cores_alternate():
-    w = lemma2_witness(elem21(Zh.from_int(3)), Zh.from_int(64), Zh.from_int(3))
+    w = lemma2_witness(A3, CERT_64, Zh.from_int(3))
     assert [f.core_inverted for f in w.factors] == [True, False, True, False]
 
 
 def test_witness_requires_z_in_ideal():
-    A = elem21(Zh.from_int(3))
     with pytest.raises(ZNotInIdeal):
-        lemma2_witness(A, Zh.from_int(64), Zh.from_int(1))
+        lemma2_witness(A3, CERT_64, Zh.from_int(1))
 
 
 def test_witness_randomized(rng):
@@ -247,23 +248,22 @@ def test_witness_randomized(rng):
             from sl2units.rings import random_element
 
             z = A.c * random_element(ring, rng, 5)
-            w = lemma2_witness(A, cert.u, z)
-            assert verify_witness(A, cert.u, z, w.factors) == w
+            w = lemma2_witness(A, cert, z)
+            assert verify_witness(A, cert, z, w.factors) == w
 
 
 def test_witness_tampering_rejected():
-    """verify_witness reads only A, u, z and the factors; the other fields it
-    derives, for certs to compare with the recorded ones."""
-    A = elem21(Zh.from_int(3))
-    u, z = Zh.from_int(64), Zh.from_int(3)
-    w = lemma2_witness(A, u, z)
+    """verify_witness reads only A, the certificate, z and the factors; the
+    other fields it derives, for certs to compare with the recorded ones."""
+    z = Zh.from_int(3)
+    w = lemma2_witness(A3, CERT_64, z)
     with pytest.raises(VerificationFailed, match="misses the target"):
-        verify_witness(A, u, z + 3, w.factors)  # the factors carry the p of z
+        verify_witness(A3, CERT_64, z + 3, w.factors)  # the factors carry the p of z
     with pytest.raises(VerificationFailed, match="expected exactly 4 factors, found 3"):
-        verify_witness(A, u, z, w.factors[:3])
+        verify_witness(A3, CERT_64, z, w.factors[:3])
     swapped = (w.factors[1], w.factors[0]) + w.factors[2:]
     with pytest.raises(VerificationFailed, match="misses the target"):
-        verify_witness(A, u, z, swapped)
+        verify_witness(A3, CERT_64, z, swapped)
 
 
 def test_witness_self_check_is_one_pass(monkeypatch):
@@ -279,10 +279,10 @@ def test_witness_self_check_is_one_pass(monkeypatch):
         return real_evaluate(word)
 
     A = parse_matrix(Zh, "[[5,2],[12,5]]")
-    u = find_unit(A.c).u
+    cert = find_unit(A.c)
     monkeypatch.setattr(lemma, "compute_Y", counted_compute_Y)
     monkeypatch.setattr(GroupWord, "evaluate", counted_evaluate)
-    lemma2_witness(A, u, A.c * Zh.from_int(-7))
+    lemma2_witness(A, cert, A.c * Zh.from_int(-7))
     # the conjugator words hold no nested words, so each call is one conjugator
     assert calls == {"compute_Y": 1, "evaluate": 4}
 
@@ -290,36 +290,28 @@ def test_witness_self_check_is_one_pass(monkeypatch):
 def test_witness_self_check_catches_a_wrong_q(monkeypatch):
     real_compute_Y = lemma.compute_Y
 
-    def off_by_c(A, u):
-        parts = real_compute_Y(A, u)
+    def off_by_c(A, cert):
+        parts = real_compute_Y(A, cert)
         return parts._replace(q=parts.q + A.c)
 
     monkeypatch.setattr(lemma, "compute_Y", off_by_c)
     with pytest.raises(VerificationFailed, match="misses the target"):
-        lemma2_witness(elem21(Zh.from_int(3)), Zh.from_int(64), Zh.from_int(3))
+        lemma2_witness(A3, CERT_64, Zh.from_int(3))
 
 
 def test_verify_witness_lets_a_bug_in_compute_Y_through(monkeypatch):
-    w = lemma2_witness(elem21(Zh.from_int(3)), Zh.from_int(64), Zh.from_int(3))
+    w = lemma2_witness(A3, CERT_64, Zh.from_int(3))
 
-    def broken(A, u):
+    def broken(A, cert):
         raise TypeError("bug inside compute_Y")
 
     monkeypatch.setattr(lemma, "compute_Y", broken)
     with pytest.raises(TypeError, match="bug inside compute_Y"):
-        verify_witness(w.matrix, w.u, w.z, w.factors)
-
-
-def test_verify_witness_refuses_a_non_unit_u_as_lemma2_witness_does():
-    w = lemma2_witness(elem21(Zh.from_int(3)), Zh.from_int(64), Zh.from_int(3))
-    with pytest.raises(NonUnit, match=r"^3 is not a unit of Z\[1/2\]$"):
-        lemma2_witness(w.matrix, Zh.from_int(3), w.z)
-    with pytest.raises(NonUnit, match=r"^3 is not a unit of Z\[1/2\]$"):
-        verify_witness(w.matrix, Zh.from_int(3), w.z, w.factors)
+        verify_witness(w.matrix, CERT_64, w.z, w.factors)
 
 
 def test_witness_conjugators_vanish_mod_c():
-    w = lemma2_witness(elem21(Zh.from_int(3)), Zh.from_int(64), Zh.from_int(6))
+    w = lemma2_witness(A3, CERT_64, Zh.from_int(6))
     for f in w.factors:
         assert reduces_to_identity(f.conjugator.evaluate(), Zh.from_int(3))
 

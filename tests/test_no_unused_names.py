@@ -25,7 +25,7 @@ ALLOWED = {}
 SHARED_NAMES = {
     "name": "AlgebraError.name gives cli.run the error name it prints; RingDescriptor.name "
     "is the ring text of every certificate and message",
-    "inverse": "RingElement.inverse inverts a unit (u^-4 in compute_Y and the witness target); "
+    "inverse": "RingElement.inverse inverts a unit (1/u in sl2.diag, u^-4 in the witness target); "
     "Mat2.inverse is the adjugate (A^-1 in the witness and the norm seeds)",
 }
 

@@ -464,14 +464,13 @@ def test_every_sample_is_a_product_of_four_conjugates_mod_n(ring, corner, u, mod
     A = elem21(ring.from_int(corner))
     table = FiniteGroupTable(ring.from_int(modulus))
     closure = conjugation_closure(table, [table.from_matrix(A), table.from_matrix(A.inverse())])
-    report = lemma_bound_experiment(
-        A, certify_unit(A.c, u, 1), ring.from_int(modulus), 10, rng=random.Random(1)
-    )
+    cert = certify_unit(A.c, u, 1)
+    report = lemma_bound_experiment(A, cert, ring.from_int(modulus), 10, rng=random.Random(1))
     assert report.nontrivial_count == 10
     u4 = u**4
     for j_text, norm in report.samples:
         j = parse_element(ring, j_text)
-        w = lemma2_witness(A, u, u4 * exact_quotient(j, u4 * u4 - 1))
+        w = lemma2_witness(A, cert, u4 * exact_quotient(j, u4 * u4 - 1))
         images = []
         for f in w.factors:
             g = f.conjugator.evaluate()

@@ -25,7 +25,14 @@ from collections import Counter
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sl2units.lemma import ConjugateFactor, ConjugateWitness, find_unit, lemma2_witness
+from sl2units.lemma import (
+    ConjugateFactor,
+    ConjugateWitness,
+    ManyUnitsCertificate,
+    certify_unit,
+    find_unit,
+    lemma2_witness,
+)
 from sl2units.norms import TABLE_CAP, FiniteGroupTable, conjugation_closure, lemma_bound_report
 from sl2units.rings import euclidean_size, integers, localized, quadratic
 from sl2units.sl2 import DiagFactor, ElemFactor, GroupWord, Mat2, elem12, elem21, identity
@@ -94,7 +101,8 @@ def test_sample_norms_at_primes_follow_eulers_criterion():
 
 
 def _sigma(value):
-    """The Galois conjugate of an element, matrix, word or witness."""
+    """The Galois conjugate of an element, matrix, word, unit certificate or
+    witness (a certificate's k is an int, which is its own conjugate)."""
     if isinstance(value, Mat2):
         return Mat2(*(_sigma(e) for e in (value.a, value.b, value.c, value.d)))
     if isinstance(value, GroupWord):
@@ -103,9 +111,9 @@ def _sigma(value):
         return ElemFactor(value.position, _sigma(value.argument))
     if isinstance(value, ConjugateFactor):
         return ConjugateFactor(_sigma(value.conjugator), value.core_inverted)
-    if isinstance(value, ConjugateWitness):
+    if isinstance(value, (ConjugateWitness, ManyUnitsCertificate)):
         fields = {f.name: _sigma(getattr(value, f.name)) for f in dataclasses.fields(value)}
-        return ConjugateWitness(**fields)
+        return type(value)(**fields)
     if isinstance(value, DiagFactor):
         return DiagFactor(_sigma(value.unit))
     if isinstance(value, tuple):
@@ -130,10 +138,13 @@ def test_witness_commutes_with_galois_conjugation(d, letters, w, elementary):
         x = ring.from_pair(a, b)
         A = A * (elem12(x) if upper else elem21(x))
     assume(A.c and euclidean_size(A.c) <= 12)
-    u = find_unit(A.c).u
+    cert = find_unit(A.c)
     z = A.c * ring.from_pair(*w)
-    witness = lemma2_witness(A, u, z, elementary)
-    mirrored = lemma2_witness(_sigma(A), _sigma(u), _sigma(z), elementary)
+    witness = lemma2_witness(A, cert, z, elementary)
+    # sigma is a ring automorphism, so it maps a certificate for c to one for sigma(c)
+    mirrored_cert = _sigma(cert)
+    assert certify_unit(_sigma(A.c), mirrored_cert.v, cert.k) == mirrored_cert
+    mirrored = lemma2_witness(_sigma(A), mirrored_cert, _sigma(z), elementary)
     expected = _sigma(witness)
     for field in dataclasses.fields(ConjugateWitness):
         assert getattr(mirrored, field.name) == getattr(expected, field.name), field.name
