@@ -86,12 +86,16 @@ def verify_certificate(
     return certify_unit(c, v, k)
 
 
+def _refuse_zero(c: RingElement) -> None:
+    if not c:
+        raise ZeroIdeal("cannot certify a unit for c = 0")
+
+
 def certify_unit(c: RingElement, v: RingElement, k: int) -> ManyUnitsCertificate:
     """Certify u = v^k with u - 1 divisible by c^2 and u^8 != 1: ZeroIdeal for
     c = 0, NonUnit for a non-unit v, UnitCongruenceViolated if c^2 does not
     divide u - 1, and NoInfiniteOrderUnit for u^8 = 1."""
-    if not c:
-        raise ZeroIdeal("cannot certify a unit for c = 0")
+    _refuse_zero(c)
     v.inverse()  # raises NonUnit
     u = v**k
     y = exact_quotient(u - 1, c * c)
@@ -109,8 +113,7 @@ def find_unit(c: RingElement) -> ManyUnitsCertificate:
     Takes v of infinite order, computes the order k of v in (R/c^2 R)*, and
     sets u = v^k.  The smallest such k is used so results are deterministic.
     """
-    if not c:
-        raise ZeroIdeal("cannot certify a unit for c = 0")
+    _refuse_zero(c)  # before the ring's unit is sought, which Z has none of
     v = infinite_order_unit(c.ring)
     k = unit_order(v, quotient(c * c))
     try:

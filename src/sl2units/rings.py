@@ -90,8 +90,7 @@ class RingDescriptor:
     def __str__(self):
         return self.name
 
-    def __repr__(self):
-        return self.name
+    __repr__ = __str__
 
     # element constructors
 
@@ -341,8 +340,7 @@ class QuotientRing:
     Residues are exposed both as canonical RingElements and as dense integer
     codes x1*h22 + x2 in range(index), with 0 <= x1 < h11 and 0 <= x2 < h22;
     the integer side exists so that group tables and breadth-first searches
-    stay cheap.  Zero is code 0 in every quotient.  c = 0 raises ZeroIdeal,
-    the one place that refuses a zero generator.
+    stay cheap.  Zero is code 0 in every quotient.  c = 0 raises ZeroIdeal.
     """
 
     def __init__(self, c: RingElement):
@@ -408,8 +406,7 @@ def unit_order(x: RingElement, q: QuotientRing) -> int:
     x != +-1 has height(x^k) >= 2^(k-2), so past ORDER_BOUND x^k would have
     more than DIGIT_BOUND digits, and DocumentTooLarge is raised instead."""
     one = q.one_enc
-    base = q.encode(x)
-    acc = base
+    base = acc = q.encode(x)
     for k in range(1, min(q.index, ORDER_BOUND) + 1):
         if acc == one:
             return k
@@ -432,13 +429,14 @@ def pell_fundamental_unit(d: int) -> tuple[int, int]:
     root = math.isqrt(d)
     m, q = root, d - root * root
     a_prev, a, b_prev, b = 1, root, 0, 1
+    limit = 0  # 10^DIGIT_BOUND, built only once a passes 2^(3 DIGIT_BOUND) < 10^DIGIT_BOUND
     while q != 1:
         digit = (root + m) // q
         a_prev, a = a, digit * a + a_prev
         b_prev, b = b, digit * b + b_prev
         m = digit * q - m
         q = (d - m * m) // q
-        if a.bit_length() > DIGIT_BOUND * math.log2(10) + 1:  # then a > 10^DIGIT_BOUND
+        if a.bit_length() > 3 * DIGIT_BOUND and a >= (limit := limit or 10**DIGIT_BOUND):
             message = f"the fundamental unit of Z[sqrt{d}] has more than {DIGIT_BOUND} digits"
             raise DocumentTooLarge(message)
     return a, b
@@ -477,7 +475,7 @@ def infinite_order_unit(ring: RingDescriptor) -> RingElement:
 # so the limit is never met and never changed.
 
 DIGIT_BOUND = 100_000  # most digits one integer may have in parsed element text
-ORDER_BOUND = math.ceil(DIGIT_BOUND * math.log2(10)) + 2  # 2^(k-2) > 10^DIGIT_BOUND past it
+ORDER_BOUND = 332_195  # (10**DIGIT_BOUND).bit_length() + 2: 2^(k-2) > 10^DIGIT_BOUND past it
 # Most digits of a parsed denominator.  The element constructor checks that
 # it is m-smooth by dividing out the gcd once per pass (_strip_primes), which
 # takes time quadratic in its length: about 0.07 s at this bound, 33 s at
@@ -487,7 +485,7 @@ ORDER_BOUND = math.ceil(DIGIT_BOUND * math.log2(10)) + 2  # 2^(k-2) > 10^DIGIT_B
 # until the strip takes O(log e) divisions (ROADMAP 3(a)).
 DENOMINATOR_BOUND = 4_300
 _PLAIN_DIGITS = 600
-_PLAIN_BITS = int(_PLAIN_DIGITS * math.log2(10))  # so 2**_PLAIN_BITS <= 10**_PLAIN_DIGITS
+_PLAIN_BITS = (10**_PLAIN_DIGITS).bit_length() - 1  # so 2**_PLAIN_BITS <= 10**_PLAIN_DIGITS
 
 
 def _int_text(n: int) -> str:

@@ -31,6 +31,7 @@ from sl2units.rings import (
     parse_element,
 )
 from sl2units.sl2 import elem12, elem21, parse_matrix
+from tests.test_hostile import VERIFY, check
 
 Z = integers()
 Zh = localized(2)
@@ -394,28 +395,9 @@ def test_tampered_derived_field_exit_1(capsys, tmp_path, build, path, value):
     assert err["message"].startswith(f"{doc['kind']} payload{_dotted(path)}: recorded {value!r}, ")
 
 
-# the fields that make a document mod 97 of each norm kind, the experiment's
-# with no samples; 97 (97^2 - 1) + 1 is not the order of SL2(Z/97)
-MOD_97 = {
-    "axiom-report": (_axiom_doc, {}),
-    "norm-experiment": (_experiment_doc, {
-        "quotient_index": 97, "requested": 0, "nontrivial_count": 0, "trivial_count": 0,
-        "histogram": {}, "max_norm": 0, "all_within_bound": True, "samples": [],
-    }),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(MOD_97))
+@pytest.mark.parametrize("kind", ["axiom-report", "norm-experiment"])
 def test_wrong_group_order_refused_before_the_closure(kind):
-    """The group order is counted at once; the closure that the rest of the
-    payload needs would take seconds mod 97."""
-    build, fields = MOD_97[kind]
-    doc = build()
-    doc["payload"].update(modulus="97", group_order=97 * (97**2 - 1) + 1, **fields)
-    start = time.perf_counter()
-    with pytest.raises(VerificationFailed, match="group.order"):
-        certs.verify_document(doc)
-    assert time.perf_counter() - start < 1.0
+    check(VERIFY[kind]["mod-97-wrong-group-order"])
 
 
 # ---------------------------------------------------------------------------
@@ -612,54 +594,21 @@ def test_mutated_payload_is_verdict_or_domain_error(build):
     assert not escaped, "\n".join(escaped)
 
 
-@pytest.mark.parametrize("c,k", [("3", 10**11), (str(3**40), 10**30)])
-def test_huge_exponent_rejected_before_the_power(c, k):
-    doc = _many_units_doc()
-    doc["payload"].update(c=c, k=k)
-    start = time.perf_counter()
-    with pytest.raises(VerificationFailed, match="u is not 2"):
-        certs.verify_document(doc)
-    assert time.perf_counter() - start < 1.0
+@pytest.mark.parametrize("name", ["k-10^11", "k-10^30-c-3^40"],
+                         ids=["3-100000000000", f"{3**40}-{10**30}"])
+def test_huge_exponent_rejected_before_the_power(name):
+    check(VERIFY["many-units"][name])
 
 
-def _many_units_doc_over_Z3(v: int, u: int, k: int):
-    """A many-units document over Z[1/3] that claims u = v^k, with c = 1."""
-    payload = {"c": "1", "v": _int_text(v), "u": _int_text(u), "k": k, "y": _int_text(u - 1),
-               "check_u8": True, "epsilon_generator": "1"}
-    return {"kind": "many-units", "ring": "Z[1/3]", "payload": payload, "verified": True}
-
-
-@pytest.mark.parametrize(
-    "v,u,k,seconds",
-    [(3**200, 10**7999, 26_500, 0.1),  # 16 KB; v^k would have 2.5 million digits
-     # v and u of 1,000 and 100,000 digits, k at the 2^(k-2) bound
-     (3**2095, 10**(DIGIT_BOUND - 1), (10**(DIGIT_BOUND - 1)).bit_length() + 1, 1.0)],
-    ids=["16KB", "parse-bounds"],
-)
-def test_exponent_too_large_for_the_height_of_v_refused_before_the_power(v, u, k, seconds):
-    """k is under the 2^(k-2) bound, but height(v)^k > height(u), which
-    k * (bits(height(v)) - 1) >= bits(height(u)) proves."""
-    doc = _many_units_doc_over_Z3(v, u, k)
-    start = time.perf_counter()
-    with pytest.raises(VerificationFailed) as refused:
-        certs.verify_document(doc)
-    assert time.perf_counter() - start < seconds
-    assert str(refused.value) == f"u is not {_int_text(v)}^{k}"
+@pytest.mark.parametrize("name", ["v-3^200-k-26500", "v-3^2095-k-at-the-height-bound"],
+                         ids=["16KB", "parse-bounds"])
+def test_exponent_too_large_for_the_height_of_v_refused_before_the_power(name):
+    check(VERIFY["many-units"][name])
 
 
 def test_power_denominator_in_a_document_refused_before_the_power():
-    doc = _many_units_doc()
-    doc["payload"]["u"] = "1/2^100000"
-    start = time.perf_counter()
-    with pytest.raises(ParseError, match="cannot parse"):
-        certs.verify_document(doc)
-    assert time.perf_counter() - start < 1.0
+    check(VERIFY["many-units"]["u-1/2^100000"])
 
 
 def test_localization_by_a_large_parameter_answered_at_once():
-    doc = _many_units_doc()
-    doc["ring"] = "Z[1/100000000000000003]"
-    start = time.perf_counter()
-    with pytest.raises(NonUnit, match=r"^2 is not a unit of Z\[1/100000000000000003\]$"):
-        certs.verify_document(doc)
-    assert time.perf_counter() - start < 1.0
+    check(VERIFY["many-units"]["ring-Z[1/m]"])

@@ -2,27 +2,16 @@
 
 import io
 import json
-import os
-import random
 import subprocess
 import sys
-import time
-from pathlib import Path
 
 import pytest
 
-import sl2units.cli
 from sl2units.cli import run
-from sl2units.rings import (
-    DENOMINATOR_BOUND,
-    DIGIT_BOUND,
-    ORDER_BOUND,
-    RingElement,
-    _int_text,
-    localized,
-    parse_element,
-    quadratic,
-)
+from sl2units.rings import DIGIT_BOUND, RingElement, _int_text, localized, parse_element, quadratic
+from tests import bounded
+from tests.conftest import count_calls
+from tests.test_hostile import EMIT, VERIFY, check, with_conjugator
 
 
 NOT_UTF8 = b"\xff\xfe{}"
@@ -60,13 +49,10 @@ def test_ring_info_large_pell_unit(capsys):
     assert doc["infinite_order_unit"] == "1728148040+140634693*sqrt(151)"
 
 
-def test_ring_info_pell_unit_of_36719_digits_at_once(capsys):
+def test_ring_info_pell_unit_of_36719_digits_at_once():
     """The search stops when the recurrence's q returns to 1, without squaring
     the convergent's a and b at every step."""
-    start = time.perf_counter()
-    code, doc = invoke_json(capsys, "ring", "info", "--ring", "Z[sqrt100000000003]")
-    assert time.perf_counter() - start < 2.0
-    assert code == 0
+    doc = check(EMIT["ring info"]["pell-unit-of-36719-digits"])
     unit = parse_element(quadratic(10**11 + 3), doc["infinite_order_unit"])
     assert unit.field_norm() in (1, -1) and len(_int_text(int(unit.rat))) == 36719
 
@@ -78,10 +64,11 @@ def test_ring_info_pell_unit_at_the_digit_bound(capsys, monkeypatch):
     code, doc = invoke_json(capsys, "ring", "info", "--ring", "Z[sqrt151]")
     assert code == 0 and doc["infinite_order_unit"] == "1728148040+140634693*sqrt(151)"
     monkeypatch.setattr("sl2units.rings.DIGIT_BOUND", 9)
-    assert invoke_json(capsys, "ring", "info", "--ring", "Z[sqrt151]") == (1, {
-        "error": "DocumentTooLarge",
-        "message": "the fundamental unit of Z[sqrt151] has more than 9 digits",
-    })
+    for d in (151, 337):  # 337: 1015827336+55335641*sqrt(337), whose a is 1.02 * 10^9
+        assert invoke_json(capsys, "ring", "info", "--ring", f"Z[sqrt{d}]") == (1, {
+            "error": "DocumentTooLarge",
+            "message": f"the fundamental unit of Z[sqrt{d}] has more than 9 digits",
+        })
 
 
 def test_unit_find_anchor(capsys):
@@ -153,33 +140,15 @@ def test_norm_bfs_closure_taken_once(capsys, monkeypatch):
     import sl2units.norms as norms
     from tests.test_golden_cli import CASES, GOLDEN
 
-    calls = [0]
-    real_closure = norms.conjugation_closure
-
-    def counted(*args):
-        calls[0] += 1
-        return real_closure(*args)
-
-    for module in (norms, cli):
-        monkeypatch.setattr(module, "conjugation_closure", counted)
+    calls = count_calls(monkeypatch, "conjugation_closure", norms, cli)
     code, out = invoke(capsys, *CASES["norm-bfs"][0])
     assert calls[0] == 1
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN["norm-bfs"]
 
 
-def test_norm_axioms_mod_13_emits_and_verifies_quickly(capsys, monkeypatch):
-    import io
-
-    start = time.perf_counter()
-    code, out = invoke(capsys, "norm", "axioms", "--ring", "Z", "--modulus", "13",
-                       "--gen", "[[1,1],[0,1]]")
-    assert time.perf_counter() - start < 3.0
-    assert code == 0 and json.loads(out)["payload"]["group_order"] == 2184
-    monkeypatch.setattr("sys.stdin", io.StringIO(out))
-    start = time.perf_counter()
-    code, doc = invoke_json(capsys, "verify", "-")
-    assert time.perf_counter() - start < 3.0
-    assert code == 0 and doc["ok"] is True
+def test_norm_axioms_mod_13_emits_and_verifies_quickly():
+    check(EMIT["norm axioms"]["mod-13"])
+    check(VERIFY["axiom-report"]["mod-13"])
 
 
 def test_norm_bfs_open_generating_set_exit_1(capsys):
@@ -453,19 +422,11 @@ def test_u8_is_taken_once_per_certificate(capsys, monkeypatch, emitter):
     assert len(eighth_powers) == 2
 
 
-@pytest.mark.parametrize("argv", [["ring", "info"], ["unit", "find", "--c", "3"]],
-                         ids=["ring-info", "unit-find"])
-def test_localization_by_a_prime_past_the_trial_division_bound_exit_1(capsys, argv):
+@pytest.mark.parametrize("command", ["ring info", "unit find"], ids=["ring-info", "unit-find"])
+def test_localization_by_a_prime_past_the_trial_division_bound_exit_1(command):
     """No prime up to 10^6 divides m = 10^17 + 3, and trial division to sqrt(m)
     would run for minutes: the ring is refused, not searched."""
-    start = time.perf_counter()
-    code, err = invoke_json(capsys, *argv, "--ring", "Z[1/100000000000000003]")
-    assert time.perf_counter() - start < 2.0
-    assert (code, err) == (1, {
-        "error": "UnsupportedRing",
-        "message": "m = 100000000000000003 has no prime factor up to "
-        "the trial division bound 1000000",
-    })
+    check(EMIT[command]["m-100000000000000003"])
 
 
 def test_verify_unreadable_and_invalid(tmp_path, capsys):
@@ -492,13 +453,10 @@ def test_verify_stdin_not_utf8_exit_1(capsys, monkeypatch, errors):
 
 def test_console_main_exit_codes(tmp_path):
     """python -m sl2units.cli as a process: JSON on stdout, usage on stderr."""
-    src = str(Path(sl2units.cli.__file__).resolve().parents[1])
-    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
     def main(*argv):
         return subprocess.run([sys.executable, "-m", "sl2units.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=bounded.ENV, timeout=60)
 
     done = main("unit", "find", "--ring", "Z[1/2]", "--c", "3")
     assert done.returncode == 0 and json.loads(done.stdout)["payload"]["u"] == "64"
@@ -606,26 +564,9 @@ def test_allow_degenerate_exit_0(capsys):
 LEMMA_BOUND = ["norm", "lemma-bound", "--ring", "Z[1/2]", "--A", "[[1,0],[3,1]]", "--u", "64"]
 
 
-@pytest.mark.parametrize("allow", [False, True], ids=["strict", "allow_degenerate"])
-def test_degenerate_quotient_decided_without_drawing(capsys, allow):
-    """u = 64 = 4 (mod 5) has u^8 = 1 there, so (5) holds the epsilon ideal
-    (u^8 - 1) * 3 and every draw has a trivial image: the run is decided at
-    once, with the counts that drawing 40 n + 200 (or n) times would give."""
-    n = 100_000_000
-    start = time.perf_counter()
-    code, doc = invoke_json(capsys, *LEMMA_BOUND, "--modulus", "5", "--samples", str(n),
-                            *(["--allow-degenerate"] if allow else []))
-    assert time.perf_counter() - start < 2.0
-    if allow:
-        assert code == 0
-        assert doc["payload"]["trivial_count"] == n and doc["payload"]["samples"] == []
-    else:
-        assert code == 1
-        assert doc == {
-            "error": "DegenerateQuotient",
-            "message": f"only 0 nontrivial images of (844424930131965) in {40 * n + 200} "
-                       "draws; the ideal may reduce to zero modulo 5",
-        }
+@pytest.mark.parametrize("name", ["strict", "allowed"], ids=["strict", "allow_degenerate"])
+def test_degenerate_quotient_decided_without_drawing(name):
+    check(EMIT["norm lemma-bound"][f"degenerate-{name}"])
 
 
 def test_negative_samples_exit_2(capsys):
@@ -662,60 +603,21 @@ def test_element_over_the_digit_limit_exit_1(capsys):
     assert f"bound of {DIGIT_BOUND}" in err["message"]
 
 
-# c = 1000003: the index of R/c^2R is about 10^12 over Z[1/2] and 10^24 over
-# Z[sqrt2], and the order of v there is past ORDER_BOUND
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["unit", "find", "--ring", "Z[1/2]", "--c", "1000003"],
-        ["unit", "find", "--ring", "Z[sqrt2]", "--c", "1000003"],
-        ["lemma", "witness", "--ring", "Z[1/2]", "--A", "[[1,0],[1000003,1]]", "--z", "1000003"],
-        ["norm", "lemma-bound", "--ring", "Z[1/2]", "--A", "[[1,0],[1000003,1]]",
-         "--modulus", "5"],
-    ],
-    ids=["unit-Z[1/2]", "unit-Z[sqrt2]", "witness", "lemma-bound"],
-)
-def test_order_past_the_bound_exit_1_at_once(capsys, argv):
-    start = time.perf_counter()
-    code, err = invoke_json(capsys, *argv)
-    assert time.perf_counter() - start < 2.0
-    assert code == 1 and err["error"] == "DocumentTooLarge"
-    tail = f"exceeds {ORDER_BOUND}, so its power would have more than {DIGIT_BOUND} digits"
-    assert err["message"].endswith(f" modulo (1000006000009) {tail}")
+@pytest.mark.parametrize("command,name", [("unit find", "order-past-the-bound-Z[1/2]"),
+                                          ("unit find", "order-past-the-bound-Z[sqrt2]"),
+                                          ("lemma witness", "order-past-the-bound"),
+                                          ("norm lemma-bound", "order-past-the-bound")],
+                         ids=["unit-Z[1/2]", "unit-Z[sqrt2]", "witness", "lemma-bound"])
+def test_order_past_the_bound_exit_1_at_once(command, name):
+    check(EMIT[command][name])
 
 
-@pytest.fixture(scope="module")
-def hostile_unit():
-    """(1+sqrt2)^260000, a unit whose coordinates have 99,522 digits each: text
-    of 200 KB, past the per-argument limit of the OS, so it is passed in-process."""
-    ring = quadratic(2)
-    return ring.from_pair(1, 1) ** 260000
-
-
-def test_small_index_modulus_with_huge_coordinates_runs_at_once(tmp_path, capsys, hostile_unit):
-    """The Hermite form of cR comes from c mod |N(c)|, so a modulus of index 1
-    or 7 costs no Euclid on its digits."""
-    c, seven = str(hostile_unit), str(hostile_unit * quadratic(2).from_pair(3, 1))
-    start = time.perf_counter()
-    code, doc = invoke_json(capsys, "norm", "bfs", "--ring", "Z[sqrt2]", "--modulus", c,
-                            "--gen", "[[1,1],[0,1]]", "--element", "[[1,0],[0,1]]")
-    assert code == 0 and doc["group_order"] == 1
-    assert time.perf_counter() - start < 2.0
-    start = time.perf_counter()
-    code, out = invoke(capsys, "norm", "axioms", "--ring", "Z[sqrt2]", "--modulus", seven,
-                       "--gen", "[[1,1],[0,1]]")
-    assert code == 0 and json.loads(out)["payload"]["group_order"] == 336
-    assert time.perf_counter() - start < 2.0
-    path = tmp_path / "axioms.json"
-    path.write_text(out)
-    start = time.perf_counter()
-    code, summary = invoke_json(capsys, "verify", str(path))
-    assert code == 0 and summary["ok"] is True
-    assert time.perf_counter() - start < 2.0
-    start = time.perf_counter()
-    code, err = invoke_json(capsys, "unit", "find", "--ring", "Z[sqrt2]", "--c", c)
-    assert code == 1 and err["error"] == "DocumentTooLarge"
-    assert time.perf_counter() - start < 5.0
+def test_small_index_modulus_with_huge_coordinates_runs_at_once():
+    for row in (EMIT["norm bfs"]["modulus-a-unit-of-200KB"],
+                EMIT["norm axioms"]["modulus-of-200KB-index-7"],
+                VERIFY["axiom-report"]["modulus-of-200KB-index-7"],
+                EMIT["unit find"]["c-a-unit-of-200KB"]):
+        check(row)
 
 
 def test_zero_denominator_argument_exit_1(capsys):
@@ -789,157 +691,47 @@ def test_element_arguments_stay_lenient(capsys, c):
 
 
 @pytest.mark.parametrize("ring,c", [("Z[1/3]", "49"), ("Z[1/2]", "61"), ("Z[1/2]", "101")])
-def test_unit_find_past_the_str_limit_emits_and_verifies(tmp_path, capsys, ring, c):
-    start = time.perf_counter()
-    code, out = invoke(capsys, "unit", "find", "--ring", ring, "--c", c)
-    assert code == 0 and time.perf_counter() - start < 2.0
-    payload = json.loads(out)["payload"]
-    assert max(len(v) for v in payload.values() if isinstance(v, str)) > 4300
-    path = tmp_path / "unit.json"
-    path.write_text(out)
-    start = time.perf_counter()
-    code, summary = invoke_json(capsys, "verify", str(path))
-    assert code == 0 and summary["ok"] is True
-    assert time.perf_counter() - start < 2.0
+def test_unit_find_past_the_str_limit_emits_and_verifies(ring, c):
+    check(EMIT["unit find"][f"{ring}-c-{c}"])
+    check(VERIFY["many-units"][f"{ring}-c-{c}"])
 
 
-def _random_digits(rng, n: int) -> int:
-    return rng.randrange(10 ** (n - 1), 10**n)
+@pytest.mark.parametrize("name", ["modulus-7x4000-Z", "modulus-7x4000-Z[sqrt2]",
+                                  "modulus-random-Z[sqrt2]"],
+                         ids=["Z", "Z[sqrt2]", "Z[sqrt2]-random"])
+def test_quotient_too_large_for_a_long_modulus_exit_1(name):
+    check(EMIT["norm axioms"][name])
+    check(VERIFY["axiom-report"][name])
 
 
-# a + b*sqrt(2) with random a, b of DIGIT_BOUND digits: its Hermite form would
-# take the extended Euclid loop many seconds, its norm a^2 - 2b^2 a few ms
-_RNG = random.Random(12)
-_A, _B = _random_digits(_RNG, DIGIT_BOUND), _random_digits(_RNG, DIGIT_BOUND)
+@pytest.mark.parametrize("name", ["u-of-100001-digits", "u-of-999000-digits", "u-over-2^332000"],
+                         ids=["integer", "integer-1MB", "denominator"])
+def test_hostile_document_with_an_integer_over_the_bound(name):
+    check(VERIFY["many-units"][name])
 
 
-@pytest.mark.parametrize(
-    "ring,modulus,index",
-    [("Z", "7" * 4000, int("7" * 4000)),
-     ("Z[sqrt2]", "7" * 4000, int("7" * 4000) ** 2),
-     ("Z[sqrt2]", f"{_int_text(_A)}+{_int_text(_B)}*sqrt(2)", abs(_A * _A - 2 * _B * _B))],
-    ids=["Z", "Z[sqrt2]", "Z[sqrt2]-random"],
-)
-def test_quotient_too_large_for_a_long_modulus_exit_1(tmp_path, capsys, ring, modulus, index):
-    start = time.perf_counter()
-    code, err = invoke_json(capsys, "norm", "axioms", "--ring", ring, "--modulus", modulus,
-                            "--gen", "[[1,1],[0,1]]")
-    assert time.perf_counter() - start < 1.0
-    assert code == 1 and err["error"] == "QuotientTooLarge"
-    assert f"index has {len(_int_text(index))} digits" in err["message"]
-    code, out = invoke(capsys, "norm", "axioms", "--ring", "Z", "--modulus", "3",
-                       "--gen", "[[1,1],[0,1]]")
-    assert code == 0
-    doc = json.loads(out)
-    doc["ring"] = ring
-    doc["payload"]["modulus"] = modulus
-    path = tmp_path / "axioms.json"
-    path.write_text(json.dumps(doc))
-    start = time.perf_counter()
-    code, err = invoke_json(capsys, "verify", str(path))
-    assert time.perf_counter() - start < 1.0
-    assert code == 1 and err["error"] == "QuotientTooLarge"
-
-
-# a hostile document of HOSTILE_BYTES is refused or verified within HOSTILE_SECONDS
-HOSTILE_BYTES = 10**6
-HOSTILE_SECONDS = 20.0
-
-
-def _verify_text(tmp_path, capsys, text: str):
-    path = tmp_path / "hostile.json"
-    path.write_text(text)
-    start = time.perf_counter()
-    code, out = invoke_json(capsys, "verify", str(path))
-    return code, out, time.perf_counter() - start
-
-
-@pytest.mark.parametrize(
-    "u,message",
-    [("7" * (DIGIT_BOUND + 1), f"{DIGIT_BOUND + 1} digits exceeds the bound of {DIGIT_BOUND}"),
-     ("7" * (HOSTILE_BYTES - 1000),
-      f"{HOSTILE_BYTES - 1000} digits exceeds the bound of {DIGIT_BOUND}"),
-     # a unit of Z[1/2] under DIGIT_BOUND: 2^332000 has 99,942 digits
-     ("1/" + _int_text(2**332_000),
-      f"denominator of 99942 digits exceeds the bound of {DENOMINATOR_BOUND}")],
-    ids=["integer", "integer-1MB", "denominator"],
-)
-def test_hostile_document_with_an_integer_over_the_bound(tmp_path, capsys, u, message):
-    code, out = invoke(capsys, "unit", "find", "--ring", "Z[1/2]", "--c", "3")
-    assert code == 0
-    doc = json.loads(out)
-    doc["payload"]["u"] = u
-    code, err, elapsed = _verify_text(tmp_path, capsys, json.dumps(doc))
-    assert code == 1 and err["error"] == "ParseError"
-    assert message in err["message"]
-    assert elapsed < 1.0
-
-
-def test_hostile_document_of_integers_at_the_bound(tmp_path, capsys):
-    """Ten transvections whose arguments have DIGIT_BOUND digits each: their
-    product has entries of about 10^6 digits, and verify finds that it is not
-    the recorded matrix."""
-    factors = [
-        {"kind": "elem", "position": "12" if i % 2 else "21", "argument": "7" * DIGIT_BOUND}
-        for i in range(HOSTILE_BYTES // DIGIT_BOUND)
-    ]
-    payload = {"matrix": "[[1,0],[0,1]]", "word": {"factors": factors}, "length": len(factors)}
-    doc = {"kind": "decomposition", "ring": "Z", "payload": payload, "verified": True}
-    text = json.dumps(doc)
-    assert len(text) >= HOSTILE_BYTES
-    code, err, elapsed = _verify_text(tmp_path, capsys, text)
-    assert code == 1 and err["error"] == "VerificationFailed"
-    assert elapsed < HOSTILE_SECONDS
+def test_hostile_document_of_integers_at_the_bound():
+    check(VERIFY["decomposition"]["ten-letters-of-100000-digits"])
 
 
 @pytest.mark.parametrize("u", ["3/2^4", "1/2^100000"])
-def test_power_denominator_exit_1(tmp_path, capsys, u):
-    code, out = invoke(capsys, "unit", "find", "--ring", "Z[1/2]", "--c", "3")
-    assert code == 0
-    doc = json.loads(out)
-    doc["payload"]["u"] = u
-    path = tmp_path / "unit.json"
-    path.write_text(json.dumps(doc))
-    start = time.perf_counter()
-    code, err = invoke_json(capsys, "verify", str(path))
-    assert time.perf_counter() - start < 1.0
-    assert code == 1 and err["error"] == "ParseError"
-    assert f"cannot parse {u!r}" in err["message"]
-
-
-def _witness_with_conjugator(capsys, tmp_path, conjugator: str):
-    """A lemma2-witness document whose first conjugator word is replaced by
-    the given JSON text, spliced in as text so it may nest deeper than
-    json.dumps can write."""
-    code, out = invoke(capsys, "lemma", "witness", "--ring", "Z[1/2]",
-                       "--A", "[[1,0],[3,1]]", "--u", "64", "--z", "3")
-    assert code == 0
-    doc = json.loads(out)
-    doc["payload"]["factors"][0]["conjugator"] = "@"
-    path = tmp_path / "witness.json"
-    path.write_text(json.dumps(doc).replace('"@"', conjugator))
-    return path
+def test_power_denominator_exit_1(u):
+    check(VERIFY["many-units"][f"u-{u}"])
 
 
 @pytest.mark.parametrize("factor", [
     '{"kind": "conj", "by": {"factors": []}, "word": {"factors": []}}',
     '{"kind": "inv", "word": {"factors": []}}',
 ])
-def test_nested_word_factor_exit_1(tmp_path, capsys, factor):
-    path = _witness_with_conjugator(capsys, tmp_path, '{"factors": [%s]}' % factor)
-    code, err = invoke_json(capsys, "verify", str(path))
+def test_nested_word_factor_exit_1(capsys, monkeypatch, factor):
+    monkeypatch.setattr("sys.stdin", io.StringIO(with_conjugator('{"factors": [%s]}' % factor)))
+    code, err = invoke_json(capsys, "verify", "-")
     assert code == 1 and err["error"] == "ParseError"
     assert "unknown factor kind" in err["message"]
 
 
-def test_deeply_nested_word_exit_1_at_once(tmp_path, capsys):
-    depth = 10**5
-    nested = '{"factors": [{"kind": "inv", "word": ' * depth + '{"factors": []}' + "}]}" * depth
-    path = _witness_with_conjugator(capsys, tmp_path, nested)
-    start = time.perf_counter()
-    code, err = invoke_json(capsys, "verify", str(path))
-    assert time.perf_counter() - start < 1.0
-    assert code == 1 and err["error"] == "ParseError"
+def test_deeply_nested_word_exit_1_at_once():
+    check(VERIFY["lemma2-witness"]["conjugator-nested-10^5-deep"])
 
 
 def test_usage_error_exit_2(capsys):
@@ -1002,23 +794,11 @@ def test_elementary_witness_verifies(tmp_path, capsys):
 def test_elementary_witness_computes_Y_once(capsys, monkeypatch):
     import sl2units.lemma as lemma
 
-    calls = {"compute_Y": 0, "_checked_witness": 0}
-
-    def counted(name):
-        real = getattr(lemma, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(lemma, name, counted(name))
+    calls = [count_calls(monkeypatch, name, lemma) for name in ("compute_Y", "_checked_witness")]
     code, _ = invoke(capsys, "lemma", "witness", "--ring", "Z[1/2]",
                      "--A", "[[1,0],[3,1]]", "--z", "3", "--elementary")
     assert code == 0
-    assert calls == {"compute_Y": 1, "_checked_witness": 1}
+    assert calls == [[1], [1]]
 
 
 def test_elementary_witness_with_a_wrong_word_fails(capsys, monkeypatch):

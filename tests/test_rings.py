@@ -4,18 +4,19 @@ import decimal
 import math
 import random
 import sys
-import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2units.errors import NoInfiniteOrderUnit, NonUnit, ParseError, UnsupportedRing, ZeroIdeal
+from sl2units.errors import NoInfiniteOrderUnit, NonUnit, ParseError, ZeroIdeal
 from sl2units.rings import (
+    _PLAIN_BITS,
     _PLAIN_DIGITS,
     DENOMINATOR_BOUND,
     DIGIT_BOUND,
+    ORDER_BOUND,
     QUADRATIC,
     _int_text,
     _is_squarefree,
@@ -39,6 +40,7 @@ from sl2units.rings import (
     unit_order,
 )
 from tests.conftest import ALL_RINGS, count_calls
+from tests.test_hostile import EMIT, check
 
 Z = integers()
 Zh = localized(2)
@@ -103,9 +105,8 @@ def test_is_squarefree_past_the_cube_root():
 
 
 def test_large_quadratic_parameter_answered_at_once():
-    start = time.perf_counter()
+    check(EMIT["h-decompose"]["ring-Z[sqrt(10^17+3)]"])
     assert parse_ring("Z[sqrt100000000000000003]").param == 10**17 + 3
-    assert time.perf_counter() - start < 1.0
     with pytest.raises(ParseError, match=r"below 10\^18"):
         parse_ring("Z[sqrt1000000000000000003]")
 
@@ -200,25 +201,24 @@ def test_elements_past_the_str_limit_round_trip(ring):
         assert len(text) > 14_000
 
 
+def test_bit_bounds_of_the_digit_bounds():
+    assert 2 ** (ORDER_BOUND - 3) <= 10**DIGIT_BOUND < 2 ** (ORDER_BOUND - 2)
+    assert 2**_PLAIN_BITS <= 10**_PLAIN_DIGITS < 2 ** (_PLAIN_BITS + 1)
+
+
 def test_parse_refuses_an_integer_over_the_digit_bound_at_once():
-    start = time.perf_counter()
-    for text in ("7" * (DIGIT_BOUND + 1), "3" * 10**6 + "/1", "-" + "1" * (DIGIT_BOUND + 1)):
-        with pytest.raises(ParseError, match=f"exceeds the bound of {DIGIT_BOUND}"):
-            parse_element(Zh, text)
-    assert time.perf_counter() - start < 1.0
+    for name in ("of-100001-digits", "of-10^6-digits-over-1", "of-minus-100001-digits"):
+        check(EMIT["unit find"][f"c-{name}"])
 
 
 def test_parse_refuses_a_denominator_over_its_bound_at_once():
     # 1/2^e is a unit of Z[1/2]; checking that its denominator is 2-smooth
     # divides by 2 once per pass, so a long one is refused before it is read
+    for name in ("over-2^14288", "over-2^332000", "over-10^6-digits"):
+        check(EMIT["unit find"][f"c-{name}"])
     at_bound = _int_text(2**14_284)
     assert len(at_bound) == DENOMINATOR_BOUND
     assert parse_element(Zh, "1/" + at_bound) == Zh.from_fraction(1, 2**14_284)
-    start = time.perf_counter()
-    for den in (_int_text(2**14_288), _int_text(2**332_000), "3" * 10**6):
-        with pytest.raises(ParseError, match=f"exceeds the bound of {DENOMINATOR_BOUND}"):
-            parse_element(Zh, "1/" + den)
-    assert time.perf_counter() - start < 1.0
 
 
 def test_parse_power_denominator():
@@ -228,10 +228,7 @@ def test_parse_power_denominator():
 
 
 def test_parse_power_denominator_refused_before_the_power():
-    start = time.perf_counter()
-    with pytest.raises(ParseError, match="cannot parse"):
-        parse_element(Zh, "1/2^100000")
-    assert time.perf_counter() - start < 1.0
+    check(EMIT["unit find"]["c-over-2^100000"])
 
 
 # ---------------------------------------------------------------------------
@@ -622,14 +619,9 @@ def test_infinite_order_unit_within_the_trial_division_bound():
     square of the largest prime below 10^6 gives that prime, the largest prime
     below 10^12 gives itself, and a larger m with no prime factor up to 10^6
     (a product of two primes above it, or a prime) is refused at once."""
-    assert infinite_order_unit(localized(999983**2)) == 999983
-    assert infinite_order_unit(localized(999999999989)) == 999999999989
-    assert infinite_order_unit(localized(2 * (10**17 + 3))) == 2
-    for m in (1000003 * 1000033, 10**17 + 3):
-        start = time.perf_counter()
-        with pytest.raises(UnsupportedRing, match=f"^m = {m} has no prime factor up to "):
-            infinite_order_unit(localized(m))
-        assert time.perf_counter() - start < 1.0
+    for name, row in EMIT["ring info"].items():
+        if name.startswith("m-"):
+            check(row)
 
 
 def _strip_by_trial_division(n: int, m: int) -> int:
@@ -650,13 +642,13 @@ def test_strip_primes_matches_trial_division(n, m):
 
 
 def test_large_localization_parameter_is_not_factored():
+    check(EMIT["h-decompose"]["Z[1/m]-u-m^2"])
+    check(EMIT["h-decompose"]["Z[1/m]-u-5/m^3"])
     m = 100000000000000003
     ring = localized(m)
-    start = time.perf_counter()
     x = parse_element(ring, f"5/{m**3}")
     assert is_unit(ring.from_int(m**2)) == ring.from_fraction(1, m**2)
     assert is_unit(x) is None and euclidean_size(x) == 5
-    assert time.perf_counter() - start < 1.0
 
 
 def test_random_element_deterministic():

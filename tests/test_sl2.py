@@ -1,16 +1,11 @@
 """Matrix layer: Mat2, flat group words, JSON and text round-trips."""
 
 import random
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import sl2units
 
 from sl2units.errors import DeterminantNotOne, NonUnit, ParseError
 from sl2units.rings import (
@@ -36,7 +31,8 @@ from sl2units.sl2 import (
     word_from_json,
     word_to_json,
 )
-from tests.conftest import ALL_RINGS, random_sl2
+from tests import bounded
+from tests.conftest import ALL_RINGS, count_calls, random_sl2
 
 Z = integers()
 Zh = localized(2)
@@ -150,13 +146,6 @@ def test_product_adds_no_zero_terms(monkeypatch):
     """x + 0, x * 0 and x * 1 return an operand, so a product builds one ring
     element per product of two entries other than 0 and 1, and one per sum of
     two nonzero terms: multiplying by the identity builds none."""
-    built = [0]
-    real_post_init = RingElement.__post_init__
-
-    def counted(self):
-        built[0] += 1
-        real_post_init(self)
-
     x, u = Zh.from_fraction(3, 8), Zh.from_int(4)
     full = parse_matrix(Zh, "[[3,1/2],[4,1]]")
     cases = [
@@ -166,7 +155,7 @@ def test_product_adds_no_zero_terms(monkeypatch):
         (diag(u), elem21(x), 1),  # [[u, 0], [x/u, 1/u]]
         (full, full, 9),  # five products of entries other than 0 and 1, four sums
     ]
-    monkeypatch.setattr(RingElement, "__post_init__", counted)
+    built = count_calls(monkeypatch, "__post_init__", RingElement)
     for left, right, expected in cases:
         built[0] = 0
         left * right
@@ -270,10 +259,8 @@ def test_reduce_mat_respects_products(rng):
 def test_fresh_imports_free_the_previous_copy():
     """Re-importing the package must let the old copy go: nothing kept at
     module level (typing's caches included) may hold its classes alive."""
-    src = str(Path(sl2units.__file__).resolve().parents[1])
-    code = textwrap.dedent(f"""
+    code = textwrap.dedent("""
         import gc, importlib, sys
-        sys.path.insert(0, {src!r})
         for _ in range(3):
             for name in [n for n in sys.modules if n.split(".")[0] == "sl2units"]:
                 del sys.modules[name]
@@ -281,5 +268,5 @@ def test_fresh_imports_free_the_previous_copy():
         gc.collect()
         print(sum(isinstance(o, type) and o.__name__ == "RingElement" for o in gc.get_objects()))
     """)
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "1"
+    done = bounded.spawn(code, "", timeout=60.0)
+    assert done.code == 0 and done.stdout.strip() == "1"
