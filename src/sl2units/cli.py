@@ -85,7 +85,9 @@ def _cmd_decompose(ring, args) -> dict:
 def _cmd_h_decompose(ring, args) -> dict:
     u = parse_element(ring, args.u)
     dec = h_decomposition(u)
-    return certs.make_document("h-decomposition", ring, certs.decomposition_payload(dec, unit=u))
+    return certs.make_document(
+        "h-decomposition", ring, certs.decomposition_payload(dec, unit=u)
+    )
 
 
 def _cmd_norm_bfs(ring, args) -> dict:

@@ -90,7 +90,8 @@ class RingDescriptor:
     def __str__(self):
         return self.name
 
-    __repr__ = __str__
+    def __repr__(self):
+        return self.name
 
     # element constructors
 
@@ -406,7 +407,8 @@ def unit_order(x: RingElement, q: QuotientRing) -> int:
     x != +-1 has height(x^k) >= 2^(k-2), so past ORDER_BOUND x^k would have
     more than DIGIT_BOUND digits, and DocumentTooLarge is raised instead."""
     one = q.one_enc
-    base = acc = q.encode(x)
+    base = q.encode(x)
+    acc = base
     for k in range(1, min(q.index, ORDER_BOUND) + 1):
         if acc == one:
             return k

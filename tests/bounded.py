@@ -20,8 +20,9 @@ from typing import NamedTuple
 
 CAP = 2**30  # bytes of address space for each child
 MARGIN = 3.0  # seconds past its bound at which a command's child is killed
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.getenv("PYTHONPATH")])))
+ROOT = Path(__file__).resolve().parents[1]  # the package, and `tests` for a child that imports it
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT),
+                                                             os.getenv("PYTHONPATH")])))
 CLI = """
 import io, json, sys, time
 job = json.load(sys.stdin)

@@ -10,7 +10,6 @@ import pytest
 from sl2units.cli import run
 from sl2units.rings import DIGIT_BOUND, RingElement, _int_text, localized, parse_element, quadratic
 from tests import bounded
-from tests.conftest import count_calls
 from tests.test_hostile import EMIT, VERIFY, check, with_conjugator
 
 
@@ -140,7 +139,15 @@ def test_norm_bfs_closure_taken_once(capsys, monkeypatch):
     import sl2units.norms as norms
     from tests.test_golden_cli import CASES, GOLDEN
 
-    calls = count_calls(monkeypatch, "conjugation_closure", norms, cli)
+    calls = [0]
+    real_closure = norms.conjugation_closure
+
+    def counted(*args):
+        calls[0] += 1
+        return real_closure(*args)
+
+    for module in (norms, cli):
+        monkeypatch.setattr(module, "conjugation_closure", counted)
     code, out = invoke(capsys, *CASES["norm-bfs"][0])
     assert calls[0] == 1
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN["norm-bfs"]
@@ -424,8 +431,6 @@ def test_u8_is_taken_once_per_certificate(capsys, monkeypatch, emitter):
 
 @pytest.mark.parametrize("command", ["ring info", "unit find"], ids=["ring-info", "unit-find"])
 def test_localization_by_a_prime_past_the_trial_division_bound_exit_1(command):
-    """No prime up to 10^6 divides m = 10^17 + 3, and trial division to sqrt(m)
-    would run for minutes: the ring is refused, not searched."""
     check(EMIT[command]["m-100000000000000003"])
 
 
@@ -794,11 +799,23 @@ def test_elementary_witness_verifies(tmp_path, capsys):
 def test_elementary_witness_computes_Y_once(capsys, monkeypatch):
     import sl2units.lemma as lemma
 
-    calls = [count_calls(monkeypatch, name, lemma) for name in ("compute_Y", "_checked_witness")]
+    calls = {"compute_Y": 0, "_checked_witness": 0}
+
+    def counted(name):
+        real = getattr(lemma, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(lemma, name, counted(name))
     code, _ = invoke(capsys, "lemma", "witness", "--ring", "Z[1/2]",
                      "--A", "[[1,0],[3,1]]", "--z", "3", "--elementary")
     assert code == 0
-    assert calls == [[1], [1]]
+    assert calls == {"compute_Y": 1, "_checked_witness": 1}
 
 
 def test_elementary_witness_with_a_wrong_word_fails(capsys, monkeypatch):

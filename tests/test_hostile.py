@@ -3,10 +3,11 @@
 A row is one `sl2units` command, run by tests/bounded.py in a child with a
 memory cap and a hard timeout: its argv, the document that `verify -` reads,
 the exit code (0, 1 or 2; 3 is a bug), the error class of a refusal or a fact
-of the answer, a fragment of the refusal's message, and the bound in seconds
-on the `cli.run` call.  EMIT holds a table per emitting subcommand and VERIFY
-one per certificate kind.  The test named for each finding stays beside the
-code it concerns and runs its rows, one at a time, with `check`.
+of the answer, the refusal's whole message, and the bound in seconds on the
+`cli.run` call.  EMIT holds a table per emitting subcommand and VERIFY one per
+certificate kind, and `test_row` runs every row, one at a time.  The older
+test named for each finding keeps its name beside the code it concerns, and
+checks the same rows, which run once.
 """
 
 import contextlib
@@ -27,16 +28,16 @@ class Row(NamedTuple):
     argv: tuple
     code: int
     shows: object = None  # a refusal's error class, or a predicate on the answer
-    message: str = ""
+    message: Optional[str] = None  # a refusal's whole message, if it is stated
     bound: float = 1.0
     document: Optional[Callable[[], str]] = None  # the stdin text, built when the row runs
 
 
-def emit(command: str, code: int, shows=None, message="", bound=1.0) -> Row:
+def emit(command: str, code: int, shows=None, message=None, bound=1.0) -> Row:
     return Row(tuple(command.split()), code, shows, message, bound)
 
 
-def verify(document, code: int, shows=None, message="", bound=1.0) -> Row:
+def verify(document, code: int, shows=None, message=None, bound=1.0) -> Row:
     return Row(("verify", "-"), code, shows, message, bound, document)
 
 
@@ -55,7 +56,7 @@ def check(row: Row) -> dict:
     assert done.seconds < row.bound, f"took {done.seconds:.2f} s, bound {row.bound} s"
     doc = json.loads(done.stdout or "{}")  # a usage error (exit 2) prints nothing
     if row.code == 1:
-        assert doc["error"] == row.shows and row.message in doc["message"], doc
+        assert doc["error"] == row.shows and row.message in (None, doc["message"]), doc
     assert row.code == 1 or row.shows is None or row.shows(doc), done.stdout[:500]
     return doc
 
@@ -113,7 +114,6 @@ UNIT_FIND = "unit find --ring Z[1/2] --c 3"
 AXIOMS = "norm axioms --gen [[1,1],[0,1]] --ring"
 LEMMA_BOUND = "norm lemma-bound --ring Z[1/2] --A [[1,0],[3,1]]"
 NEVER_DRAWN = f"--u 64 --modulus 5 --samples {10**8}"  # u^8 = 1 mod 5: every image trivial
-ORDER = f" modulo (1000006000009) exceeds {ORDER_BOUND}, so its power would have more than"
 DEPTH = 10**5
 # (1+sqrt2)^260000, a unit with coordinates of 99,522 digits: 200 KB of text
 HOSTILE = quadratic(2).from_pair(1, 1) ** 260000
@@ -121,6 +121,15 @@ HOSTILE = quadratic(2).from_pair(1, 1) ** 260000
 # the extended Euclid loop many seconds, its norm a^2 - 2b^2 a few ms
 _RNG = random.Random(12)
 _A, _B = (_RNG.randrange(10 ** (DIGIT_BOUND - 1), 10**DIGIT_BOUND) for _ in "ab")
+
+
+def _too_large(digits: int) -> str:
+    return f"a quotient whose index has {digits} digits may exceed 1000000 elements (cap n^3)"
+
+
+def _order_past_the_bound(v: str) -> str:
+    return (f"the order of {v} modulo (1000006000009) exceeds {ORDER_BOUND}, so its power would "
+            f"have more than {DIGIT_BOUND} digits")
 
 
 def _past_the_str_limit(doc) -> bool:
@@ -149,30 +158,36 @@ EMIT = {
         # R/c^2R has index about 10^12 over Z[1/2] and 10^24 over Z[sqrt2], and
         # the order of v there is past ORDER_BOUND
         **{f"order-past-the-bound-{ring}": emit(f"unit find --ring {ring} --c 1000003", 1,
-                                                "DocumentTooLarge", ORDER, 2.0)
-           for ring in ("Z[1/2]", "Z[sqrt2]")},
+                                                "DocumentTooLarge", _order_past_the_bound(v), 2.0)
+           for ring, v in [("Z[1/2]", "2"), ("Z[sqrt2]", "1+sqrt(2)")]},
         "c-a-unit-of-200KB": emit(f"unit find --ring Z[sqrt2] --c {HOSTILE}", 1,
                                   "DocumentTooLarge", bound=5.0),
         **STR_LIMIT,
-        **{f"c-{name}": emit(f"unit find --ring Z[1/2] --c={c}", 1, "ParseError",
-                             f"exceeds the bound of {bound}")
-           for name, c, bound in [
-               ("of-100001-digits", "7" * (DIGIT_BOUND + 1), DIGIT_BOUND),
-               ("of-10^6-digits-over-1", "3" * 10**6 + "/1", DIGIT_BOUND),
-               ("of-minus-100001-digits", "-" + "1" * (DIGIT_BOUND + 1), DIGIT_BOUND),
-               # a long 2-smooth denominator is refused before it is stripped
-               ("over-2^14288", "1/" + _int_text(2**14_288), DENOMINATOR_BOUND),
-               ("over-2^332000", "1/" + _int_text(2**332_000), DENOMINATOR_BOUND),
-               ("over-10^6-digits", "1/" + "3" * 10**6, DENOMINATOR_BOUND)]},
+        # three integers, and then three denominators, share one second, as they
+        # did when one test parsed them in turn
+        **{f"c-of-{name}": emit(f"unit find --ring Z[1/2] --c={c}", 1, "ParseError",
+                                f"an integer of {n} digits exceeds the bound of {DIGIT_BOUND}",
+                                1 / 3)
+           for name, c, n in [("100001-digits", "7" * (DIGIT_BOUND + 1), DIGIT_BOUND + 1),
+                              ("10^6-digits-over-1", "3" * 10**6 + "/1", 10**6),
+                              ("minus-100001-digits", "-" + "1" * (DIGIT_BOUND + 1),
+                               DIGIT_BOUND + 1)]},
+        # a long 2-smooth denominator is refused before it is stripped
+        **{f"c-over-{name}": emit(f"unit find --ring Z[1/2] --c=1/{den}", 1, "ParseError",
+                                  f"a denominator of {len(den)} digits exceeds the bound of "
+                                  f"{DENOMINATOR_BOUND}", 1 / 3)
+           for name, den in [("2^14288", _int_text(2**14_288)),
+                             ("2^332000", _int_text(2**332_000)), ("10^6-digits", "3" * 10**6)]},
         "c-over-2^100000": emit("unit find --ring Z[1/2] --c 1/2^100000", 1, "ParseError",
-                                "cannot parse '1/2^100000'"),
+                                "cannot parse '1/2^100000' as an element of Z[1/2]"),
     },
     "lemma witness": {"order-past-the-bound": emit(
         "lemma witness --ring Z[1/2] --A [[1,0],[1000003,1]] --z 1000003", 1, "DocumentTooLarge",
-        ORDER, 2.0)},
+        _order_past_the_bound("2"), 2.0)},
     "norm lemma-bound": {
         "order-past-the-bound": emit("norm lemma-bound --ring Z[1/2] --A [[1,0],[1000003,1]] "
-                                     "--modulus 5", 1, "DocumentTooLarge", ORDER, 2.0),
+                                     "--modulus 5", 1, "DocumentTooLarge",
+                                     _order_past_the_bound("2"), 2.0),
         # decided at once, with the counts that 40 n + 200 (or n) draws would give
         "degenerate-strict": emit(f"{LEMMA_BOUND} {NEVER_DRAWN}", 1, "DegenerateQuotient",
                                   f"only 0 nontrivial images of (844424930131965) in "
@@ -193,12 +208,12 @@ EMIT = {
             f"{AXIOMS} Z[sqrt2] --modulus {HOSTILE * quadratic(2).from_pair(3, 1)}", 0,
             has("payload.group_order", 336), bound=2.0),
         "modulus-7x4000-Z": emit(f"{AXIOMS} Z --modulus {'7' * 4000}", 1, "QuotientTooLarge",
-                                 "index has 4000 digits"),
+                                 _too_large(4000)),
         "modulus-7x4000-Z[sqrt2]": emit(f"{AXIOMS} Z[sqrt2] --modulus {'7' * 4000}", 1,
-                                        "QuotientTooLarge", "index has 8000 digits"),
+                                        "QuotientTooLarge", _too_large(8000)),
         "modulus-random-Z[sqrt2]": emit(
             f"{AXIOMS} Z[sqrt2] --modulus {_int_text(_A)}+{_int_text(_B)}*sqrt(2)", 1,
-            "QuotientTooLarge", f"index has {len(_int_text(abs(_A**2 - 2 * _B**2)))} digits"),
+            "QuotientTooLarge", _too_large(len(_int_text(abs(_A**2 - 2 * _B**2))))),
     },
     "h-decompose": {  # parsing the ring factors neither m nor d
         "ring-Z[sqrt(10^17+3)]": emit(f"h-decompose --ring Z[sqrt{M}] --u 1", 0,
@@ -215,23 +230,32 @@ MOD_97 = {"modulus": "97", "group_order": 97 * (97**2 - 1) + 1}
 NO_SAMPLES = {"quotient_index": 97, "requested": 0, "nontrivial_count": 0, "trivial_count": 0,
               "histogram": {}, "max_norm": 0, "all_within_bound": True, "samples": []}
 
+
+def _group_order(kind: str) -> str:
+    recorded = MOD_97["group_order"]
+    return f"{kind} payload.group_order: recorded {recorded}, recomputed {recorded - 1}"
+
+
 VERIFY = {
     "many-units": {
         **{name: verify(lambda row=row: outcome(row).stdout, 0, has("ok", True), bound=2.0)
            for name, row in STR_LIMIT.items()},
-        **{f"u-{u}": verify(edited(UNIT_FIND, u=u), 1, "ParseError", f"cannot parse {u!r}")
+        **{f"u-{u}": verify(edited(UNIT_FIND, u=u), 1, "ParseError",
+                            f"many-units payload.u: cannot parse {u!r} as an element of Z[1/2]")
            for u in ("3/2^4", "1/2^100000")},
         **{f"u-of-{n}-digits": verify(edited(UNIT_FIND, u="7" * n), 1, "ParseError",
-                                      f"{n} digits exceeds the bound of {DIGIT_BOUND}")
+                                      f"many-units payload.u: an integer of {n} digits exceeds "
+                                      f"the bound of {DIGIT_BOUND}")
            for n in (DIGIT_BOUND + 1, 999_000)},
         # a unit of Z[1/2] under DIGIT_BOUND: 2^332000 has 99,942 digits
         "u-over-2^332000": verify(edited(UNIT_FIND, u="1/" + _int_text(2**332_000)), 1,
-                                  "ParseError", f"of 99942 digits exceeds the bound of "
-                                  f"{DENOMINATOR_BOUND}"),
+                                  "ParseError", "many-units payload.u: a denominator of 99942 "
+                                  f"digits exceeds the bound of {DENOMINATOR_BOUND}"),
         # the height of u bounds k before v^k is taken
-        "k-10^11": verify(edited(UNIT_FIND, k=10**11), 1, "VerificationFailed", "u is not 2^"),
-        "k-10^30-c-3^40": verify(edited(UNIT_FIND, c=str(3**40), k=10**30), 1,
-                                 "VerificationFailed", "u is not 2^"),
+        **{f"k-{name}": verify(edited(UNIT_FIND, **payload), 1, "VerificationFailed",
+                               f"u is not 2^{payload['k']}")
+           for name, payload in [("10^11", {"k": 10**11}),
+                                 ("10^30-c-3^40", {"c": str(3**40), "k": 10**30})]},
         # k is under the 2^(k-2) bound, but height(v)^k > height(u), as
         # k * (bits(height(v)) - 1) >= bits(height(u)) proves: 16 KB, where v^k
         # would have 2.5 million digits, and v and u at the parse bounds
@@ -245,7 +269,8 @@ VERIFY = {
         '{"factors": [{"kind": "inv", "word": ' * DEPTH + '{"factors": []}' + "}]}" * DEPTH),
         1, "ParseError")},
     "decomposition": {"ten-letters-of-100000-digits": verify(
-        _ten_letters_at_the_bound, 1, "VerificationFailed", bound=20.0)},
+        _ten_letters_at_the_bound, 1, "VerificationFailed",
+        "word does not evaluate to the decomposed matrix", 20.0)},
     "axiom-report": {
         **{name: verify(lambda name=name: outcome(EMIT["norm axioms"][name]).stdout, 0,
                         has("ok", True), bound=bound)
@@ -255,12 +280,21 @@ VERIFY = {
            for name, row in EMIT["norm axioms"].items() if row.code == 1},
         # the group order is counted at once; the closure would take seconds
         "mod-97-wrong-group-order": verify(edited(f"{AXIOMS} Z --modulus 5", **MOD_97), 1,
-                                           "VerificationFailed", "group_order"),
+                                           "VerificationFailed", _group_order("axiom-report")),
     },
     "norm-experiment": {"mod-97-wrong-group-order": verify(
         edited(f"{LEMMA_BOUND} --u 64 --modulus 11 --samples 0", **MOD_97, **NO_SAMPLES), 1,
-        "VerificationFailed", "group_order")},
+        "VerificationFailed", _group_order("norm-experiment"))},
 }
+
+
+ROWS = {f"{kind}:{name}": row
+        for table in (EMIT, VERIFY) for kind, rows in table.items() for name, row in rows.items()}
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_row(name):
+    check(ROWS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +313,10 @@ def test_runner_kills_a_looping_child_with_its_process_group():
     assert done.code is None and 1.0 <= done.seconds < 3.0 and int(done.stdout) > 0
 
 
-def test_a_row_reports_the_timeout():
-    """norm axioms mod 31 runs for minutes: the row fails at its hard timeout."""
+def test_a_row_reports_the_timeout(monkeypatch):
+    monkeypatch.setattr(bounded, "CLI", "while True: pass")
     with pytest.raises(AssertionError, match="killed at the hard timeout of 3.1 s"):
-        check(emit(f"{AXIOMS} Z --modulus 31", 0, bound=0.1))
+        check(emit("a command whose child loops", 0, bound=0.1))
 
 
 def test_runner_caps_the_memory_of_a_child():

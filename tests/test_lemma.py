@@ -31,7 +31,6 @@ from sl2units.rings import (
 from sl2units.sl2 import GroupWord, diag, elem12, elem21, identity, parse_matrix
 from tests.conftest import (
     WITNESS_RINGS,
-    count_calls,
     random_nonzero_nonunit,
     random_witness_matrix,
     reduces_to_identity,
@@ -268,13 +267,24 @@ def test_witness_tampering_rejected():
 
 
 def test_witness_self_check_is_one_pass(monkeypatch):
+    calls = {"compute_Y": 0, "evaluate": 0}
+    real_compute_Y, real_evaluate = lemma.compute_Y, GroupWord.evaluate
+
+    def counted_compute_Y(*args):
+        calls["compute_Y"] += 1
+        return real_compute_Y(*args)
+
+    def counted_evaluate(word):
+        calls["evaluate"] += 1
+        return real_evaluate(word)
+
     A = parse_matrix(Zh, "[[5,2],[12,5]]")
     cert = find_unit(A.c)
-    calls = [count_calls(monkeypatch, "compute_Y", lemma),
-             count_calls(monkeypatch, "evaluate", GroupWord)]
+    monkeypatch.setattr(lemma, "compute_Y", counted_compute_Y)
+    monkeypatch.setattr(GroupWord, "evaluate", counted_evaluate)
     lemma2_witness(A, cert, A.c * Zh.from_int(-7))
     # the conjugator words hold no nested words, so each call is one conjugator
-    assert calls == [[1], [4]]
+    assert calls == {"compute_Y": 1, "evaluate": 4}
 
 
 def test_witness_self_check_catches_a_wrong_q(monkeypatch):

@@ -615,10 +615,6 @@ def test_infinite_order_unit():
 
 
 def test_infinite_order_unit_within_the_trial_division_bound():
-    """Trial division tries p <= 10^6, which decides every m <= 10^12: the
-    square of the largest prime below 10^6 gives that prime, the largest prime
-    below 10^12 gives itself, and a larger m with no prime factor up to 10^6
-    (a product of two primes above it, or a prime) is refused at once."""
     for name, row in EMIT["ring info"].items():
         if name.startswith("m-"):
             check(row)
