@@ -141,13 +141,14 @@ def decompose(matrix: Mat2) -> Decomposition:
                 raise AssertionError(f"division of {m.a} by {m.c} did not shrink")
             factors.append(ElemFactor("12", q))
         m = step
-    # m is now [[a, b], [0, 1/a]] = diag(a, 1/a) * E12(b/a) with a a unit
+    return Decomposition(matrix, GroupWord(ring, tuple(factors) + _upper_letters(m)))
+
+
+def _upper_letters(m: Mat2) -> tuple[ElemFactor, ...]:
+    """[[a, b], [0, 1/a]], a a unit, as h_decomposition(a) * E12(b/a), with no
+    letters for diag(1, 1) and none for E12(0)."""
     if m.a == 1:
-        if m.b:
-            factors.append(ElemFactor("12", m.b))
+        head, shifted = (), m.b
     else:
-        factors.extend(h_decomposition(m.a).word.factors)
-        shifted = m.b * m.a.inverse()
-        if shifted:
-            factors.append(ElemFactor("12", shifted))
-    return Decomposition(matrix, GroupWord(ring, tuple(factors)))
+        head, shifted = h_decomposition(m.a).word.factors, m.b * m.a.inverse()
+    return head + ((ElemFactor("12", shifted),) if shifted else ())

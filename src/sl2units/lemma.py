@@ -14,9 +14,14 @@ recorded data alone.
   corner c, the transvection E12((u^4 - u^-4)*z) -- for any z in cR -- is
   written as a product of exactly four conjugates of A and A^-1, with every
   conjugator congruent to the identity modulo c.  The verifier takes only A,
-  the certificate, z and the four conjugator words: it derives Y, q, t, p
-  and the target with the builder's own code and multiplies everything back
-  out.
+  the certificate, z and the four conjugator words, and derives the rest with
+  the builder's own code.  Save _ideal_checks, each ring's own tests of z and
+  of the conjugators modulo (c), that code is ring arithmetic alone, and
+  tests/test_symbolic.py runs it over the generic ring Z[a, b, c, d, y, z, w]
+  / (ad - bc - 1, uw - 1), u = 1 + c^2*y.  So for every A in SL2, every such u
+  and every z, Y is upper triangular with diagonal (u^-4, u^4), the four
+  conjugates multiply to E12((u^4 - u^-4)*z), and, z in (c), every conjugator
+  is I mod (c).
 """
 
 from __future__ import annotations
@@ -41,16 +46,7 @@ from .rings import (
     quotient,
     unit_order,
 )
-from .sl2 import (
-    GroupWord,
-    Mat2,
-    diag,
-    elem12,
-    identity,
-    reduce_mat,
-    word_diag,
-    word_elem,
-)
+from .sl2 import GroupWord, Mat2, diag, elem12, identity, reduce_mat, word_diag, word_elem
 
 
 @dataclass(frozen=True)
@@ -139,8 +135,8 @@ def compute_Y(A: Mat2, cert: ManyUnitsCertificate) -> YParts:
     With c the lower-left corner of A and cert's u = 1 + c^2*y, set
     x = (u^4 - 1)/c and t = a*x.  Then E12(t) A^-1 E12(-t) diag(u^2) A diag(u^-2)
     equals [[u^-4, q], [0, u^4]] for some q in cR; x, t, q all lie in cR.
-    That is algebra, and certify_unit has checked u and y for c: a wrong Y
-    misses the target.
+    That is a ring identity (tests/test_symbolic.py), and certify_unit has
+    checked u and y for c.
     """
     u, y = cert.u, cert.y
     # u^4 - 1 = (u - 1)(u^3 + u^2 + u + 1) = c^2*y*(...), so x = c*y*(...) in cR
@@ -185,41 +181,45 @@ def verify_witness(
 ) -> ConjugateWitness:
     """The witness for A, cert's u and z that factors claim: every other field
     is derived here as lemma2_witness derives it, for the caller to compare
-    with what it recorded.  Raises lemma2_witness's own error for z, and
-    VerificationFailed for factors that fail the checks of _checked_witness."""
-    return _checked_witness(A, cert.u, z, _y_parts(A, cert, z), factors)
-
-
-def _y_parts(A: Mat2, cert: ManyUnitsCertificate, z: RingElement) -> YParts:
-    """compute_Y's parts for A and cert, once z lies in (c): ZNotInIdeal if not."""
+    with what it recorded.  Raises the errors of _ideal_checks and _checked_witness."""
     parts = compute_Y(A, cert)
-    if not in_ideal(z, A.c):
-        raise ZNotInIdeal(f"{z} is not in ({A.c})")
-    return parts
+    return _checked_witness(A, cert.u, z, parts, factors, _ideal_checks(A.c, z, factors))
+
+
+def _ideal_checks(
+    c: RingElement, z: RingElement, factors: tuple[ConjugateFactor, ...]
+) -> list[Mat2]:
+    """The evaluated conjugators, once z lies in (c) (ZNotInIdeal if not), there
+    are four factors and each conjugator is I mod (c) (VerificationFailed if not):
+    the witness's only tests that need more of the ring than its arithmetic."""
+    if not in_ideal(z, c):
+        raise ZNotInIdeal(f"{z} is not in ({c})")
+    if len(factors) != 4:
+        raise VerificationFailed(f"expected exactly 4 factors, found {len(factors)}")
+    mod_c = quotient(c)
+    identity_mod_c = reduce_mat(identity(c.ring), mod_c)
+    conjugators = []
+    for i, factor in enumerate(factors):
+        conjugators.append(g := factor.conjugator.evaluate())
+        if reduce_mat(g, mod_c) != identity_mod_c:
+            raise VerificationFailed(f"conjugator {i} is not congruent to I mod ({c})")
+    return conjugators
 
 
 def _checked_witness(
-    A: Mat2, u: RingElement, z: RingElement, parts: YParts, factors: tuple[ConjugateFactor, ...]
+    A: Mat2, u: RingElement, z: RingElement, parts: YParts,
+    factors: tuple[ConjugateFactor, ...], conjugators: list[Mat2],
 ) -> ConjugateWitness:
-    """The witness of compute_Y's parts, with p = -q - z and the target derived
-    here, once there are four factors, every conjugator is I mod (c) and the product
-    meets the target; _y_parts put z in (c), and then t, q, p are in (c) by algebra."""
-    c = A.c
+    """The witness of compute_Y's parts with p = -q - z, once the conjugates of A^+-1
+    by the evaluated conjugators multiply to the target (VerificationFailed if not)."""
     u4 = u**4
     w = ConjugateWitness(
         matrix=A, u=u, z=z, t=parts.t, q=parts.q, p=-parts.q - z, Y=parts.Y,
         factors=factors, target=elem12((u4 - u4.inverse()) * z),
     )
-    if len(w.factors) != 4:
-        raise VerificationFailed(f"expected exactly 4 factors, found {len(w.factors)}")
-    mod_c = quotient(c)
-    identity_mod_c = reduce_mat(identity(A.ring), mod_c)
     cores = (A, A.inverse())
     product = identity(A.ring)
-    for i, factor in enumerate(w.factors):
-        g = factor.conjugator.evaluate()
-        if reduce_mat(g, mod_c) != identity_mod_c:
-            raise VerificationFailed(f"conjugator {i} is not congruent to I mod ({c})")
+    for g, factor in zip(conjugators, factors):
         # left to right: P*g telescopes (P = Y after two factors, Y*M = E12(-z/u^4))
         product = product * g * cores[factor.core_inverted] * g.inverse()
     if product != w.target:
@@ -227,36 +227,39 @@ def _checked_witness(
     return w
 
 
-def lemma2_witness(
-    A: Mat2, cert: ManyUnitsCertificate, z: RingElement, elementary: bool = False
-) -> ConjugateWitness:
-    """Build and self-check the four-conjugate witness for E12((u^4 - u^-4)*z),
-    u the unit of cert, a certificate for A's corner.
-
-    The four conjugators are E12(t), diag(u^2), M*diag(u^2), and M*E12(t),
-    where M = [[u^4, p], [0, u^-4]] = diag(u^4)*E12(p*u^-4) is recorded in
-    exactly that regrouped form so the words stay inspectable.  With
-    elementary set, the words of diag(u^2) and M are built with every
-    diagonal letter expanded into its six transvections.
-
-    The self-check is one pass: the witness is the one _checked_witness
-    derives from the compute_Y result it was built from, after the checks
-    that verify_witness also ends with.  A wrong q or t, or a wrong
-    expansion, still fails there: the product misses the target.
-    """
-    parts = _y_parts(A, cert, z)
-    u, p = cert.u, -parts.q - z
+def _witness_factors(
+    u: RingElement, t: RingElement, p: RingElement, elementary: bool
+) -> tuple[ConjugateFactor, ...]:
+    """The conjugators E12(t), diag(u^2), M*diag(u^2) and M*E12(t), where
+    M = [[u^4, p], [0, u^-4]] = diag(u^4)*E12(p*u^-4) is recorded in exactly
+    that regrouped form so the words stay inspectable.  With elementary set,
+    every diagonal letter is expanded into its six transvections."""
     u2 = u * u
     u4 = u2 * u2
-    g1 = word_elem("12", parts.t)
+    g1 = word_elem("12", t)
     g2 = word_diag(u2)
     m_word = word_diag(u4) * word_elem("12", p * u4.inverse())
     if elementary:
         g2, m_word = expand_diagonals(g2), expand_diagonals(m_word)
-    factors = (
+    return (
         ConjugateFactor(g1, core_inverted=True),
         ConjugateFactor(g2, core_inverted=False),
         ConjugateFactor(m_word * g2, core_inverted=True),
         ConjugateFactor(m_word * g1, core_inverted=False),
     )
-    return _checked_witness(A, u, z, parts, factors)
+
+
+def lemma2_witness(
+    A: Mat2, cert: ManyUnitsCertificate, z: RingElement, elementary: bool = False
+) -> ConjugateWitness:
+    """Build and self-check the four-conjugate witness for E12((u^4 - u^-4)*z),
+    u the unit of cert, a certificate for A's corner, with the conjugators of
+    _witness_factors and p = -q - z.
+
+    The self-check is one pass, the one verify_witness makes: the witness is
+    the one _checked_witness derives from the compute_Y result it was built
+    from, so a wrong q, t or expansion misses the target.
+    """
+    parts = compute_Y(A, cert)
+    factors = _witness_factors(cert.u, parts.t, -parts.q - z, elementary)
+    return _checked_witness(A, cert.u, z, parts, factors, _ideal_checks(A.c, z, factors))

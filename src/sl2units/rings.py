@@ -426,22 +426,35 @@ def pell_fundamental_unit(d: int) -> tuple[int, int]:
     partial quotients come from the exact recurrence on (m + sqrt(d)) / q.
     The k-th convergent has a^2 - d*b^2 = (-1)^(k+1) times the next q, so the
     search ends when q returns to 1.  An a of more than DIGIT_BOUND digits
-    raises DocumentTooLarge instead.
+    raises DocumentTooLarge instead: a first walk of the small recurrence keeps
+    a lower bound on log2(a), from a_k >= digit*a_(k-1) and a_k >= 2*a_(k-2),
+    and refuses a period that outgrows the bound before any big-integer work.
     """
     root = math.isqrt(d)
-    m, q = root, d - root * root
+    message = f"the fundamental unit of Z[sqrt{d}] has more than {DIGIT_BOUND} digits"
+    low, low_prev = root.bit_length() - 1, 0  # a >= 2^low, a_prev >= 2^low_prev
+    for digit in _partial_quotients(d, root):
+        low, low_prev = max(low + digit.bit_length() - 1, low_prev + 1), low
+        if low >= ORDER_BOUND - 2:  # a >= 2^bits(10^DIGIT_BOUND) > 10^DIGIT_BOUND
+            raise DocumentTooLarge(message)
     a_prev, a, b_prev, b = 1, root, 0, 1
     limit = 0  # 10^DIGIT_BOUND, built only once a passes 2^(3 DIGIT_BOUND) < 10^DIGIT_BOUND
-    while q != 1:
-        digit = (root + m) // q
+    for digit in _partial_quotients(d, root):
         a_prev, a = a, digit * a + a_prev
         b_prev, b = b, digit * b + b_prev
-        m = digit * q - m
-        q = (d - m * m) // q
         if a.bit_length() > 3 * DIGIT_BOUND and a >= (limit := limit or 10**DIGIT_BOUND):
-            message = f"the fundamental unit of Z[sqrt{d}] has more than {DIGIT_BOUND} digits"
             raise DocumentTooLarge(message)
     return a, b
+
+
+def _partial_quotients(d: int, root: int):
+    """The partial quotients of sqrt(d) after root, up to the convergent that closes the period."""
+    m, q = root, d - root * root
+    while q != 1:
+        digit = (root + m) // q
+        yield digit
+        m = digit * q - m
+        q = (d - m * m) // q
 
 
 def infinite_order_unit(ring: RingDescriptor) -> RingElement:

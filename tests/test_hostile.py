@@ -144,6 +144,10 @@ EMIT = {
     "ring info": {
         # the search stops when the recurrence's q returns to 1
         "pell-unit-of-36719-digits": emit("ring info --ring Z[sqrt100000000003]", 0, bound=2.0),
+        # a small-integer walk bounds log2 of the unit before any big-integer work
+        "pell-unit-past-the-digit-bound": emit(
+            f"ring info --ring Z[sqrt{M}]", 1, "DocumentTooLarge",
+            f"the fundamental unit of Z[sqrt{M}] has more than {DIGIT_BOUND} digits"),
         # trial division to 10^6 decides every m <= 10^12, and refuses a larger m
         # with no prime factor that small at once
         **{f"m-{m}": emit(f"ring info --ring Z[1/{m}]", 0, has("infinite_order_unit", p))

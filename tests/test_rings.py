@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.solvers.diophantine.diophantine import diop_DN
 
-from sl2units.errors import NoInfiniteOrderUnit, NonUnit, ParseError, ZeroIdeal
+from sl2units.errors import DocumentTooLarge, NoInfiniteOrderUnit, NonUnit, ParseError, ZeroIdeal
 from sl2units.rings import (
     _PLAIN_BITS,
     _PLAIN_DIGITS,
@@ -603,6 +604,33 @@ def test_pell_solves_the_equation_and_matches_the_search():
         a, b = pell_fundamental_unit(d)
         assert b >= 1 and a * a - d * b * b in (1, -1), d
         assert _pell_by_search(d, cap) == ((a, b) if b <= cap else None), d
+
+
+def test_pell_matches_sympy_for_every_non_square_d_below_1000():
+    """sympy's diop_DN gives the fundamental solutions of x^2 - d*y^2 = N; the
+    unit is the smaller of those for N = 1 and N = -1."""
+    non_squares = [d for d in range(2, 1000) if math.isqrt(d) ** 2 != d]
+    assert len(non_squares) == 968
+    for d in non_squares:
+        solutions = [(x, y) for n in (1, -1) for x, y in diop_DN(d, n) if y >= 1]
+        assert pell_fundamental_unit(d) == min(solutions, key=lambda s: s[1]), d
+
+
+def test_pell_walk_refuses_only_what_the_exact_check_refuses(monkeypatch):
+    """Under a bound of 9 digits, ORDER_BOUND - 2 = bits(10^9) = 30: the walk's
+    lower bound on log2(a) refuses no unit that the exact check would print."""
+    units = {d: pell_fundamental_unit(d) for d in range(2, 1000) if math.isqrt(d) ** 2 != d}
+    monkeypatch.setattr("sl2units.rings.DIGIT_BOUND", 9)
+    monkeypatch.setattr("sl2units.rings.ORDER_BOUND", (10**9).bit_length() + 2)
+    refused = 0
+    for d, (a, b) in units.items():
+        if a >= 10**9:
+            refused += 1
+            with pytest.raises(DocumentTooLarge, match="has more than 9 digits"):
+                pell_fundamental_unit(d)
+        else:
+            assert pell_fundamental_unit(d) == (a, b), d
+    assert refused > 100
 
 
 def test_infinite_order_unit():
