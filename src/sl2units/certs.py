@@ -11,19 +11,21 @@ produced the document.  SCHEMAS lists each kind's payload fields and their
 shapes, and one reader parses a payload against it.  verify_document, the
 single entry point the `verify` subcommand uses, reads every field that way,
 makes the checks that no derivation makes (a unit certificate's k >= 1
-and height bounds on k; the witness's four factors, conjugators congruent
-to I mod c and product; a decomposition word's product; a norm
-experiment's sample rules and draw budget; and each norm kind's counted
-group order), then derives the payload again with the emitter's own code
-and writers and compares it field by field, raising VerificationFailed at
-the first difference: a unit certificate's u and y are derived from c, v
-and k, a norm experiment's certificate from the matrix corner, an
-h-decomposition from its unit, and a witness's Y, q, t, p and target from
-its matrix, z, conjugators and the certificate that certify_unit derives
-for its u and the matrix corner, as `lemma witness --u` does.  An input
+and height bounds on k; a decomposition word's product; a norm experiment's
+sample rules and draw budget; and each norm kind's counted group order),
+then derives the payload again with the emitter's own code and writers and
+compares it field by field, raising VerificationFailed at the first
+difference: a unit certificate's u and y are derived from c, v and k, a norm
+experiment's certificate from the matrix corner, an h-decomposition from its
+unit, and a whole witness from its matrix, z and the certificate that
+certify_unit derives for its u and the matrix corner, as `lemma witness --u`
+does.  So verify accepts only the words the construction builds, plain or
+elementary as the recorded conjugators are, and evaluates no recorded word
+of a witness or h-decomposition: lemma's module docstring says why the ring
+map from the generic ring makes such a witness prove its claim.  An input
 that the derivation itself refuses (c = 0 or a zero corner, a non-unit,
-c^2 not dividing u - 1, u^8 = 1, z outside cR) raises the derivation's own
-error, as the emitter does.
+c^2 not dividing u - 1, u^8 = 1, z outside cR, the one concrete test of a
+witness) raises the derivation's own error, as the emitter does.
 make_document reads each payload it emits back through the same reader, so
 the digit bounds of the ring parsers hold on both sides.
 """
@@ -34,7 +36,6 @@ from . import __version__
 from .elemgen import Decomposition, h_decomposition
 from .errors import DocumentTooLarge, ParseError, VerificationFailed
 from .lemma import (
-    ConjugateFactor,
     ConjugateWitness,
     ManyUnitsCertificate,
     certify_unit,
@@ -274,17 +275,10 @@ def _verify_many_units(fields: dict) -> dict:
 
 
 def _verify_witness(fields: dict) -> dict:
-    factors = []
-    for i, entry in enumerate(fields["factors"]):
-        if entry["core"] not in ("A", "A^-1"):
-            raise ParseError(
-                f"lemma2-witness payload.factors[{i}]: "
-                f"factor core must be 'A' or 'A^-1', not {entry['core']!r}"
-            )
-        factors.append(ConjugateFactor(entry["conjugator"], entry["core"] == "A^-1"))
     matrix = fields["matrix"]
     cert = certify_unit(matrix.c, fields["u"], 1)
-    return witness_payload(verify_witness(matrix, cert, fields["z"], tuple(factors)))
+    words = [entry["conjugator"] for entry in fields["factors"]]
+    return witness_payload(verify_witness(matrix, cert, fields["z"], words))
 
 
 def _verify_decomposition(fields: dict) -> dict:

@@ -13,15 +13,15 @@ recorded data alone.
 * A bounded-conjugate witness: for A and a certificate for its lower-left
   corner c, the transvection E12((u^4 - u^-4)*z) -- for any z in cR -- is
   written as a product of exactly four conjugates of A and A^-1, with every
-  conjugator congruent to the identity modulo c.  The verifier takes only A,
-  the certificate, z and the four conjugator words, and derives the rest with
-  the builder's own code.  Save _ideal_checks, each ring's own tests of z and
-  of the conjugators modulo (c), that code is ring arithmetic alone, and
-  tests/test_symbolic.py runs it over the generic ring Z[a, b, c, d, y, z, w]
-  / (ad - bc - 1, uw - 1), u = 1 + c^2*y.  So for every A in SL2, every such u
-  and every z, Y is upper triangular with diagonal (u^-4, u^4), the four
-  conjugates multiply to E12((u^4 - u^-4)*z), and, z in (c), every conjugator
-  is I mod (c).
+  conjugator congruent to the identity modulo c.  Save the test z in (c), the
+  construction is ring arithmetic alone, and tests/test_symbolic.py runs it
+  over R0 = Z[a, b, c, d, y, z, w] / (ad - bc - 1, uw - 1), u = 1 + c^2*y: Y
+  is upper triangular with diagonal (u^-4, u^4), the conjugates multiply to
+  E12((u^4 - u^-4)*z) and, z in (c), each conjugator is I mod (c).  The ring
+  map R0 -> R that sends A, a certified u and z to their values carries this
+  over, so verify_witness rebuilds the witness from A, u and z alone, plain
+  or elementary as the recorded words are, and the verifier accepts only the
+  construction's words, as for h-decompositions: no recorded word is evaluated.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .rings import (
     quotient,
     unit_order,
 )
-from .sl2 import GroupWord, Mat2, diag, elem12, identity, reduce_mat, word_diag, word_elem
+from .sl2 import DiagFactor, GroupWord, Mat2, diag, elem12, identity, word_diag, word_elem
 
 
 @dataclass(frozen=True)
@@ -177,38 +177,17 @@ class ConjugateWitness:
 
 
 def verify_witness(
-    A: Mat2, cert: ManyUnitsCertificate, z: RingElement, factors: tuple[ConjugateFactor, ...]
+    A: Mat2, cert: ManyUnitsCertificate, z: RingElement, words: list[GroupWord]
 ) -> ConjugateWitness:
-    """The witness for A, cert's u and z that factors claim: every other field
-    is derived here as lemma2_witness derives it, for the caller to compare
-    with what it recorded.  Raises the errors of _ideal_checks and _checked_witness."""
-    parts = compute_Y(A, cert)
-    return _checked_witness(A, cert.u, z, parts, factors, _ideal_checks(A.c, z, factors))
-
-
-def _ideal_checks(
-    c: RingElement, z: RingElement, factors: tuple[ConjugateFactor, ...]
-) -> list[Mat2]:
-    """The evaluated conjugators, once z lies in (c) (ZNotInIdeal if not), there
-    are four factors and each conjugator is I mod (c) (VerificationFailed if not):
-    the witness's only tests that need more of the ring than its arithmetic."""
-    if not in_ideal(z, c):
-        raise ZNotInIdeal(f"{z} is not in ({c})")
-    if len(factors) != 4:
-        raise VerificationFailed(f"expected exactly 4 factors, found {len(factors)}")
-    mod_c = quotient(c)
-    identity_mod_c = reduce_mat(identity(c.ring), mod_c)
-    conjugators = []
-    for i, factor in enumerate(factors):
-        conjugators.append(g := factor.conjugator.evaluate())
-        if reduce_mat(g, mod_c) != identity_mod_c:
-            raise VerificationFailed(f"conjugator {i} is not congruent to I mod ({c})")
-    return conjugators
+    """The witness that lemma2_witness builds for A, cert's u and z, plain when a
+    recorded conjugator word has a diag letter and elementary otherwise, for the
+    caller to compare with what it recorded: no recorded word is evaluated."""
+    diagonal = any(isinstance(f, DiagFactor) for word in words for f in word.factors)
+    return lemma2_witness(A, cert, z, elementary=not diagonal)
 
 
 def _checked_witness(
-    A: Mat2, u: RingElement, z: RingElement, parts: YParts,
-    factors: tuple[ConjugateFactor, ...], conjugators: list[Mat2],
+    A: Mat2, u: RingElement, z: RingElement, parts: YParts, factors: tuple[ConjugateFactor, ...]
 ) -> ConjugateWitness:
     """The witness of compute_Y's parts with p = -q - z, once the conjugates of A^+-1
     by the evaluated conjugators multiply to the target (VerificationFailed if not)."""
@@ -219,8 +198,9 @@ def _checked_witness(
     )
     cores = (A, A.inverse())
     product = identity(A.ring)
-    for g, factor in zip(conjugators, factors):
+    for factor in factors:
         # left to right: P*g telescopes (P = Y after two factors, Y*M = E12(-z/u^4))
+        g = factor.conjugator.evaluate()
         product = product * g * cores[factor.core_inverted] * g.inverse()
     if product != w.target:
         raise VerificationFailed("product of the four conjugate factors misses the target")
@@ -256,10 +236,13 @@ def lemma2_witness(
     u the unit of cert, a certificate for A's corner, with the conjugators of
     _witness_factors and p = -q - z.
 
-    The self-check is one pass, the one verify_witness makes: the witness is
-    the one _checked_witness derives from the compute_Y result it was built
+    ZNotInIdeal for z outside (c), the one test of the witness that needs more
+    of the ring than its arithmetic.  The self-check is one pass: the witness
+    is the one _checked_witness derives from the compute_Y result it was built
     from, so a wrong q, t or expansion misses the target.
     """
+    if not in_ideal(z, A.c):
+        raise ZNotInIdeal(f"{z} is not in ({A.c})")
     parts = compute_Y(A, cert)
     factors = _witness_factors(cert.u, parts.t, -parts.q - z, elementary)
-    return _checked_witness(A, cert.u, z, parts, factors, _ideal_checks(A.c, z, factors))
+    return _checked_witness(A, cert.u, z, parts, factors)

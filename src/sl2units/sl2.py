@@ -12,8 +12,10 @@ diagonal unit matrices, which lets callers exhibit *how* a matrix was built
 M E12(t)) and still evaluate it exactly.  Its JSON form is one flat list,
 so a word is never longer than the document text it is read from.  Word
 letters are checked once, where they enter: word_from_json refuses a
-position other than "12" or "21", and diag() refuses a non-unit when a word
-is evaluated; the package itself writes only "12", "21" and certified units.
+position other than "12" or "21", and verify evaluates no recorded diag
+letter, as a decomposition admits none and the words of a witness or an
+h-decomposition are compared with the built ones; the package writes only
+"12", "21" and certified units, and diag() refuses a non-unit all the same.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from sl2units import certs
+from sl2units import certs, lemma
 from sl2units.cli import run
 from sl2units.elemgen import decompose, h_decomposition
 from sl2units.errors import (
@@ -29,9 +29,11 @@ from sl2units.rings import (
     integers,
     localized,
     parse_element,
+    random_element,
 )
-from sl2units.sl2 import elem12, elem21, parse_matrix
+from sl2units.sl2 import GroupWord, elem12, elem21, parse_matrix
 from tests import bounded
+from tests.conftest import WITNESS_RINGS, random_witness_matrix
 from tests.test_hostile import VERIFY, check
 
 Z = integers()
@@ -57,9 +59,9 @@ def _many_units_doc():
     return certs.make_document("many-units", Zh, certs.many_units_payload(cert))
 
 
-def _witness_doc():
+def _witness_doc(elementary=False):
     c = Zh.from_int(3)
-    w = lemma2_witness(elem21(c), certify_unit(c, Zh.from_int(64), 1), c)
+    w = lemma2_witness(elem21(c), certify_unit(c, Zh.from_int(64), 1), c, elementary)
     return certs.make_document("lemma2-witness", Zh, certs.witness_payload(w))
 
 
@@ -265,8 +267,10 @@ def test_tampered_witness():
         certs.verify_document(doc)
     doc = _witness_doc()
     doc["payload"]["factors"][0]["core"] = "A^2"
-    with pytest.raises(ParseError):
+    message = "lemma2-witness payload.factors[0].core: recorded 'A^2', recomputed 'A^-1'"
+    with pytest.raises(VerificationFailed) as refused:
         certs.verify_document(doc)
+    assert str(refused.value) == message
     doc = _witness_doc()
     doc["payload"]["u"] = "3"  # not a unit of Z[1/2]
     with pytest.raises(NonUnit, match=r"^3 is not a unit of Z\[1/2\]$"):
@@ -300,6 +304,86 @@ def test_h_decomposition_of_another_word_refused():
     ]
     with pytest.raises(VerificationFailed, match=r"^h-decomposition payload\.word\.factors: "):
         certs.verify_document(doc)
+
+
+# ---------------------------------------------------------------------------
+# a witness verifies only as the words its construction builds, plain when a
+# recorded conjugator has a diag letter and elementary otherwise
+
+
+@pytest.mark.parametrize("ring", WITNESS_RINGS, ids=str)
+def test_plain_and_elementary_witnesses_verify(ring):
+    rng = random.Random(36)
+    for elementary in (False, True):
+        A = random_witness_matrix(ring, rng)
+        z = A.c * random_element(ring, rng, 5)
+        w = lemma2_witness(A, find_unit(A.c), z, elementary)
+        doc = _round_trip(certs.make_document("lemma2-witness", ring, certs.witness_payload(w)))
+        kinds = {letter["kind"] for factor in doc["payload"]["factors"]
+                 for letter in factor["conjugator"]["factors"]}
+        assert kinds == ({"elem"} if elementary else {"elem", "diag"})
+
+
+def test_plain_witness_with_an_expanded_conjugator_refused():
+    """The six letters of diag(u^2) multiply to it, so the product still meets
+    the target; a plain document must carry the plain word."""
+    doc = _witness_doc()
+    doc["payload"]["factors"][1] = _witness_doc(elementary=True)["payload"]["factors"][1]
+    with pytest.raises(VerificationFailed) as refused:
+        certs.verify_document(doc)
+    assert str(refused.value) == (
+        "lemma2-witness payload.factors[1].conjugator.factors: recorded [{'kind': 'elem', "
+        "'position': '12', 'arg, recomputed [{'kind': 'diag', 'unit': '4096'}]"
+    )
+
+
+def test_elementary_witness_with_a_diag_letter_refused():
+    """One diag letter makes the document plain, and the plain words differ."""
+    doc = _witness_doc(elementary=True)
+    doc["payload"]["factors"][1]["conjugator"]["factors"][0] = {"kind": "diag", "unit": "4096"}
+    with pytest.raises(VerificationFailed) as refused:
+        certs.verify_document(doc)
+    assert str(refused.value) == (
+        "lemma2-witness payload.factors[1].conjugator.factors: recorded [{'kind': 'diag', "
+        "'unit': '4096'}, {'kin, recomputed [{'kind': 'diag', 'unit': '4096'}]"
+    )
+
+
+@pytest.mark.parametrize("elementary", [False, True], ids=["plain", "elementary"])
+def test_verify_rebuilds_a_witness_and_evaluates_no_recorded_word(monkeypatch, elementary):
+    calls = {"compute_Y": 0, "_checked_witness": 0}
+    built, recorded, evaluated = [], [], []
+
+    def counted(name):
+        real = getattr(lemma, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            built.append(real(*args))
+            return built[-1]
+
+        return wrapper
+
+    (real_read, write), real_evaluate = certs._READERS["word"], GroupWord.evaluate
+
+    def reading(ring, data):
+        recorded.append(real_read(ring, data))
+        return recorded[-1]
+
+    def noting(word):
+        evaluated.append(word)
+        return real_evaluate(word)
+
+    doc = _witness_doc(elementary)
+    for name in calls:
+        monkeypatch.setattr(lemma, name, counted(name))
+    monkeypatch.setitem(certs._READERS, "word", (reading, write))
+    monkeypatch.setattr(GroupWord, "evaluate", noting)
+    certs.verify_document(doc)
+    assert calls == {"compute_Y": 1, "_checked_witness": 1} and len(recorded) == 4
+    assert not any(word is r for word in evaluated for r in recorded)
+    # each conjugator that the construction built is evaluated, by the product check
+    assert all(any(f.conjugator is word for word in evaluated) for f in built[-1].factors)
 
 
 def test_tampered_experiment():
@@ -404,7 +488,8 @@ def test_wrong_group_order_refused_before_the_closure(kind):
 # ---------------------------------------------------------------------------
 # one tampered field per check, refused with that check's own class and message,
 # the derivation's own where the derivation makes the check: where a later check
-# would refuse the document too, it would say something else
+# would refuse the document too, it would say something else.  A witness's
+# factors are checked by the comparison with the words its construction builds
 
 
 def _witness_doc_of_a_matrix_not_I_mod_c():
@@ -459,16 +544,20 @@ def _z_outside_the_ideal(payload):
 
 
 def _two_more_factors(payload):
-    """I*A*I and I*A^-1*I: the product of all six factors still meets the target."""
+    """I*A*I and I*A^-1*I: the product of all six factors still meets the target,
+    and the comparison with the construction's four factors refuses them."""
     payload["factors"] += [{"conjugator": {"factors": []}, "core": core} for core in ("A", "A^-1")]
-    return "expected exactly 4 factors, found 6"
+    return ("lemma2-witness payload.factors: recorded [{'conjugator': {'factors': [{'kind': 'e, "
+            "recomputed [{'conjugator': {'factors': [{'kind': 'e")
 
 
 def _conjugator_times_A(payload):
-    """g*A conjugates A as g does, so the product still meets the target."""
+    """g*A conjugates A as g does, so the product still meets the target, and
+    the comparison with the construction's words refuses the longer word."""
     of_A = certs.decomposition_payload(decompose(parse_matrix(Zh, payload["matrix"])))
     payload["factors"][1]["conjugator"]["factors"] += of_A["word"]["factors"]
-    return "conjugator 1 is not congruent to I mod (3)"
+    return ("lemma2-witness payload.factors[1].conjugator.factors: recorded [{'kind': 'diag', "
+            "'unit': '4096'}, {'kin, recomputed [{'kind': 'diag', 'unit': '4096'}]")
 
 
 OWN_CHECK_CASES = [

@@ -329,12 +329,15 @@ def test_verify_word_letter_at_an_unknown_position_exit_1(capsys, monkeypatch):
        "message": "decomposition words admit only transvection factors"}),
      (["lemma", "witness", "--ring", "Z[1/2]", "--A", "[[1,0],[3,1]]", "--u", "64", "--z", "3"],
       ("factors", 1, "conjugator", "factors", 0),
-      {"error": "NonUnit", "message": "3 is not a unit of Z[1/2]"})],
+      {"error": "VerificationFailed",
+       "message": "lemma2-witness payload.factors[1].conjugator.factors[0].unit: "
+       "recorded '3', recomputed '4096'"})],
     ids=["decomposition", "witness"],
 )
 def test_verify_diagonal_letter_of_a_non_unit_exit_1(capsys, monkeypatch, argv, letter, expected):
     """A decomposition refuses every diagonal letter before it evaluates its
-    word; a witness conjugator's diag(3) is refused when it is evaluated."""
+    word; a witness conjugator's diag(3) is compared with the construction's
+    diag(u^2) and never evaluated."""
     code, out = invoke(capsys, *argv)
     assert code == 0
     doc = json.loads(out)

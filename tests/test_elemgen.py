@@ -222,13 +222,16 @@ def test_division_over_Z_rounds_half_to_even():
 
 
 def test_division_that_does_not_shrink_is_internal_error(capsys, monkeypatch):
+    """Both shrink raises of decompose: the E12 branch divides a by c, the E21 one c by a."""
     import sl2units.elemgen as elemgen
 
     monkeypatch.setattr(elemgen, "_divide", lambda x, y, nx, ny: x.ring.zero())
-    assert run(["decompose", "--ring", "Z", "--A", "[[2,1],[3,2]]"]) == 3
-    err = json.loads(capsys.readouterr().out)
-    assert err["error"] == "InternalError"
-    assert err["message"].startswith("AssertionError: division of 3 by 2")
+    for matrix, divided in [("[[5,2],[2,1]]", "5 by 2"), ("[[2,1],[3,2]]", "3 by 2")]:
+        assert run(["decompose", "--ring", "Z", "--A", matrix]) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "InternalError",
+            "message": f"AssertionError: division of {divided} did not shrink",
+        }
 
 
 # ---------------------------------------------------------------------------

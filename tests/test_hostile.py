@@ -109,6 +109,16 @@ def _ten_letters_at_the_bound() -> str:
     return json.dumps({"kind": "decomposition", "ring": "Z", "payload": payload, "verified": True})
 
 
+def _conjugator_of_800_letters() -> str:
+    """A witness whose first conjugator is 800 alternating E21/E12 letters of
+    random 1,000-digit arguments, 842 KB: evaluating it would take seconds, and
+    the comparison with the construction's one-letter word refuses it at once."""
+    rng = random.Random(800)
+    factors = [{"kind": "elem", "position": "12" if i % 2 else "21",
+                "argument": _int_text(rng.randrange(10**999, 10**1000))} for i in range(800)]
+    return with_conjugator(json.dumps({"factors": factors}))
+
+
 M = 10**17 + 3  # a prime: no trial division to 10^6 finds a factor
 UNIT_FIND = "unit find --ring Z[1/2] --c 3"
 AXIOMS = "norm axioms --gen [[1,1],[0,1]] --ring"
@@ -269,9 +279,15 @@ VERIFY = {
         "ring-Z[1/m]": verify(edited(UNIT_FIND, ring=f"Z[1/{M}]"), 1, "NonUnit",
                               f"2 is not a unit of Z[1/{M}]"),
     },
-    "lemma2-witness": {"conjugator-nested-10^5-deep": verify(lambda: with_conjugator(
-        '{"factors": [{"kind": "inv", "word": ' * DEPTH + '{"factors": []}' + "}]}" * DEPTH),
-        1, "ParseError")},
+    "lemma2-witness": {
+        "conjugator-nested-10^5-deep": verify(lambda: with_conjugator(
+            '{"factors": [{"kind": "inv", "word": ' * DEPTH + '{"factors": []}' + "}]}" * DEPTH),
+            1, "ParseError"),
+        "conjugator-of-800-letters": verify(
+            _conjugator_of_800_letters, 1, "VerificationFailed",
+            "lemma2-witness payload.factors[0].conjugator.factors: recorded [{'kind': 'elem', "
+            "'position': '21', 'arg, recomputed [{'kind': 'elem', 'position': '12', 'arg"),
+    },
     "decomposition": {"ten-letters-of-100000-digits": verify(
         _ten_letters_at_the_bound, 1, "VerificationFailed",
         "word does not evaluate to the decomposed matrix", 20.0)},

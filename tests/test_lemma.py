@@ -209,12 +209,16 @@ def test_compute_Y_general_matrix(rng):
 # the four-factor witness
 
 
+def _words(w):
+    return [f.conjugator for f in w.factors]
+
+
 def test_witness_anchor():
     w = lemma2_witness(A3, CERT_64, Zh.from_int(3))
     assert len(w.factors) == 4 and w.u == 64
     assert w.target == parse_matrix(Zh, "[[1,844424930131965/16777216],[0,1]]")
     assert w.p == -w.q - w.z
-    assert verify_witness(A3, CERT_64, w.z, w.factors) == w
+    assert verify_witness(A3, CERT_64, w.z, _words(w)) == w
 
 
 def test_witness_product_matches_target():
@@ -248,22 +252,24 @@ def test_witness_randomized(rng):
             from sl2units.rings import random_element
 
             z = A.c * random_element(ring, rng, 5)
-            w = lemma2_witness(A, cert, z)
-            assert verify_witness(A, cert, z, w.factors) == w
+            for elementary in (False, True):
+                w = lemma2_witness(A, cert, z, elementary)
+                assert verify_witness(A, cert, z, _words(w)) == w
 
 
 def test_witness_tampering_rejected():
-    """verify_witness reads only A, the certificate, z and the factors; the
-    other fields it derives, for certs to compare with the recorded ones."""
+    """verify_witness reads only A, the certificate, z and whether a word has a
+    diag letter; it builds every other field, for certs to compare with the
+    recorded ones, which tests/test_certs.py refuses where they differ."""
     z = Zh.from_int(3)
     w = lemma2_witness(A3, CERT_64, z)
-    with pytest.raises(VerificationFailed, match="misses the target"):
-        verify_witness(A3, CERT_64, z + 3, w.factors)  # the factors carry the p of z
-    with pytest.raises(VerificationFailed, match="expected exactly 4 factors, found 3"):
-        verify_witness(A3, CERT_64, z, w.factors[:3])
-    swapped = (w.factors[1], w.factors[0]) + w.factors[2:]
-    with pytest.raises(VerificationFailed, match="misses the target"):
-        verify_witness(A3, CERT_64, z, swapped)
+    words = _words(w)
+    shifted = verify_witness(A3, CERT_64, z + 3, words)
+    assert shifted == lemma2_witness(A3, CERT_64, z + 3) and shifted.factors != w.factors
+    for tampered in (words[:3], [words[1], words[0], *words[2:]]):
+        assert verify_witness(A3, CERT_64, z, tampered) == w
+    elementary = lemma2_witness(A3, CERT_64, z, elementary=True)
+    assert verify_witness(A3, CERT_64, z, [words[0]]) == elementary  # no diag letter
 
 
 def test_witness_self_check_is_one_pass(monkeypatch):
@@ -307,7 +313,7 @@ def test_verify_witness_lets_a_bug_in_compute_Y_through(monkeypatch):
 
     monkeypatch.setattr(lemma, "compute_Y", broken)
     with pytest.raises(TypeError, match="bug inside compute_Y"):
-        verify_witness(w.matrix, CERT_64, w.z, w.factors)
+        verify_witness(w.matrix, CERT_64, w.z, _words(w))
 
 
 def test_witness_conjugators_vanish_mod_c():

@@ -19,8 +19,11 @@ the two relations, so == decides equality in R0 exactly.  It offers what the
 witness algebra asks of an element -- + - *, powers, ==, bool, the inverse of
 a unit and a ring with one() and zero() -- and nothing more: code that needs
 more of the ring fails here, and no package function is replaced.  What stays
-concrete is lemma._ideal_checks, each ring's own membership tests; the last
-test ties the code on concrete inputs to the formulas proved here.
+concrete is the test z in (c) at the head of lemma2_witness, each ring's own
+membership test; the last test ties the code on concrete inputs to the
+formulas proved here.  Since the verifier accepts a witness only if its words
+are the ones lemma2_witness builds, plain or elementary, these identities are
+what makes an accepted witness prove its claim.
 """
 
 import random
@@ -169,7 +172,7 @@ def generic(parts):
     """The witness that the plain words give over R0, built once, outside the
     hypothesis draws: a bug that breaks it fails each test that asks for it."""
     factors = _witness_factors(UNIT, parts.t, -parts.q - Z_, elementary=False)
-    return _checked_witness(A, UNIT, Z_, parts, factors, conjugators(factors))
+    return _checked_witness(A, UNIT, Z_, parts, factors)
 
 
 def test_Y_is_upper_triangular_with_diagonal_u_to_the_minus_4_and_4(parts):
@@ -183,7 +186,7 @@ def test_Y_is_upper_triangular_with_diagonal_u_to_the_minus_4_and_4(parts):
 def test_four_conjugates_multiply_to_the_target(parts, elementary):
     """_checked_witness raises VerificationFailed unless the product meets the target."""
     factors = _witness_factors(UNIT, parts.t, -parts.q - Z_, elementary)
-    witness = _checked_witness(A, UNIT, Z_, parts, factors, conjugators(factors))
+    witness = _checked_witness(A, UNIT, Z_, parts, factors)
     assert witness.target == elem12((UNIT**4 - W_**4) * Z_)
     assert witness.p == -parts.q - Z_
     assert [f.core_inverted for f in witness.factors] == [True, False, True, False]
@@ -195,7 +198,7 @@ def test_the_product_check_refuses_swapped_factors(parts, generic):
     factors = generic.factors
     swapped = (factors[1], factors[0]) + factors[2:]
     with pytest.raises(VerificationFailed, match="misses the target"):
-        _checked_witness(A, UNIT, Z_, parts, swapped, conjugators(swapped))
+        _checked_witness(A, UNIT, Z_, parts, swapped)
 
 
 @pytest.mark.parametrize("elementary", [False, True])
