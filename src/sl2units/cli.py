@@ -99,7 +99,7 @@ def _cmd_norm_bfs(ring, args) -> dict:
     missing = gens - seed
     if missing and not args.closure:
         raise GeneratorsNotClosed(f"the generating set lacks {table.format_element(min(missing))}")
-    norm = NormTable(table, gens).norm(g)
+    norm = NormTable(table, gens, [g]).norm(g)
     return {
         "ring": ring.name,
         "modulus": str(table.quotient.modulus),

@@ -56,7 +56,8 @@ class DegenerateQuotient(AlgebraError):
 
 
 class QuotientTooLarge(AlgebraError):
-    """Finite group table past the fixed cap n^3 <= norms.TABLE_CAP, n the quotient's index."""
+    """Finite group table past the fixed cap n^3 <= norms.TABLE_CAP, n the quotient's
+    index, or a word-length search past norms.WORK_CAP products."""
 
 
 class VerificationFailed(AlgebraError):

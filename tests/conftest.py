@@ -7,6 +7,7 @@ from array import array
 
 import pytest
 
+from sl2units.norms import check_norm_axioms
 from sl2units.rings import (
     euclidean_size,
     height,
@@ -140,3 +141,28 @@ def verdicts_by_exhaustion(table, lengths):
             n[products[ag][inverses[a]]] == n[g] for a in G for g, ag in zip(G, products[a])
         ),
     }
+
+
+def certify_word_length(norms):
+    """The oracle that a NormTable's lengths, read as inf where it stores no
+    length, are the word length over its generating set S, in |reached| |S|
+    products instead of the |G|^2 of verdicts_by_exhaustion.
+
+    Besides check_norm_axioms' test that S is symmetric and conjugation-
+    closed, it checks that n(e) = 0, and at each stored g that n(gs) <= n(g) + 1
+    for every s in S and, for g != e of finite length, n(gs) = n(g) - 1 for
+    some s.  Both are vacuous at an unstored g, of length inf.  The first, an
+    unstored gs read as inf, forces every element reachable from e to be
+    stored and gives n <= word length; the second walks g down to e in n(g)
+    steps, so word length <= n, S being symmetric.  A failure raises
+    AssertionError.
+    """
+    group, n, gens = norms.group, norms.lengths, norms.generating_set
+    ident, mul, get, inf = group.identity, group.mul, n.get, math.inf
+    check_norm_axioms(group, gens)
+    if n[ident] != 0:
+        raise AssertionError(f"the identity has length {n[ident]}")
+    for g, ng in n.items():
+        steps = {get(mul(g, s), inf) for s in gens}
+        if any(m > ng + 1 for m in steps) or (g != ident and ng < inf and ng - 1 not in steps):
+            raise AssertionError(f"{group.format_element(g)} has length {ng}, not its word length")

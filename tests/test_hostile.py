@@ -123,6 +123,11 @@ M = 10**17 + 3  # a prime: no trial division to 10^6 finds a factor
 UNIT_FIND = "unit find --ring Z[1/2] --c 3"
 AXIOMS = "norm axioms --gen [[1,1],[0,1]] --ring"
 LEMMA_BOUND = "norm lemma-bound --ring Z[1/2] --A [[1,0],[3,1]]"
+BFS_97 = "norm bfs --ring Z --modulus 97 --gen [[1,1],[0,1]] --closure --element"
+# over Z[1/3], u = 9 is 1 mod 2^2 and u^8 is not 1 mod 97, and the matrix of trace
+# 102 = 5 mod 97 has a closure of 9312 elements, over which each transvection has norm 3
+DEEP = "norm lemma-bound --ring Z[1/3] --A [[1,50],[2,101]] --u 9 --samples 1"
+PAST_THE_CAP = 4.0  # seconds: the 3 s of norms.WORK_CAP's products, plus 1
 NEVER_DRAWN = f"--u 64 --modulus 5 --samples {10**8}"  # u^8 = 1 mod 5: every image trivial
 DEPTH = 10**5
 # (1+sqrt2)^260000, a unit with coordinates of 99,522 digits: 200 KB of text
@@ -135,6 +140,11 @@ _A, _B = (_RNG.randrange(10 ** (DIGIT_BOUND - 1), 10**DIGIT_BOUND) for _ in "ab"
 
 def _too_large(digits: int) -> str:
     return f"a quotient whose index has {digits} digits may exceed 1000000 elements (cap n^3)"
+
+
+def _past_the_work_cap(generators: int) -> str:
+    return (f"the word-length search over {generators} generators in a group of order 912576 "
+            "needs more than 2500000 products")
 
 
 def _order_past_the_bound(v: str) -> str:
@@ -210,14 +220,28 @@ EMIT = {
         "degenerate-allowed": emit(f"{LEMMA_BOUND} {NEVER_DRAWN} --allow-degenerate", 0, bound=2.0,
                                    shows=lambda doc: doc["payload"]["trivial_count"] == 10**8
                                    and not doc["payload"]["samples"]),
+        # the search stops at the five samples, of norm 1 or 2, in a group of 112,896
+        "Z[sqrt2]-mod-7": emit("norm lemma-bound --ring Z[sqrt2] --A [[1,0],[2,1]] --samples 5 "
+                               "--modulus 7", 0, has("payload.all_within_bound", True), bound=2.0),
+        "mod-97-deep-sample": emit(f"{DEEP} --modulus 97", 1, "QuotientTooLarge",
+                                   _past_the_work_cap(9312), PAST_THE_CAP),
     },
     # the Hermite form of cR comes from c mod |N(c)|, so a modulus of index 1 or 7
     # costs no Euclid on its digits
-    "norm bfs": {"modulus-a-unit-of-200KB": emit(
-        f"norm bfs --ring Z[sqrt2] --modulus {HOSTILE} --gen [[1,1],[0,1]] --element "
-        "[[1,0],[0,1]]", 0, has("group_order", 1), bound=2.0)},
+    "norm bfs": {
+        "modulus-a-unit-of-200KB": emit(
+            f"norm bfs --ring Z[sqrt2] --modulus {HOSTILE} --gen [[1,1],[0,1]] --element "
+            "[[1,0],[0,1]]", 0, has("group_order", 1), bound=2.0),
+        # the search stops at the element, of norm 2; -I has norm 3, past the work cap
+        "mod-97-norm-2": emit(f"{BFS_97} [[1,5],[0,1]]", 0, has("norm", 2), bound=2.0),
+        "mod-97-minus-I": emit(f"{BFS_97} [[-1,0],[0,-1]]", 1, "QuotientTooLarge",
+                               _past_the_work_cap(4704), PAST_THE_CAP),
+    },
     "norm axioms": {
         "mod-13": emit(f"{AXIOMS} Z --modulus 13", 0, has("payload.group_order", 2184), bound=3.0),
+        # the report certifies the closure alone, of 960 and 4704 elements
+        "mod-31": emit(f"{AXIOMS} Z --modulus 31", 0, has("payload.generator_count", 960)),
+        "mod-97": emit(f"{AXIOMS} Z --modulus 97", 0, has("payload.generator_count", 4704)),
         "modulus-of-200KB-index-7": emit(
             f"{AXIOMS} Z[sqrt2] --modulus {HOSTILE * quadratic(2).from_pair(3, 1)}", 0,
             has("payload.group_order", 336), bound=2.0),
@@ -294,17 +318,31 @@ VERIFY = {
     "axiom-report": {
         **{name: verify(lambda name=name: outcome(EMIT["norm axioms"][name]).stdout, 0,
                         has("ok", True), bound=bound)
-           for name, bound in [("mod-13", 3.0), ("modulus-of-200KB-index-7", 2.0)]},
+           for name, bound in [("mod-13", 3.0), ("mod-97", 1.0),
+                               ("modulus-of-200KB-index-7", 2.0)]},
         **{name: verify(edited(f"{AXIOMS} Z --modulus 3", ring=row.argv[-3], modulus=row.argv[-1]),
                         1, "QuotientTooLarge", row.message)
            for name, row in EMIT["norm axioms"].items() if row.code == 1},
         # the group order is counted at once; the closure would take seconds
         "mod-97-wrong-group-order": verify(edited(f"{AXIOMS} Z --modulus 5", **MOD_97), 1,
                                            "VerificationFailed", _group_order("axiom-report")),
+        # 452 bytes: a mod-5 report with the right order mod 97, refused by the closure's size
+        "mod-97-right-group-order": verify(
+            edited(f"{AXIOMS} Z --modulus 5", modulus="97", group_order=912576), 1,
+            "VerificationFailed", "axiom-report payload.generator_count: recorded 12, "
+            "recomputed 4704"),
     },
-    "norm-experiment": {"mod-97-wrong-group-order": verify(
-        edited(f"{LEMMA_BOUND} --u 64 --modulus 11 --samples 0", **MOD_97, **NO_SAMPLES), 1,
-        "VerificationFailed", _group_order("norm-experiment"))},
+    "norm-experiment": {
+        "mod-97-wrong-group-order": verify(
+            edited(f"{LEMMA_BOUND} --u 64 --modulus 11 --samples 0", **MOD_97, **NO_SAMPLES), 1,
+            "VerificationFailed", _group_order("norm-experiment")),
+        # a mod-11 document moved to mod 97, where its one sample E12(23) has norm 3
+        "mod-97-deep-sample": verify(
+            edited(f"{DEEP} --modulus 11", modulus="97", quotient_index=97, group_order=912576,
+                   generator_count=9312, histogram={"3": 1}, max_norm=3,
+                   samples=[{"j": "86093440", "norm": 3}]), 1, "QuotientTooLarge",
+            _past_the_work_cap(9312), PAST_THE_CAP),
+    },
 }
 
 

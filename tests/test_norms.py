@@ -20,7 +20,13 @@ from sl2units.norms import (
 )
 from sl2units.rings import exact_quotient, integers, localized, parse_element, quadratic
 from sl2units.sl2 import elem12, elem21, parse_matrix
-from tests.conftest import group_elements, random_sl2, verdicts_by_exhaustion
+from tests.conftest import (
+    certify_word_length,
+    count_calls,
+    group_elements,
+    random_sl2,
+    verdicts_by_exhaustion,
+)
 
 Z = integers()
 Zh = localized(2)
@@ -148,7 +154,7 @@ def test_elementary_generators_reach_every_element(ring, modulus):
     # SL2 of a finite ring is elementary, and 1 (and sqrt(d)) span it additively
     table = _table(ring, modulus)
     assert len(table.generators) == (4 if ring.kind == "quadratic" else 2)
-    lengths = NormTable(table, table.generators).lengths
+    lengths = NormTable(table, table.generators, group_elements(table)).lengths
     assert len(lengths) == len(table) == len(group_elements(table))
     assert set(lengths) == set(group_elements(table))
 
@@ -231,7 +237,8 @@ def test_closure_of_central_element_is_tiny():
 def test_bfs_norm_oracles():
     table = _table(Z, "5")
     e12 = table.from_matrix(elem12(Z.one()))
-    lengths = NormTable(table, conjugation_closure(table, [e12, table.inv(e12)])).lengths
+    gens = conjugation_closure(table, [e12, table.inv(e12)])
+    lengths = NormTable(table, gens, group_elements(table)).lengths
     minus_i = table.from_matrix(parse_matrix(Z, "[[-1,0],[0,-1]]"))
     assert lengths[table.identity] == 0
     assert lengths[e12] == 1
@@ -274,7 +281,7 @@ def test_norm_table_matches_bfs():
     table = _table(Z, "3")
     e12 = table.from_matrix(elem12(Z.one()))
     gens = conjugation_closure(table, [e12])
-    norms = NormTable(table, gens)
+    norms = NormTable(table, gens, group_elements(table))
     ball = {table.identity}
     expected = {table.identity: 0}
     for radius in range(1, len(table)):  # S generates the group: radius < |G| suffices
@@ -287,11 +294,11 @@ def test_norm_table_matches_bfs():
 def test_norm_table_unreachable_is_inf():
     table = _table(Z, "5")
     minus_i = table.from_matrix(parse_matrix(Z, "[[-1,0],[0,-1]]"))
-    norms = NormTable(table, conjugation_closure(table, [minus_i]))
+    norms = NormTable(table, conjugation_closure(table, [minus_i]), group_elements(table))
     assert norms.norm(minus_i) == 1
     assert norms.norm(table.from_matrix(elem12(Z.one()))) == math.inf
-    # the axioms hold even with unreachable elements (inf arithmetic)
-    check_norm_axioms(norms)
+    # the certificate holds even with unreachable elements (inf arithmetic)
+    certify_word_length(norms)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -299,7 +306,7 @@ def test_axioms_pass_on_primes(p):
     table = _table(Z, str(p))
     e12 = table.from_matrix(elem12(Z.one()))
     gens = conjugation_closure(table, [e12, table.inv(e12)])
-    check_norm_axioms(NormTable(table, gens))
+    certify_word_length(NormTable(table, gens, group_elements(table)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -313,7 +320,9 @@ def _transvection_closure_tables(ring, modulus):
         for x in range(q.index)
         for p in ("12", "21")
     }
-    return tuple(NormTable(table, gens) for gens in sorted(closures, key=sorted))
+    return tuple(
+        NormTable(table, gens, group_elements(table)) for gens in sorted(closures, key=sorted)
+    )
 
 
 CERTIFIED_CASES = [(Z, str(n)) for n in range(2, 8)] + [(R2, "3")]
@@ -324,10 +333,42 @@ def test_certified_tables_pass_the_exhaustive_check(ring, modulus):
     tables = _transvection_closure_tables(ring, modulus)
     assert len(tables) >= 2  # the identity's closure {I}, and some nontrivial one
     for norms in tables:
-        check_norm_axioms(norms)
+        certify_word_length(norms)
         assert verdicts_by_exhaustion(norms.group, norms.lengths) == dict.fromkeys(
             ["separation", "symmetry", "subadditivity", "conjugation_invariance"], True
         )
+
+
+@pytest.mark.parametrize(
+    "ring,modulus", CERTIFIED_CASES + [(Z, "11"), (Z, "13")], ids=lambda v: str(v)
+)
+def test_early_exit_is_exact(ring, modulus):
+    """A search stopped at its targets gives each the full table's length: the
+    identity, an element of the largest norm, random elements and, over the
+    closure of -I, elements it never reaches."""
+    table = _table(ring, modulus)
+    pick = random.Random(f"early/{ring}/{modulus}")
+    minus_i = table.from_matrix(parse_matrix(ring, "[[-1,0],[0,-1]]"))
+    central = NormTable(table, conjugation_closure(table, [minus_i]), group_elements(table))
+    for full in _transvection_closure_tables(ring, modulus) + (central,):
+        deepest = max(full.lengths, key=full.lengths.get)
+        drawn = pick.sample(group_elements(table), 3)
+        for targets in ([table.identity, deepest, table.generators[0], *drawn], [deepest],
+                        drawn[:1]):
+            early = NormTable(table, full.generating_set, targets)
+            assert [early.norm(t) for t in targets] == [full.norm(t) for t in targets]
+    assert central.norm(table.generators[0]) == math.inf
+
+
+@pytest.mark.parametrize("ring,modulus", [(Z, "13"), (R2, "3")], ids=lambda v: str(v))
+def test_a_target_in_the_set_costs_one_step(monkeypatch, ring, modulus):
+    table = _table(ring, modulus)
+    gens = conjugation_closure(table, [table.generators[0], table.inv(table.generators[0])])
+    products = count_calls(monkeypatch, "mul", FiniteGroupTable)
+    for s in sorted(gens)[:10]:
+        products[0] = 0
+        assert NormTable(table, gens, [s]).norm(s) == 1
+        assert products[0] <= len(gens)
 
 
 def _zero_off_identity(norms, pick):
@@ -358,7 +399,7 @@ def test_corrupted_table_fails_the_certificate(ring, modulus, corrupt):
         corrupted.lengths = dict(norms.lengths)
         corrupt(corrupted, pick)
         with pytest.raises(AssertionError):
-            check_norm_axioms(corrupted)
+            certify_word_length(corrupted)
 
 
 @pytest.mark.parametrize(
@@ -368,26 +409,27 @@ def test_uniformly_changed_table_fails_the_certificate(change):
     # every step still moves the length by at most 1: only n(e) = 0 catches the
     # first, and only the missing step down from the other elements the second
     table = _table(Z, "5")
-    norms = NormTable(table, conjugation_closure(table, [table.from_matrix(elem12(Z.one()))]))
+    gens = conjugation_closure(table, [table.from_matrix(elem12(Z.one()))])
+    norms = NormTable(table, gens, group_elements(table))
     norms.lengths = {g: change(n) for g, n in norms.lengths.items()}
     with pytest.raises(AssertionError):
-        check_norm_axioms(norms)
+        certify_word_length(norms)
 
 
 def test_certificate_needs_a_symmetric_set():
     # mod 3 the conjugates of E12(1) miss its inverse E12(-1): -1 is not a square,
-    # so their word lengths pass every other condition of the certificate
+    # so the set is closed under conjugation and fails symmetry alone
     table = _table(Z, "3")
     e12 = table.from_matrix(elem12(Z.one()))
     with pytest.raises(AssertionError, match="not closed"):
-        check_norm_axioms(NormTable(table, {table.conj(g, e12) for g in group_elements(table)}))
+        check_norm_axioms(table, {table.conj(g, e12) for g in group_elements(table)})
 
 
 def test_scalar_norm_is_conjugation_invariant():
     table = _table(Z, "5")
     e12 = table.from_matrix(elem12(Z.one()))
     gens = conjugation_closure(table, [e12, table.inv(e12)])
-    norms = NormTable(table, gens)
+    norms = NormTable(table, gens, group_elements(table))
     minus_i = table.from_matrix(parse_matrix(Z, "[[-1,0],[0,-1]]"))
     n = norms.norm(minus_i)
     assert all(norms.norm(table.conj(g, minus_i)) == n for g in group_elements(table))
