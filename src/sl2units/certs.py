@@ -286,6 +286,8 @@ def _verify_decomposition(fields: dict) -> dict:
         dec = Decomposition(fields["matrix"], fields["word"])
     except ValueError as exc:
         raise VerificationFailed(str(exc)) from None
+    if dec.word.evaluate() != dec.matrix:
+        raise VerificationFailed("word does not evaluate to the decomposed matrix")
     return decomposition_payload(dec)
 
 

@@ -2,14 +2,14 @@
 
 The driver runs Euclidean reduction on the first column: row operations
 shrink the lower-left entry against the upper-left one until the matrix is
-upper triangular, and the residual diagonal part diag(u, 1/u) is absorbed
-through a fixed six-transvection identity.  One division serves every
-supported ring: over Z and Z[1/m] it is Euclid on the prime-to-m parts,
-fed the sizes the driver already holds (over Z it rounds x/y to nearest
-with ties to even), and over Z[sqrt(2)] and Z[sqrt(3)] it rounds x/y
-componentwise.  Each provably leaves a remainder of smaller Euclidean size,
-so the loop ends.  A step that fails to shrink is a bug and raises
-AssertionError.
+upper triangular, and diag(u, 1/u) is left to a six-transvection identity.
+One division serves every supported ring: Euclid on the prime-to-m parts
+over Z and Z[1/m] (over Z, x/y rounded to nearest, ties to even), and x/y
+rounded componentwise over Z[sqrt(2)] and Z[sqrt(3)].  Each provably leaves
+a smaller Euclidean size, so the loop ends; a step that does not is a bug,
+an AssertionError.  No word built here is evaluated: a step appends the
+inverse of its row operation, so matrix = word * m throughout, and
+tests/test_symbolic.py proves the rest; verify evaluates a document's word.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .sl2 import ElemFactor, GroupWord, Mat2, diag, elem12, elem21, word_elem
 class Decomposition:
     """A matrix together with a flat transvection word that multiplies out to it.
 
-    Both invariants are checked at construction: the word contains only
-    ElemFactor nodes, and its evaluation equals the matrix exactly.
+    Construction checks that the word has only ElemFactor nodes.  The product
+    holds for every word built here; verify checks it for a word it reads.
     """
 
     matrix: Mat2
@@ -36,8 +36,6 @@ class Decomposition:
     def __post_init__(self):
         if any(not isinstance(f, ElemFactor) for f in self.word.factors):
             raise ValueError("decomposition words admit only transvection factors")
-        if self.word.evaluate() != self.matrix:
-            raise ValueError("word does not evaluate to the decomposed matrix")
 
     @property
     def length(self) -> int:

@@ -1,6 +1,7 @@
 """Certificate documents: build, serialize, and re-verify from JSON alone."""
 
 import copy
+import io
 import json
 import random
 import time
@@ -33,7 +34,7 @@ from sl2units.rings import (
 )
 from sl2units.sl2 import GroupWord, elem12, elem21, parse_matrix
 from tests import bounded
-from tests.conftest import WITNESS_RINGS, random_witness_matrix
+from tests.conftest import WITNESS_RINGS, count_calls, random_witness_matrix
 from tests.test_hostile import VERIFY, check
 
 Z = integers()
@@ -284,8 +285,26 @@ def test_tampered_decomposition():
         certs.verify_document(doc)
     doc = _decomposition_doc()
     doc["payload"]["matrix"] = "[[1,0],[0,1]]"
-    with pytest.raises(VerificationFailed):
+    with pytest.raises(VerificationFailed, match="^word does not evaluate to the decomposed matrix$"):
         certs.verify_document(doc)
+
+
+@pytest.mark.parametrize("command, emits, verifies", [
+    ("decompose --ring Z --A [[2,1],[3,2]]", 0, 1),
+    ("h-decompose --ring Z[1/2] --u 4", 0, 0),
+    ("lemma witness --ring Z[1/2] --A [[1,0],[3,1]] --z 3 --elementary", 4, 4),
+    ("lemma witness --ring Z[1/2] --A [[1,0],[3,1]] --z 3", 4, 4),
+], ids=["decompose", "h-decompose", "elementary-witness", "plain-witness"])
+def test_a_word_is_evaluated_only_where_it_is_checked(monkeypatch, capsys, command, emits, verifies):
+    """The emitters build their decomposition words unevaluated, and verify
+    multiplies out only a decomposition's recorded word; a witness's four
+    conjugators are evaluated by its product check, once on each side."""
+    calls = count_calls(monkeypatch, "evaluate", GroupWord)
+    assert run(command.split()) == 0
+    assert calls[0] == emits
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    assert run(["verify", "-"]) == 0
+    assert calls[0] == emits + verifies
 
 
 def test_tampered_h_decomposition():

@@ -238,7 +238,7 @@ EMIT = {
                                _past_the_work_cap(4704), PAST_THE_CAP),
     },
     "norm axioms": {
-        "mod-13": emit(f"{AXIOMS} Z --modulus 13", 0, has("payload.group_order", 2184), bound=3.0),
+        "mod-13": emit(f"{AXIOMS} Z --modulus 13", 0, has("payload.group_order", 2184)),
         # the report certifies the closure alone, of 960 and 4704 elements
         "mod-31": emit(f"{AXIOMS} Z --modulus 31", 0, has("payload.generator_count", 960)),
         "mod-97": emit(f"{AXIOMS} Z --modulus 97", 0, has("payload.generator_count", 4704)),
@@ -314,11 +314,11 @@ VERIFY = {
     },
     "decomposition": {"ten-letters-of-100000-digits": verify(
         _ten_letters_at_the_bound, 1, "VerificationFailed",
-        "word does not evaluate to the decomposed matrix", 20.0)},
+        "word does not evaluate to the decomposed matrix", 6.0)},
     "axiom-report": {
         **{name: verify(lambda name=name: outcome(EMIT["norm axioms"][name]).stdout, 0,
                         has("ok", True), bound=bound)
-           for name, bound in [("mod-13", 3.0), ("mod-97", 1.0),
+           for name, bound in [("mod-13", 1.0), ("mod-97", 1.0),
                                ("modulus-of-200KB-index-7", 2.0)]},
         **{name: verify(edited(f"{AXIOMS} Z --modulus 3", ring=row.argv[-3], modulus=row.argv[-1]),
                         1, "QuotientTooLarge", row.message)
