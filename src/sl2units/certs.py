@@ -25,7 +25,8 @@ of a witness or h-decomposition: lemma's module docstring says why the ring
 map from the generic ring makes such a witness prove its claim.  An input
 that the derivation itself refuses (c = 0 or a zero corner, a non-unit,
 c^2 not dividing u - 1, u^8 = 1, z outside cR, the one concrete test of a
-witness) raises the derivation's own error, as the emitter does.
+witness) raises the derivation's own error, as the emitter does; a text
+that str() does not write ("+3", "6/4") differs from the derivation's.
 make_document reads each payload it emits back through the same reader, so
 the digit bounds of the ring parsers hold on both sides.
 """
@@ -45,7 +46,6 @@ from .lemma import (
 from .norms import (
     FiniteGroupTable,
     LemmaBoundReport,
-    check_norm_axioms,
     conjugation_closure,
     draw_budget,
     lemma_bound_report,
@@ -101,10 +101,10 @@ SCHEMAS = {
 
 def make_document(kind: str, ring: RingDescriptor, payload: dict) -> dict:
     """The certificate of payload, once payload reads back through
-    SCHEMAS[kind] as verify reads it.  The writers write str(x) and the
-    reader insists on str(parse(text)) == text, so only a digit bound of the
-    parsers refuses it: a refusal raises DocumentTooLarge with the reader's
-    message, which names the field and the bound."""
+    SCHEMAS[kind] as verify reads it.  The parsers read all that str()
+    writes, so only their digit bounds refuse it: a refusal raises
+    DocumentTooLarge with the reader's message, which names the field and
+    the bound."""
     try:
         _read(f"{kind} payload", ring, SCHEMAS[kind], payload)
     except ParseError as exc:
@@ -164,10 +164,9 @@ def experiment_payload(
 
 def axiom_report_payload(table: FiniteGroupTable, seed: list[Mat2]) -> dict:
     """The report of the word length over the conjugation closure S of
-    seed's images in table, once check_norm_axioms has certified S: every
+    seed's images in table, a norm as S is (conjugation_closure): every
     axiom passed, with no counterexample, and |S| generators."""
     gens = conjugation_closure(table, [table.from_matrix(m) for m in seed])
-    check_norm_axioms(table, gens)
     return {
         "modulus": str(table.quotient.modulus),
         "seed": [str(m) for m in seed],
@@ -181,7 +180,7 @@ def axiom_report_payload(table: FiniteGroupTable, seed: list[Mat2]) -> dict:
 # ---------------------------------------------------------------------------
 # payload reading
 
-# shape -> (parser, the writer whose output the parser must have been given)
+# shape -> (the parser _read uses, the writer _write uses)
 _READERS = {
     "element": (parse_element, str),
     "matrix": (parse_matrix, str),
@@ -207,10 +206,9 @@ def _read(where: str, ring: RingDescriptor, shape, value):
     read entries, a parsed element, matrix or word, or else value itself.
 
     A missing or unknown key, a wrong JSON type (a bool is not an int, a norm
-    is an int or "inf"), a value the parsers reject, or text other than the
-    canonical text of what it parses to (no "+3", "6/4", "0/5" or spaces)
-    raises a ParseError that names the certificate kind and the key.  Every
-    field is read before any verifier runs.
+    is an int or "inf") or a value the parsers reject raises a ParseError
+    that names the certificate kind and the key.  Every field is read before
+    any verifier runs; _compare refuses text that is not canonical ("+3").
     """
     if isinstance(shape, dict):
         if not isinstance(value, dict):
@@ -224,14 +222,10 @@ def _read(where: str, ring: RingDescriptor, shape, value):
         return [_read(f"{where}[{i}]", ring, shape[0], v) for i, v in enumerate(value)]
     if shape not in _READERS:
         return value
-    parse, write = _READERS[shape]
     try:
-        parsed = parse(ring, value)
+        return _READERS[shape][0](ring, value)
     except ParseError as exc:
         raise ParseError(f"{where}: {exc}") from None
-    if write(parsed) != value:
-        raise ParseError(f"{where}: {value!r:.40} is not in canonical form")
-    return parsed
 
 
 def _field(where: str, ring: RingDescriptor, key: str, shape, data: dict):

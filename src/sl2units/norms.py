@@ -4,12 +4,12 @@ A FiniteGroupTable counts SL2(R/cR) without listing it and multiplies by
 reading addition and multiplication tables of the quotient's dense integer
 codes, so breadth-first searches over Cayley graphs stay cheap.  Norms here
 are word lengths over symmetric, conjugation-closed generating sets -- the
-concrete realization of a conjugation-invariant norm -- so check_norm_axioms
-certifies the four axioms by testing that closure alone.  Both conjugate by
-the table's generators only: a finite ring is semilocal, so SL2(R/cR) is
-generated by the E12(x), E21(x) (Bass, Algebraic K-theory, 1968), hence by
-x = 1, and x = sqrt(d) too over Z[sqrt(d)], as E12(x + y) = E12(x) E12(y).
-A NormTable searches only until its targets have lengths.
+concrete realization of a conjugation-invariant norm -- and such a set is
+conjugation_closure's, built by conjugating with the table's generators
+only: a finite ring is semilocal, so SL2(R/cR) is generated by the E12(x),
+E21(x) (Bass, Algebraic K-theory, 1968), hence by x = 1, and x = sqrt(d)
+too over Z[sqrt(d)], as E12(x + y) = E12(x) E12(y).  A NormTable searches
+only until its targets have lengths.
 
 lemma_bound_experiment is the finite shadow of the bounded-conjugate
 construction: the four-conjugate identity is a ring identity, so it survives
@@ -115,11 +115,15 @@ class FiniteGroupTable:
 
 
 def conjugation_closure(table: FiniteGroupTable, seed: Iterable) -> frozenset:
-    """Smallest symmetric, conjugation-closed superset of the seed.
+    """Smallest symmetric, conjugation-closed superset S of the seed.
 
-    Conjugating by the generators suffices: h S h^-1 in the finite S equals
-    S, conjugation being injective, so S is closed under the group they
-    generate, all of SL2(R/cR) (Bass 1968; see the module docstring).
+    Each element taken pushes its inverse and its conjugates by the
+    generators, and the loop ends when none is pending, so S is closed under
+    the group they generate, all of SL2(R/cR): h S h^-1 in the finite S is S.
+    The word length n over S, inf off the subgroup S generates, is then a
+    conjugation-invariant norm: n(g) = 0 iff g = e; n(g^-1) = n(g), as
+    s1...sk inverts to sk^-1...s1^-1; n(gh) <= n(g) + n(h), as words
+    concatenate; n(a g a^-1) = n(g), as a s1...sk a^-1 = prod a si a^-1.
     """
     closed: set = set()
     pending = deque(seed)
@@ -173,22 +177,6 @@ class NormTable:
 def format_norm(v) -> Union[int, str]:
     """A norm as certificates write it: an int, or "inf" when unreachable."""
     return "inf" if v == math.inf else v
-
-
-def check_norm_axioms(table: FiniteGroupTable, gens) -> None:
-    """Certify that the word length over the set gens is a conjugation-
-    invariant norm, by checking that gens is symmetric and closed under
-    conjugation by the table's generators, hence by the whole group (module
-    docstring).  The word length n over such an S has the four axioms, with
-    n = inf off the subgroup S generates: n(g) = 0 iff g = e, as only the
-    empty word is e; n(g) = n(g^-1), as s1...sk inverts to sk^-1...s1^-1;
-    n(gh) <= n(g) + n(h), as words concatenate; and n(a g a^-1) = n(g), as
-    a s1...sk a^-1 is the product of the a si a^-1.  It costs |S| |gens|
-    conjugations; a failure is a closure bug, raised as AssertionError.
-    """
-    for s in gens:
-        if table.inv(s) not in gens or any(table.conj(h, s) not in gens for h in table.generators):
-            raise AssertionError(f"the generating set is not closed at {table.format_element(s)}")
 
 
 @dataclass(frozen=True)

@@ -70,14 +70,18 @@ class RingDescriptor:
     param: int = 0
 
     def __post_init__(self):
-        if self.kind == LOCALIZED:
+        if self.kind == INTEGERS:
+            if self.param != 0:
+                raise ValueError("the integers take no parameter")
+        elif self.kind == LOCALIZED:
             if self.param < 2:
                 raise ValueError("localization parameter m must be >= 2")
-        elif self.kind == QUADRATIC:
-            if self.param >= QUADRATIC_PARAM_BOUND:
-                raise ValueError("quadratic parameter d must be below 10^18")
-            if self.param < 2 or not _is_squarefree(self.param):
-                raise ValueError("quadratic parameter d must be squarefree and >= 2")
+        elif self.kind != QUADRATIC:
+            raise ValueError(f"unknown ring kind {self.kind!r:.40}")
+        elif self.param >= QUADRATIC_PARAM_BOUND:
+            raise ValueError("quadratic parameter d must be below 10^18")
+        elif self.param < 2 or not _is_squarefree(self.param):
+            raise ValueError("quadratic parameter d must be squarefree and >= 2")
 
     @property
     def name(self) -> str:
@@ -153,10 +157,9 @@ class RingElement:
     irr: int = 0
 
     def __post_init__(self):
-        # quadratic elements are built from ints only (the parser, from_pair, closed
-        # arithmetic), so den is 1 there; Z has param 0: strip by m = 1, which leaves |den|
-        den = self.rat.denominator
-        if den != 1 and _strip_primes(den, self.ring.param or 1) != 1:
+        # strip by m over Z[1/m] only: Z and Z[sqrt(d)] take m = 1, which leaves |den|
+        den, ring = self.rat.denominator, self.ring
+        if den != 1 and _strip_primes(den, ring.param if ring.kind == LOCALIZED else 1) != 1:
             raise _Refusal(self)
 
     # -- equality and hashing (canonical form makes this field comparison)

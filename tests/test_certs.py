@@ -1,14 +1,16 @@
 """Certificate documents: build, serialize, and re-verify from JSON alone."""
 
 import copy
+import functools
 import io
 import json
+import operator
 import random
 import time
 
 import pytest
 
-from sl2units import certs, lemma
+from sl2units import certs, lemma, rings
 from sl2units.cli import run
 from sl2units.elemgen import decompose, h_decomposition
 from sl2units.errors import (
@@ -30,6 +32,7 @@ from sl2units.rings import (
     integers,
     localized,
     parse_element,
+    parse_ring,
     random_element,
 )
 from sl2units.sl2 import GroupWord, elem12, elem21, parse_matrix
@@ -157,12 +160,18 @@ def test_malformed_documents_rejected():
     ],
 )
 def test_non_canonical_element_text_refused(build, path, text):
-    """verify reads only the text str() writes, though the parsers and the
-    CLI read each of these values."""
+    """The parsers and the CLI read each of these values, but verify compares
+    the recorded text with the text the derivation writes, the emitted one,
+    and refuses it at its path."""
     doc = build()
     certs.verify_document(doc)
-    with pytest.raises(ParseError, match="not in canonical form"):
+    emitted = functools.reduce(operator.getitem, path, doc["payload"])
+    where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
+    with pytest.raises(VerificationFailed) as refusal:
         certs.verify_document(_mutated(doc, path, text))
+    assert str(refusal.value) == (
+        f"{doc['kind']} payload{where}: recorded {text!r}, recomputed {emitted!r}"
+    )
 
 
 def test_verified_flag_must_be_true():
@@ -305,6 +314,31 @@ def test_a_word_is_evaluated_only_where_it_is_checked(monkeypatch, capsys, comma
     monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
     assert run(["verify", "-"]) == 0
     assert calls[0] == emits + verifies
+
+
+def test_make_document_formats_no_integer(monkeypatch):
+    """make_document reads its payload back with the parsers alone, and
+    writes no element again to compare it with its text."""
+    payload = _witness_doc()["payload"]
+    formatted = count_calls(monkeypatch, "_int_text", rings)
+    certs.make_document("lemma2-witness", Zh, payload)
+    assert formatted == [0]
+
+
+@pytest.mark.parametrize("ring, modulus", [("Z", "13"), ("Z[sqrt2]", "3")])
+def test_an_axiom_report_conjugates_only_to_build_its_closure(monkeypatch, capsys, ring, modulus):
+    """norm axioms and verify each conjugate every element of the closure S
+    by every generator of the table once, as the closure is built, and check
+    S no further."""
+    table = FiniteGroupTable(parse_element(parse_ring(ring), modulus))
+    conjugations = count_calls(monkeypatch, "conj", FiniteGroupTable)
+    assert run(f"norm axioms --ring {ring} --modulus {modulus} --gen [[1,1],[0,1]]".split()) == 0
+    out = capsys.readouterr().out
+    each = json.loads(out)["payload"]["generator_count"] * len(table.generators)
+    assert conjugations[0] == each
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    assert run(["verify", "-"]) == 0
+    assert conjugations[0] == 2 * each
 
 
 def test_tampered_h_decomposition():

@@ -302,6 +302,9 @@ VERIFY = {
             3**2095, 10 ** (DIGIT_BOUND - 1), (10 ** (DIGIT_BOUND - 1)).bit_length() + 1, 1.0),
         "ring-Z[1/m]": verify(edited(UNIT_FIND, ring=f"Z[1/{M}]"), 1, "NonUnit",
                               f"2 is not a unit of Z[1/{M}]"),
+        # the parser reads "+3", and the comparison with the derived text refuses it
+        "non-canonical-c": verify(edited(UNIT_FIND, c="+3"), 1, "VerificationFailed",
+                                  "many-units payload.c: recorded '+3', recomputed '3'"),
     },
     "lemma2-witness": {
         "conjugator-nested-10^5-deep": verify(lambda: with_conjugator(

@@ -14,7 +14,6 @@ from sl2units.lemma import certify_unit, find_unit, lemma2_witness
 from sl2units.norms import (
     FiniteGroupTable,
     NormTable,
-    check_norm_axioms,
     conjugation_closure,
     lemma_bound_experiment,
 )
@@ -22,6 +21,7 @@ from sl2units.rings import exact_quotient, integers, localized, parse_element, q
 from sl2units.sl2 import elem12, elem21, parse_matrix
 from tests.conftest import (
     certify_word_length,
+    check_norm_axioms,
     count_calls,
     group_elements,
     random_sl2,

@@ -19,6 +19,7 @@ from sl2units.rings import (
     DIGIT_BOUND,
     ORDER_BOUND,
     QUADRATIC,
+    RingDescriptor,
     _int_text,
     _is_squarefree,
     _strip_primes,
@@ -118,6 +119,34 @@ def test_descriptor_validation():
     with pytest.raises(ValueError):
         quadratic(12)  # 12 = 4 * 3 is not squarefree
     assert quadratic(6).param == 6
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(("integers", 5), "the integers take no parameter"),
+     (("foo",), "unknown ring kind 'foo'"),
+     (("Localized", 2), "unknown ring kind 'Localized'")],
+    ids=["Z-with-5", "foo", "Localized"],
+)
+def test_descriptor_of_no_supported_ring_refused(args, message):
+    """Z with a parameter would hold 1/5 under the name Z, and unequal to
+    integers(); an unknown kind would be read as Z[sqrt0]."""
+    with pytest.raises(ValueError) as refusal:
+        RingDescriptor(*args)
+    assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize("ring", [R2, R3, quadratic(6)], ids=str)
+def test_quadratic_ring_holds_no_fraction_over_its_parameter(ring):
+    """Only Z[1/m] strips the primes of its parameter from a denominator;
+    over Z[sqrt(d)] 1/d would print as 0, be truthy and have size 0."""
+    d = ring.param
+    with pytest.raises(ValueError) as refusal:
+        ring.from_fraction(1, d)
+    assert str(refusal.value) == f"1/{d} does not lie in Z[sqrt{d}]"
+    with pytest.raises(ValueError):
+        ring.from_fraction(3, d * d)
+    assert ring.from_fraction(2 * d, 2) == d
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,7 @@ LAYERS = {name: importlib.import_module(f"sl2units.{name}") for name in spans.LA
 
 # names spans.BUILD and spans.VERIFY still list that certs no longer defines,
 # and names that spans.Tracer.metrics sums that the package no longer defines
-STALE = ("dumps", "parse_many_units", "parse_witness", "norms.bfs_norm")
+STALE = ("dumps", "parse_many_units", "parse_witness", "norms.bfs_norm", "norms.check_norm_axioms")
 
 
 def _summed_names() -> set:
